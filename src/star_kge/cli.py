@@ -18,15 +18,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _pin_threads(argv):
-    if "--threads" not in argv:
+def _pin_threads(threads):
+    if threads is None:
         return
-    idx = argv.index("--threads")
-    if idx + 1 >= len(argv):
-        return
-    value = argv[idx + 1]
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = value
+        os.environ[var] = str(threads)
 
 
 def _write_json(path, payload):
@@ -147,7 +143,7 @@ def cmd_eval(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if table.n % 2 != 0 or table.num_entities != store.num_entities:
+    if table.num_entities != store.num_entities:
         print(
             f"error: checkpoint has {table.num_entities} entities, "
             f"dataset has {store.num_entities}",
@@ -321,10 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads every spelling of --threads (N, =N, abbreviations)
+    args = build_parser().parse_args(argv)
+    _pin_threads(args.threads)
     return args.func(args)
 
 

@@ -178,9 +178,6 @@ class TripleStore:
         out[:, 2] = s[:, 0]
         return out
 
-    def augmented_train(self) -> np.ndarray:
-        return np.concatenate([self.train, self.reciprocal_triples("train")])
-
     def _check_ids(self):
         ne, nr = self.num_entities, self.num_relations
         for name in ("train", "valid", "test"):

@@ -12,9 +12,13 @@ The score of (h, r, t) is [h^T, 1] M [t; 1], which unfolds to
 
     h^T R t + tau . t + 1.
 
-The fast kernel computes this sum directly; :func:`materialize_star_matrix`
-builds the explicit matrix and serves as the independent test oracle and as
-the substrate for the relation-pattern checks.
+Each block is the complex number a + ib, and R acting on the pair
+(v1, v2) is the complex product (a + ib)(v1 + i v2). The kernels
+(:func:`block_rotate`, :func:`block_rotate_t`, :func:`block_grad`) therefore
+work on zero-copy ``complex128`` views of the interleaved float64 vectors.
+:func:`materialize_star_matrix` builds the explicit real matrix without
+that view and stays the independent test oracle and the substrate for the
+relation-pattern checks.
 """
 
 from __future__ import annotations
@@ -66,9 +70,7 @@ class RelationParams:
 
     def conjugate(self) -> "RelationParams":
         """Negate the off-diagonal block components (complex conjugation)."""
-        rc = self.r_c.copy()
-        rc[1::2] = -rc[1::2]
-        return RelationParams(rc, self.tau.copy())
+        return RelationParams(_c(self.r_c).conj().view(np.float64), self.tau.copy())
 
     def scaled(self, alpha: float) -> "RelationParams":
         return RelationParams(alpha * self.r_c, alpha * self.tau)
@@ -87,25 +89,25 @@ class ScoreGradient:
     d_tau: np.ndarray
 
 
-def _interleave(first, second):
-    out = np.empty(first.shape[:-1] + (2 * first.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = first
-    out[..., 1::2] = second
-    return out
+def _c(x):
+    """Complex view of an interleaved float64 array; copies only when x is
+    not already C-contiguous float64 (``.view`` needs a contiguous last axis)."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
 
 
 def block_rotate(r_c, v):
-    """Apply the block matrix R to v: per block (a*v1 - b*v2, b*v1 + a*v2)."""
-    a, b = r_c[..., 0::2], r_c[..., 1::2]
-    v1, v2 = v[..., 0::2], v[..., 1::2]
-    return _interleave(a * v1 - b * v2, b * v1 + a * v2)
+    """Apply the block matrix R to v: per block (a + ib)(v1 + i v2)."""
+    return (_c(r_c) * _c(v)).view(np.float64)
 
 
 def block_rotate_t(r_c, v):
-    """Apply R transposed to v: per block (a*v1 + b*v2, a*v2 - b*v1)."""
-    a, b = r_c[..., 0::2], r_c[..., 1::2]
-    v1, v2 = v[..., 0::2], v[..., 1::2]
-    return _interleave(a * v1 + b * v2, a * v2 - b * v1)
+    """Apply R transposed to v: per block (a - ib)(v1 + i v2)."""
+    return (_c(r_c).conj() * _c(v)).view(np.float64)
+
+
+def block_grad(x, y):
+    """Gradient of x^T R y with respect to r_c: per block x * conj(y)."""
+    return (_c(x) * _c(y).conj()).view(np.float64)
 
 
 def transform_query(h, rel: RelationParams) -> np.ndarray:
@@ -117,21 +119,13 @@ def transform_query(h, rel: RelationParams) -> np.ndarray:
     return block_rotate_t(rel.r_c, h) + rel.tau
 
 
-def complex_inner(h, r_c, t) -> float:
-    """The pure block-bilinear part h^T R t (no translation, no constant)."""
-    a, b = r_c[0::2], r_c[1::2]
-    h1, h2 = h[0::2], h[1::2]
-    t1, t2 = t[0::2], t[1::2]
-    return float(np.sum(a * (h1 * t1 + h2 * t2) + b * (h2 * t1 - h1 * t2)))
-
-
 def score(h, rel: RelationParams, t) -> float:
     """Score one (head, relation, tail) triple: h^T R t + tau . t + 1."""
     h = _check_vector(h, name="h")
     t = _check_vector(t, n=h.shape[0], name="t")
     if rel.n != h.shape[0]:
         raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[0]}")
-    return complex_inner(h, rel.r_c, t) + float(rel.tau @ t) + 1.0
+    return float(transform_query(h, rel) @ t) + 1.0
 
 
 def score_batch(
@@ -211,14 +205,9 @@ def score_gradients(h, rel: RelationParams, t) -> ScoreGradient:
     t = _check_vector(t, n=h.shape[0], name="t")
     if rel.n != h.shape[0]:
         raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[0]}")
-    a, b = rel.r_c[0::2], rel.r_c[1::2]
-    h1, h2 = h[0::2], h[1::2]
-    t1, t2 = t[0::2], t[1::2]
-    d_h = _interleave(a * t1 - b * t2, a * t2 + b * t1)
-    d_t = _interleave(a * h1 + b * h2, a * h2 - b * h1) + rel.tau
-    d_r_c = _interleave(h1 * t1 + h2 * t2, h2 * t1 - h1 * t2)
-    d_tau = t.copy()
-    return ScoreGradient(d_h, d_t, d_r_c, d_tau)
+    return ScoreGradient(
+        block_rotate(rel.r_c, t), transform_query(h, rel), block_grad(h, t), t.copy()
+    )
 
 
 class EmbeddingTable:

@@ -33,6 +33,7 @@ import numpy as np
 from .model import (
     RelationParams,
     ScoreGradient,
+    block_rotate,
     block_rotate_t,
     materialize_star_matrix,
     score,
@@ -104,11 +105,7 @@ def _block_pattern_residual(m: np.ndarray) -> float:
 def compose_relation_params(rel1: RelationParams, rel2: RelationParams) -> RelationParams:
     """Parameters of the composed relation: blocks multiply like complex
     numbers, translations compose as tau3 = R2^T tau1 + tau2."""
-    a1, b1 = rel1.r_c[0::2], rel1.r_c[1::2]
-    a2, b2 = rel2.r_c[0::2], rel2.r_c[1::2]
-    rc = np.empty_like(rel1.r_c)
-    rc[0::2] = a1 * a2 - b1 * b2
-    rc[1::2] = a1 * b2 + b1 * a2
+    rc = block_rotate(rel1.r_c, rel2.r_c)
     tau = block_rotate_t(rel2.r_c, rel1.tau) + rel2.tau
     return RelationParams(rc, tau)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelationParams, block_rotate, block_rotate_t
+from .model import RelationParams, block_grad, block_rotate, block_rotate_t
 
 REG_KINDS = ("none", "Fro", "DURA")
 DURA_VARIANTS = ("literal", "exact")
@@ -60,13 +60,6 @@ def fro_terms_batch(H, T, RC, TAU):
     return values, 2.0 * H, 2.0 * T, 2.0 * RC, 2.0 * TAU
 
 
-def _interleave_pair(first, second):
-    out = np.empty(first.shape[:-1] + (2 * first.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = first
-    out[..., 1::2] = second
-    return out
-
-
 def dura_terms_batch(H, T, RC, TAU, variant="literal"):
     """Duality penalty and gradients for stacked query rows.
 
@@ -84,15 +77,7 @@ def dura_terms_batch(H, T, RC, TAU, variant="literal"):
     d_H = 2.0 * H + 2.0 * block_rotate(RC, U)
     d_T = 2.0 * T + 2.0 * block_rotate_t(RC, W)
     d_TAU = 2.0 * U
-
-    h1, h2 = H[..., 0::2], H[..., 1::2]
-    t1, t2 = T[..., 0::2], T[..., 1::2]
-    u1, u2 = U[..., 0::2], U[..., 1::2]
-    w1, w2 = W[..., 0::2], W[..., 1::2]
-    d_RC = 2.0 * _interleave_pair(
-        u1 * h1 + u2 * h2 + w1 * t1 + w2 * t2,
-        u1 * h2 - u2 * h1 - w1 * t2 + w2 * t1,
-    )
+    d_RC = 2.0 * (block_grad(H, U) + block_grad(W, T))
 
     if variant == "literal":
         values = values + tau_t

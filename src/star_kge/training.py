@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TripleStore, entity_frequency
-from .model import EmbeddingTable, block_rotate, block_rotate_t, init_embeddings
+from .model import EmbeddingTable, block_grad, block_rotate, block_rotate_t, init_embeddings
 from .regularization import RegConfig, penalty_terms_batch
 
 logger = logging.getLogger(__name__)
@@ -185,11 +185,7 @@ def batch_loss(
     d_entities = dS.T @ Q
     V = dS @ ents
     d_src = block_rotate(RC, V)
-    s1, s2 = H[:, 0::2], H[:, 1::2]
-    v1, v2 = V[:, 0::2], V[:, 1::2]
-    d_RC = np.empty_like(RC)
-    d_RC[:, 0::2] = s1 * v1 + s2 * v2
-    d_RC[:, 1::2] = s2 * v1 - s1 * v2
+    d_RC = block_grad(H, V)
     d_TAU = V
 
     scale = lam / nq
@@ -212,14 +208,6 @@ def adagrad_update(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
 
 def sgd_update(param: np.ndarray, grad: np.ndarray, lr: float):
     param -= lr * grad
-
-
-def _mask_frozen(grads: BatchGradients, model_kind: str):
-    """Zero gradients of parameters the model kind pins (so they stay pinned)."""
-    if model_kind in ("ComplEx", "DistMult"):
-        grads.d_rel_tau[:] = 0.0
-    if model_kind == "DistMult":
-        grads.d_rel_c[:, 1::2] = 0.0
 
 
 def _apply_updates(table, grads, state, config):
@@ -284,14 +272,14 @@ def train(
                 raise DivergenceError(
                     f"epoch {epoch}, batch {start // config.batch_size}: {exc}"
                 ) from None
-            _mask_frozen(grads, model_kind)
             _apply_updates(table, grads, state, config)
             table.enforce_kind()
-            if not np.isfinite(table.entity_embeddings).all():
-                raise DivergenceError(
-                    f"epoch {epoch}, batch {start // config.batch_size}: "
-                    "non-finite entity embeddings after update"
-                )
+            for name in ("entity_embeddings", "rel_c", "rel_tau"):
+                if not np.isfinite(getattr(table, name)).all():
+                    raise DivergenceError(
+                        f"epoch {epoch}, batch {start // config.batch_size}: "
+                        f"non-finite {name} after update"
+                    )
             loss_sum += loss * 2 * len(batch)
             query_count += 2 * len(batch)
         mean_loss = loss_sum / query_count

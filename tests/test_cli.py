@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -254,6 +255,14 @@ class TestVerify:
         assert "Composition" in out and "PASS" in out and "FAIL" not in out
         rows = json.loads(json_path.read_text())
         assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("flag", [["--threads=1"], ["--threads", "1"]])
+    def test_both_threads_forms_pin_blas(self, monkeypatch, capsys, flag):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "unset")  # restored to the original at teardown
+            monkeypatch.delenv(var)
+        assert main(["verify", *flag, "--n", "4", "--trials", "5"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_odd_dimension_is_usage_error(self, capsys):
         assert main(["verify", "--n", "7"]) == 2

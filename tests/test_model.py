@@ -7,9 +7,9 @@ from star_kge.model import (
     EmbeddingTable,
     RelationParams,
     apply_translation_matrix,
+    block_grad,
     block_rotate,
     block_rotate_t,
-    complex_inner,
     init_embeddings,
     materialize_star_matrix,
     score,
@@ -67,7 +67,7 @@ class TestScore:
             rel = random_relation(rng, n)
             h, t = rng.normal(size=n), rng.normal(size=n)
             total = score(h, rel, t)
-            parts = complex_inner(h, rel.r_c, t) + rel.tau @ t + 1.0
+            parts = h @ block_rotate(rel.r_c, t) + rel.tau @ t + 1.0
             assert total == pytest.approx(parts, abs=1e-12)
 
     def test_conjugation_swaps_head_and_tail_when_tau_is_zero(self, rng):
@@ -167,6 +167,22 @@ class TestScoreBatch:
         with pytest.raises(IndexError):
             score_batch(table, 0, 2)
 
+    def test_fortran_ordered_table_matches_c_ordered(self, rng):
+        table = init_embeddings(30, 2, 8, init_scale=1.0, seed=11)
+        table.rel_tau[:] = rng.normal(size=table.rel_tau.shape)
+        fortran = EmbeddingTable(
+            np.asfortranarray(table.entity_embeddings),
+            np.asfortranarray(table.rel_c),
+            np.asfortranarray(table.rel_tau),
+            table.num_relations,
+        )
+        assert not fortran.entity_embeddings.flags.c_contiguous
+        for head in (0, 13, 29):
+            for rel_id in range(table.num_relation_rows):
+                np.testing.assert_allclose(
+                    score_batch(fortran, head, rel_id), score_batch(table, head, rel_id), rtol=1e-12
+                )
+
     def test_single_precision_option(self):
         table = init_embeddings(20, 2, 8, init_scale=1.0, seed=6)
         fast32 = score_batch(table, 3, 1, dtype=np.float32)
@@ -209,16 +225,31 @@ class TestGradients:
 
 
 class TestBlockOps:
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
     @settings(max_examples=50, deadline=None)
-    def test_rotate_matches_matrix(self, blocks, seed):
+    def test_rotate_matches_matrix(self, blocks, rows, seed):
         n = 2 * blocks
         r = np.random.default_rng(seed)
-        rel = RelationParams(r.normal(size=n), np.zeros(n))
-        m = materialize_star_matrix(rel)[:n, :n]
-        v = r.normal(size=n)
-        np.testing.assert_allclose(block_rotate(rel.r_c, v), m @ v, atol=1e-12)
-        np.testing.assert_allclose(block_rotate_t(rel.r_c, v), m.T @ v, atol=1e-12)
+        RC, V, H, T = (r.normal(size=(rows, n)) for _ in range(4))
+        rotated, rotated_t, grads = block_rotate(RC, V), block_rotate_t(RC, V), block_grad(H, T)
+
+        def bilinear(h, t):
+            return lambda x: h @ materialize_star_matrix(RelationParams(x, np.zeros(n)))[:n, :n] @ t
+
+        # each batched row and the matching per-vector call against the oracle
+        for i in range(rows):
+            m = materialize_star_matrix(RelationParams(RC[i], np.zeros(n)))[:n, :n]
+            fd = central_diff(bilinear(H[i], T[i]), RC[i])
+            for got in (rotated[i], block_rotate(RC[i], V[i])):
+                np.testing.assert_allclose(got, m @ V[i], atol=1e-12)
+            for got in (rotated_t[i], block_rotate_t(RC[i], V[i])):
+                np.testing.assert_allclose(got, m.T @ V[i], atol=1e-12)
+            for got in (grads[i], block_grad(H[i], T[i])):
+                assert gradient_rel_error(got, fd) < 1e-6
 
     def test_transform_query_reproduces_score(self, rng):
         n = 8

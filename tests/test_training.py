@@ -249,6 +249,26 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="epoch 0"):
             train(toy_store, tiny_config(epochs=1))
 
+    @pytest.mark.parametrize("matrix", ["rel_c", "rel_tau"])
+    def test_divergence_in_relation_matrix_is_named(self, toy_store, monkeypatch, matrix):
+        import star_kge.training as training_module
+
+        tables = []
+
+        def recording_init(*args, **kwargs):
+            tables.append(init_embeddings(*args, **kwargs))
+            return tables[-1]
+
+        def poisoned_update(param, grad, accumulator, lr):
+            adagrad_update(param, grad, accumulator, lr)
+            if param is getattr(tables[0], matrix):
+                param[0, 0] = np.nan
+
+        monkeypatch.setattr(training_module, "init_embeddings", recording_init)
+        monkeypatch.setattr(training_module, "adagrad_update", poisoned_update)
+        with pytest.raises(DivergenceError, match=f"epoch 0, batch 0: non-finite {matrix}"):
+            train(toy_store, tiny_config(epochs=1))
+
     def test_complex_kind_keeps_translation_zero(self, toy_store):
         table, _ = train(toy_store, tiny_config(epochs=3), model_kind="ComplEx")
         assert np.all(table.rel_tau == 0.0)
