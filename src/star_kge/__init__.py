@@ -1,57 +1,55 @@
-"""Knowledge-graph embedding with block-rotation + translation relation matrices."""
+"""Knowledge-graph embedding with block-rotation + translation relation matrices.
 
-from .data import (
-    RelationClass,
-    TripleStore,
-    Vocab,
-    classify_relations,
-    entity_frequency,
-    load_dataset,
-    load_triples,
-)
-from .evaluation import EvalReport, evaluate, filtered_rank
-from .model import (
-    EmbeddingTable,
-    RelationParams,
-    ScoreGradient,
-    apply_translation_matrix,
-    init_embeddings,
-    materialize_star_matrix,
-    score,
-    score_batch,
-    score_gradients,
-)
-from .regularization import RegConfig, dura_penalty, fro_penalty
-from .training import TrainConfig, adagrad_update, batch_loss, tail_weight, train
+The exports below load their submodule on first access (PEP 562), so
+importing ``star_kge.cli`` does not load numpy and ``--threads`` can pin the
+BLAS thread pools first.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmbeddingTable",
-    "EvalReport",
-    "RegConfig",
-    "RelationClass",
-    "RelationParams",
-    "ScoreGradient",
-    "TrainConfig",
-    "TripleStore",
-    "Vocab",
-    "adagrad_update",
-    "apply_translation_matrix",
-    "batch_loss",
-    "classify_relations",
-    "dura_penalty",
-    "entity_frequency",
-    "evaluate",
-    "filtered_rank",
-    "fro_penalty",
-    "init_embeddings",
-    "load_dataset",
-    "load_triples",
-    "materialize_star_matrix",
-    "score",
-    "score_batch",
-    "score_gradients",
-    "tail_weight",
-    "train",
-]
+_EXPORTS = {
+    "EmbeddingTable": "model",
+    "EvalReport": "evaluation",
+    "RegConfig": "regularization",
+    "RelationClass": "data",
+    "RelationParams": "model",
+    "ScoreGradient": "model",
+    "TrainConfig": "training",
+    "TripleStore": "data",
+    "Vocab": "data",
+    "adagrad_update": "training",
+    "apply_translation_matrix": "model",
+    "batch_loss": "training",
+    "classify_relations": "data",
+    "dura_penalty": "regularization",
+    "entity_frequency": "data",
+    "evaluate": "evaluation",
+    "filtered_rank": "evaluation",
+    "fro_penalty": "regularization",
+    "init_embeddings": "model",
+    "load_dataset": "data",
+    "load_triples": "data",
+    "materialize_star_matrix": "model",
+    "score": "model",
+    "score_batch": "model",
+    "score_gradients": "model",
+    "tail_weight": "training",
+    "train": "training",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

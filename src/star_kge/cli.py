@@ -61,7 +61,10 @@ def _run_single(run_cfg, store, seed, out_dir):
         if len(store.split(split)) == 0:
             continue
         report = evaluate(split, table, store, classes)
-        _write_json(out_dir / f"eval_{split}.json", report.to_dict())
+        payload = report.to_dict()
+        # wall-clock time would make the reports of two seeded runs differ
+        del payload["ranking_s"]
+        _write_json(out_dir / f"eval_{split}.json", payload)
         metrics[split] = report
     return metrics
 
@@ -165,7 +168,8 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     payload = report.to_dict()
-    print(json.dumps({k: payload[k] for k in ("mrr", "hits", "num_queries")}, indent=2))
+    shown = ("mrr", "hits", "num_queries", "tie_rule", "ranking_s")
+    print(json.dumps({k: payload[k] for k in shown}, indent=2))
     if args.out:
         _write_json(args.out, payload)
 

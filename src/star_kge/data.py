@@ -130,13 +130,61 @@ def _dedupe(triples: np.ndarray, label: str) -> np.ndarray:
     return triples
 
 
+class FilterIndex:
+    """Known answers of every ``(source, relation)`` query, in CSR form.
+
+    ``keys`` holds the sorted, distinct int64 codes
+    ``src * num_relation_rows + rel``; the answers of ``keys[i]`` are
+    ``answers[offsets[i]:offsets[i + 1]]``, sorted and distinct. Built from
+    parallel ``src``, ``rel`` and ``answer`` arrays with one lexsort and a
+    run-boundary dedupe.
+    """
+
+    def __init__(self, src, rel, answer, num_relation_rows: int):
+        self.num_relation_rows = int(num_relation_rows)
+        code = np.asarray(src, dtype=np.int64) * self.num_relation_rows + rel
+        order = np.lexsort((answer, code))
+        code, answers = code[order], np.asarray(answer, dtype=np.int64)[order]
+        fresh = np.ones(len(code), dtype=bool)
+        fresh[1:] = (code[1:] != code[:-1]) | (answers[1:] != answers[:-1])
+        code, self.answers = code[fresh], answers[fresh]
+        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]]) if len(code) else code
+        self.keys = code[starts]
+        self.offsets = np.append(starts, len(code))
+
+    def known_answers(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Every known answer of a block of ``(src, rel, true_answer)`` queries.
+
+        Returns parallel arrays ``(row, answer)``: ``answer`` is a known
+        answer of query ``row``. The block is looked up with one
+        ``searchsorted``. A query whose pair is not in the index, or whose
+        true answer is not among the pair's answers, raises ValueError.
+        """
+        q = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
+        code = q[:, 0] * self.num_relation_rows + q[:, 1]
+        pos = np.searchsorted(self.keys, code)
+        found = pos < len(self.keys)
+        found[found] = self.keys[pos[found]] == code[found]
+        pos[~found] = 0  # with found False, count is offsets[0] - offsets[0] = 0
+        count = self.offsets[pos + found] - self.offsets[pos]
+        row = np.repeat(np.arange(len(q)), count)
+        first = np.repeat(self.offsets[pos] - (np.cumsum(count) - count), count)
+        answer = self.answers[first + np.arange(len(row))]
+        covered = np.zeros(len(q), dtype=bool)
+        covered[row[answer == q[row, 2]]] = True
+        if not covered.all():
+            h, r, t = q[np.argmin(covered)].tolist()
+            raise ValueError(f"query ({h}, {r}, {t}) is not covered by the filter index")
+        return row, answer
+
+
 class TripleStore:
     """Integer-encoded triples with splits and a filtered-ranking index.
 
-    The filter index maps ``(head_id, relation_id) -> set of tail ids`` over
-    the union of all splits, covering reciprocal relation ids as well, so
-    that every query seen during evaluation can exclude the other known-true
-    answers.
+    The :class:`FilterIndex` holds the known answers of every
+    ``(head_id, relation_id)`` query over the union of all splits, covering
+    reciprocal relation ids as well, so that every query seen during
+    evaluation can exclude the other known-true answers.
     """
 
     def __init__(self, vocab: Vocab, train: np.ndarray, valid=None, test=None):
@@ -189,14 +237,14 @@ class TripleStore:
             if s[:, 1].min() < 0 or s[:, 1].max() >= nr:
                 raise ValueError(f"{name} split contains relation ids outside [0, {nr})")
 
-    def _build_filter_index(self) -> dict[tuple[int, int], set[int]]:
-        index: dict[tuple[int, int], set[int]] = {}
-        nr = self.num_relations
-        for s in (self.train, self.valid, self.test):
-            for h, r, t in s.tolist():
-                index.setdefault((h, r), set()).add(t)
-                index.setdefault((t, r + nr), set()).add(h)
-        return index
+    def _build_filter_index(self) -> FilterIndex:
+        h, r, t = np.concatenate([self.train, self.valid, self.test]).T
+        return FilterIndex(
+            np.concatenate([h, t]),
+            np.concatenate([r, r + self.num_relations]),
+            np.concatenate([t, h]),
+            2 * self.num_relations,
+        )
 
     def _flag_unseen_entities(self):
         seen = np.zeros(self.num_entities, dtype=bool)
@@ -315,19 +363,28 @@ def classify_relations(store: TripleStore) -> list[RelationClass]:
     """
     if len(store.train) == 0:
         raise ValueError("train split is empty")
-    out = []
     heads, rels, tails = store.train[:, 0], store.train[:, 1], store.train[:, 2]
+    nr, ne = store.num_relations, store.num_entities
+
+    def distinct_per_relation(ents):
+        # a sort and its run boundaries: np.unique took ~20x as long on
+        # 87k train triples (numpy 2.4)
+        code = np.sort(rels * ne + ents)
+        fresh = np.r_[True, code[1:] != code[:-1]]
+        return np.bincount(code[fresh] // ne, minlength=nr).tolist()
+
+    counts = np.bincount(rels, minlength=nr).tolist()
+    n_heads = distinct_per_relation(heads)
+    n_tails = distinct_per_relation(tails)
+    out = []
     missing = []
-    for rid in range(store.num_relations):
-        mask = rels == rid
-        n = int(mask.sum())
+    for rid in range(nr):
+        n = counts[rid]
         if n == 0:
             missing.append(rid)
             continue
-        n_heads = len(np.unique(heads[mask]))
-        n_tails = len(np.unique(tails[mask]))
-        tphr = n / n_heads
-        hptr = n / n_tails
+        tphr = n / n_heads[rid]
+        hptr = n / n_tails[rid]
         out.append(RelationClass(rid, tphr, hptr, _classify(tphr, hptr)))
     if missing:
         logger.warning("%d relations have no train triples and were not classified", len(missing))

@@ -6,6 +6,11 @@ relation row, so a model is never transposed. All other known-true
 answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
+Queries are ranked in blocks: one matrix product scores a block of queries
+against every entity, the known answers of each row (from the array
+:class:`~star_kge.data.FilterIndex`) are masked by scattering ``-inf``, and
+rivals are counted row-wise.
+
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
 than chance) or uniformly at random.
@@ -13,15 +18,20 @@ than chance) or uniformly at random.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RelationClass, TripleStore
+from .data import FilterIndex, RelationClass, TripleStore
 from .model import EmbeddingTable, score_batch
 
 TIE_RULES = ("pessimistic", "random")
 HITS_AT = (1, 3, 10)
+
+#: float64 scores held by one ranking block (16 MB); a block ranks
+#: ``max(1, BLOCK_SCORES // |E|)`` queries, 51 at WN18RR's 40,943 entities
+BLOCK_SCORES = 2**21
 
 
 @dataclass
@@ -34,6 +44,7 @@ class EvalReport:
     num_queries: int
     tie_rule: str = "pessimistic"
     split: str = ""
+    ranking_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -41,6 +52,7 @@ class EvalReport:
             "direction": self.direction,
             "tie_rule": self.tie_rule,
             "num_queries": self.num_queries,
+            "ranking_s": self.ranking_s,
             "mrr": self.mrr,
             "hits": {str(k): v for k, v in sorted(self.hits.items())},
             "per_relation": {
@@ -50,44 +62,44 @@ class EvalReport:
         }
 
 
-def _rank_from_scores(scores, true_t, excluded, tie_rule, rng):
-    s_true = scores[true_t]
-    keep = np.ones(len(scores), dtype=bool)
-    if excluded:
-        keep[list(excluded)] = False
-    keep[true_t] = True
-    rest = scores[keep]
-    greater = int(np.count_nonzero(rest > s_true))
-    equal_rivals = int(np.count_nonzero(rest == s_true)) - 1
-    if tie_rule == "pessimistic":
-        return 1 + greater + equal_rivals
-    return 1 + greater + int(rng.integers(0, equal_rivals + 1))
+def _count_rows(mask) -> np.ndarray:
+    """Row-wise ``count_nonzero``; one call per row is about twice as fast as
+    ``axis=1`` on rows as wide as an entity table."""
+    return np.fromiter(map(np.count_nonzero, mask), dtype=np.int64, count=len(mask))
 
 
 def filtered_rank(
-    query: tuple[int, int, int],
+    query,
     table: EmbeddingTable,
-    filter_index: dict[tuple[int, int], set[int]],
+    filter_index: FilterIndex,
     tie_rule: str = "pessimistic",
     rng: np.random.Generator | None = None,
-) -> int:
-    """Filtered rank (>= 1) of the true answer for one (head, rel, true_tail) query.
+):
+    """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
-    ``rel`` may be a reciprocal relation id for head prediction. The query
-    triple itself must be present in the filter index, otherwise the store
-    and the query disagree and a ValueError is raised.
+    ``query`` is one triple, which gives an ``int``, or a ``(k, 3)`` block,
+    which gives an array of k ranks scored by one matrix product. ``rel``
+    may be a reciprocal relation id for head prediction. Every query triple
+    must be present in the filter index, otherwise the store and the query
+    disagree and a ValueError naming the query is raised.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
-    h, r, true_t = (int(x) for x in query)
-    known = filter_index.get((h, r))
-    if known is None or true_t not in known:
-        raise ValueError(f"query ({h}, {r}, {true_t}) is not covered by the filter index")
-    if tie_rule == "random" and rng is None:
-        rng = np.random.default_rng(0)
-    scores = score_batch(table, h, r)
-    excluded = known - {true_t}
-    return _rank_from_scores(scores, true_t, excluded, tie_rule, rng)
+    query = np.asarray(query, dtype=np.int64)
+    block = query.reshape(-1, 3)
+    row, answer = filter_index.known_answers(block)
+    scores = score_batch(table, block[:, 0], block[:, 1])
+    s_true = scores[np.arange(len(block)), block[:, 2]][:, None]
+    scores[row, answer] = -np.inf  # the true answer too: it never outranks itself
+    at_least = _count_rows(scores >= s_true)
+    if tie_rule == "pessimistic":
+        ranks = 1 + at_least
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        greater = _count_rows(scores > s_true)
+        ranks = 1 + greater + rng.integers(0, at_least - greater + 1)
+    return int(ranks[0]) if query.ndim == 1 else ranks
 
 
 def evaluate(
@@ -101,9 +113,11 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of a split in the requested direction(s).
 
-    Per-relation results merge the head and tail queries of each original
-    relation; per-class results group relations by their complexity class
-    when ``classes`` is given.
+    Queries go to :func:`filtered_rank` in blocks of
+    ``max(1, BLOCK_SCORES // |E|)`` rows, in the order tail query then head
+    query of each triple. Per-relation results merge the head and tail
+    queries of each original relation; per-class results group relations
+    by their complexity class when ``classes`` is given.
     """
     if direction not in ("tail", "head", "both"):
         raise ValueError(f"direction must be tail, head or both, got {direction!r}")
@@ -113,35 +127,44 @@ def evaluate(
     rng = np.random.default_rng(seed)
     nr = store.num_relations
 
-    rr_all: list[float] = []
-    ranks_all: list[int] = []
-    per_rel: dict[int, list[float]] = {}
-    for h, r, t in triples.tolist():
-        queries = []
-        if direction in ("tail", "both"):
-            queries.append((h, r, t))
-        if direction in ("head", "both"):
-            queries.append((t, r + nr, h))
-        for q in queries:
-            rank = filtered_rank(q, table, store.filter_index, tie_rule, rng)
-            ranks_all.append(rank)
-            rr_all.append(1.0 / rank)
-            per_rel.setdefault(r, []).append(1.0 / rank)
+    h, r, t = triples.T
+    sides = []
+    if direction in ("tail", "both"):
+        sides.append(np.stack([h, r, t], axis=1))
+    if direction in ("head", "both"):
+        sides.append(np.stack([t, r + nr, h], axis=1))
+    queries = np.stack(sides, axis=1).reshape(-1, 3)
+    rels = np.repeat(r, len(sides))
 
-    ranks = np.asarray(ranks_all)
-    rr = np.asarray(rr_all)
+    height = max(1, BLOCK_SCORES // table.num_entities)
+    start = time.perf_counter()
+    ranks = np.concatenate(
+        [
+            filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng)
+            for i in range(0, len(queries), height)
+        ]
+    )
+    ranking_s = time.perf_counter() - start
+
+    rr = 1.0 / ranks
     hits = {k: float(np.mean(ranks <= k)) for k in HITS_AT}
-    per_relation = {rid: (float(np.mean(v)), len(v)) for rid, v in per_rel.items()}
+    count = np.bincount(rels, minlength=nr)
+    rr_sum = np.bincount(rels, weights=rr, minlength=nr)
+    per_relation = {
+        rid: (float(rr_sum[rid] / count[rid]), int(count[rid])) for rid in np.flatnonzero(count).tolist()
+    }
 
     per_class: dict[str, float] = {}
     if classes is not None:
         label_of = {c.relation_id: c.label for c in classes}
-        by_label: dict[str, list[float]] = {}
-        for rid, values in per_rel.items():
+        totals: dict[str, list[float]] = {}
+        for rid in per_relation:
             label = label_of.get(rid)
             if label is not None:
-                by_label.setdefault(label, []).extend(values)
-        per_class = {label: float(np.mean(v)) for label, v in by_label.items()}
+                total = totals.setdefault(label, [0.0, 0])
+                total[0] += rr_sum[rid]
+                total[1] += count[rid]
+        per_class = {label: float(s / n) for label, (s, n) in totals.items()}
 
     return EvalReport(
         mrr=float(rr.mean()),
@@ -152,4 +175,5 @@ def evaluate(
         num_queries=len(rr),
         tie_rule=tie_rule,
         split=split,
+        ranking_s=ranking_s,
     )

@@ -110,13 +110,14 @@ def block_grad(x, y):
     return (_c(x) * _c(y).conj()).view(np.float64)
 
 
-def transform_query(h, rel: RelationParams) -> np.ndarray:
-    """Map a head vector to the query direction R^T h + tau.
+def transform_query(h, r_c, tau) -> np.ndarray:
+    """Map head vectors to the query direction R^T h + tau.
 
     The score against any tail t is then ``query . t + 1``, so ranking all
-    tails is a single matrix-vector product.
+    tails is a single matrix product. ``h``, ``r_c`` and ``tau`` are single
+    vectors or matching rows of a batch.
     """
-    return block_rotate_t(rel.r_c, h) + rel.tau
+    return block_rotate_t(r_c, h) + tau
 
 
 def score(h, rel: RelationParams, t) -> float:
@@ -125,28 +126,38 @@ def score(h, rel: RelationParams, t) -> float:
     t = _check_vector(t, n=h.shape[0], name="t")
     if rel.n != h.shape[0]:
         raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[0]}")
-    return float(transform_query(h, rel) @ t) + 1.0
+    return float(transform_query(h, rel.r_c, rel.tau) @ t) + 1.0
 
 
-def score_batch(
-    table: "EmbeddingTable", head_id: int, rel_id: int, dtype=np.float64
-) -> np.ndarray:
-    """Score one (head, relation) query against every entity.
+def _check_range(ids, bound, what):
+    bad = (ids < 0) | (ids >= bound)
+    if bad.any():
+        raise IndexError(f"{what} id {ids.flat[np.argmax(bad)]} out of range [0, {bound})")
 
-    Entry j equals ``score(head, rel, entity_j)``; computed as a single
-    matrix-vector product against the entity table. ``dtype=np.float32``
-    runs the product in single precision (ranking large tables faster at
-    reduced accuracy); everything else in the package stays 64-bit.
+
+def score_batch(table: "EmbeddingTable", head_id, rel_id, dtype=np.float64) -> np.ndarray:
+    """Score (head, relation) queries against every entity.
+
+    With scalar ids, entry j equals ``score(head, rel, entity_j)``. With
+    arrays of k head ids and k relation ids, row i of the ``(k, |E|)`` result
+    scores query i; the whole block is one matrix product against the
+    entity table. ``dtype=np.float32`` runs the product in single precision
+    (ranking large tables faster at reduced accuracy); everything else in the
+    package stays 64-bit.
     """
-    if not 0 <= head_id < table.num_entities:
-        raise IndexError(f"head id {head_id} out of range [0, {table.num_entities})")
-    if not 0 <= rel_id < table.num_relation_rows:
-        raise IndexError(f"relation id {rel_id} out of range [0, {table.num_relation_rows})")
-    q = transform_query(table.entity_embeddings[head_id], table.relation(rel_id))
+    heads, rels = np.asarray(head_id), np.asarray(rel_id)
+    if heads.shape != rels.shape or heads.ndim > 1:
+        raise ValueError(f"head ids {heads.shape} and relation ids {rels.shape} must be matching scalars or 1-D")
+    _check_range(heads, table.num_entities, "head")
+    _check_range(rels, table.num_relation_rows, "relation")
+    h, r = np.atleast_1d(heads), np.atleast_1d(rels)
+    ents = table.entity_embeddings
+    q = transform_query(ents[h], table.rel_c[r], table.rel_tau[r])
     if dtype == np.float32:
-        ents = table.entity_embeddings.astype(np.float32)
-        return ents @ q.astype(np.float32) + np.float32(1.0)
-    return table.entity_embeddings @ q + 1.0
+        q, ents = q.astype(np.float32), ents.astype(np.float32)
+    scores = q @ ents.T
+    scores += 1.0
+    return scores[0] if heads.ndim == 0 else scores
 
 
 def translation_matrix(tau) -> np.ndarray:
@@ -206,7 +217,7 @@ def score_gradients(h, rel: RelationParams, t) -> ScoreGradient:
     if rel.n != h.shape[0]:
         raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[0]}")
     return ScoreGradient(
-        block_rotate(rel.r_c, t), transform_query(h, rel), block_grad(h, t), t.copy()
+        block_rotate(rel.r_c, t), transform_query(h, rel.r_c, rel.tau), block_grad(h, t), t.copy()
     )
 
 

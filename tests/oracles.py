@@ -50,6 +50,34 @@ def sort_rank(scores, true_idx, excluded, tie_rule="pessimistic", rng=None):
     return candidates.index(true_idx) + 1
 
 
+def classify_relations_loop(triples, num_relations, threshold=1.5):
+    """Relation classes by one full-mask pass per relation.
+
+    Returns ``(classified, missing)``: ``(rid, tphr, hptr, label)`` for every
+    relation with train triples, in id order, and the ids of the others.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+    classified, missing = [], []
+    for rid in range(num_relations):
+        mask = rels == rid
+        n = int(mask.sum())
+        if n == 0:
+            missing.append(rid)
+            continue
+        tphr = n / len(np.unique(heads[mask]))
+        hptr = n / len(np.unique(tails[mask]))
+        many_tails, many_heads = tphr > threshold, hptr > threshold
+        label = {
+            (False, False): "1-to-1",
+            (True, False): "1-to-N",
+            (False, True): "N-to-1",
+            (True, True): "N-to-N",
+        }[(many_tails, many_heads)]
+        classified.append((rid, tphr, hptr, label))
+    return classified, missing
+
+
 def brute_force_two_paths(triples, num_relations, exclude_degenerate=False):
     """Quadratic join over all triple pairs sharing a middle entity."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)

@@ -383,7 +383,8 @@ class TestCriterion8:
             for h, r, t in store.train.tolist():
                 for query in ((h, r, t), (t, r + nr, h)):
                     scores = score_batch(table, query[0], query[1])
-                    excluded = store.filter_index[(query[0], query[1])] - {query[2]}
+                    _, known = store.filter_index.known_answers([query])
+                    excluded = set(known.tolist()) - {query[2]}
                     expected = sort_rank(scores, query[2], excluded)
                     # continuous scores have no ties, so both rules coincide
                     for rule in ("pessimistic", "random"):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +169,27 @@ class TestEval:
         assert code == 0
         assert json.loads(out.read_text())["mrr"] == 1.0
 
+    def test_prints_tie_rule_and_ranking_time(self, tmp_path, capsys):
+        from star_kge.data import load_dataset
+        from star_kge.model import init_embeddings
+
+        data = tmp_path / "toy"
+        data.mkdir()
+        (data / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+        (data / "test.tsv").write_text("a\tr\tc\n", encoding="utf-8")
+        store = load_dataset(data / "train.tsv", test_path=data / "test.tsv")
+        ckpt = tmp_path / "toy.bin"
+        init_embeddings(store.num_entities, store.num_relations, 4, seed=0).save_checkpoint(ckpt)
+        out = tmp_path / "report.json"
+        args = ["eval", "--checkpoint", str(ckpt), "--train", str(data / "train.tsv")]
+        args += ["--test", str(data / "test.tsv"), "--tie-rule", "random", "--out", str(out)]
+        assert main(args) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert set(shown) == {"mrr", "hits", "num_queries", "tie_rule", "ranking_s"}
+        assert shown["tie_rule"] == "random"
+        assert shown["ranking_s"] > 0.0
+        assert json.loads(out.read_text())["ranking_s"] == shown["ranking_s"]
+
     def test_eval_on_test_split(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, epochs=2)
@@ -263,6 +285,18 @@ class TestVerify:
             monkeypatch.delenv(var)
         assert main(["verify", *flag, "--n", "4", "--trials", "5"]) == 0
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """numpy must load after --threads has pinned the BLAS pools."""
+        import subprocess
+        import sys
+
+        import star_kge
+
+        env = dict(os.environ, PYTHONPATH=str(Path(star_kge.__file__).parents[1]))
+        code = "import sys, star_kge.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_odd_dimension_is_usage_error(self, capsys):
         assert main(["verify", "--n", "7"]) == 2

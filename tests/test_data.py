@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from star_kge.data import (
     CLASS_N_TO_ONE,
@@ -15,6 +17,7 @@ from star_kge.data import (
     load_triples,
 )
 from conftest import dataset_path, make_store
+from oracles import classify_relations_loop
 
 
 def write_tsv(path, rows):
@@ -61,8 +64,29 @@ class TestFilterIndex:
         nr = toy_store.num_relations
         for split in ("train", "valid", "test"):
             for h, r, t in toy_store.split(split).tolist():
-                assert t in toy_store.filter_index[(h, r)]
-                assert h in toy_store.filter_index[(t, r + nr)]
+                _, tails = toy_store.filter_index.known_answers([(h, r, t)])
+                _, heads = toy_store.filter_index.known_answers([(t, r + nr, h)])
+                assert t in tails
+                assert h in heads
+
+    def test_array_layout(self):
+        # (0, r0, 1) twice across splits, and its reciprocal answer twice
+        store = make_store([(0, 0, 2), (0, 0, 1), (3, 0, 1)], num_entities=4, valid=[(0, 0, 1)], test=[(0, 0, 2)])
+        index = store.filter_index
+        r_rows = 2 * store.num_relations
+        np.testing.assert_array_equal(index.keys, [0 * r_rows + 0, 1 * r_rows + 1, 2 * r_rows + 1, 3 * r_rows + 0])
+        np.testing.assert_array_equal(index.offsets, [0, 2, 4, 5, 6])
+        np.testing.assert_array_equal(index.answers, [1, 2, 0, 3, 0, 1])
+        row, answer = index.known_answers([(1, 1, 3), (0, 0, 2)])
+        assert row.tolist() == [0, 0, 1, 1]
+        assert answer.tolist() == [0, 3, 1, 2]
+
+    def test_missing_pair_raises(self, toy_store):
+        with pytest.raises(ValueError, match=r"query \(4, 1, 0\) is not covered"):
+            toy_store.filter_index.known_answers([(0, 0, 1), (4, 1, 0)])
+        empty = TripleStore(Vocab.from_lists(["a"], ["r"]), np.empty((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="not covered"):
+            empty.filter_index.known_answers([(0, 0, 0)])
 
     def test_reciprocal_triples_never_reach_disk(self, toy_store, tmp_path):
         toy_store.save(tmp_path / "store")
@@ -133,6 +157,44 @@ class TestClassify:
             classes = classify_relations(store)
         assert [c.relation_id for c in classes] == [0]
         assert "not classified" in caplog.text
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda ne: st.integers(1, 5).flatmap(
+                lambda nr: st.tuples(
+                    st.just(ne),
+                    st.just(nr),
+                    st.lists(
+                        st.tuples(st.integers(0, ne - 1), st.integers(0, nr - 1), st.integers(0, ne - 1)),
+                        min_size=1,
+                        max_size=40,
+                        unique=True,
+                    ),
+                )
+            )
+        )
+    )
+    def test_matches_per_relation_loop(self, case):
+        import logging
+
+        ne, nr, triples = case
+        store = make_store(triples, num_entities=ne, num_relations=nr)
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("star_kge.data")
+        logger.addHandler(handler)
+        try:
+            got = classify_relations(store)
+        finally:
+            logger.removeHandler(handler)
+        want, missing = classify_relations_loop(triples, nr)
+        assert all(isinstance(c, RelationClass) for c in got)
+        assert [(c.relation_id, c.tphr, c.hptr, c.label) for c in got] == want
+        warned = [r.getMessage() for r in records if "not classified" in r.getMessage()]
+        assert warned == ([f"{len(missing)} relations have no train triples and were not classified"] if missing else [])
 
 
 class TestEntityFrequency:

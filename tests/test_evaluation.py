@@ -63,7 +63,8 @@ class TestFilteredRank:
             for query in ((h, r, t), (t, r + nr, h)):
                 got = filtered_rank(query, table, store.filter_index)
                 scores = score_batch(table, query[0], query[1])
-                excluded = store.filter_index[(query[0], query[1])] - {query[2]}
+                _, known = store.filter_index.known_answers([query])
+                excluded = set(known.tolist()) - {query[2]}
                 assert got == sort_rank(scores, query[2], excluded)
 
     def test_random_tie_rule_matches_sort_oracle_distributionally(self):
@@ -91,6 +92,86 @@ class TestFilteredRank:
             assert filtered <= raw
 
 
+class TestBlockedRanking:
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        """Record every block evaluate() hands to filtered_rank, with its ranks."""
+        import star_kge.evaluation as evaluation
+
+        calls = []
+        real = evaluation.filtered_rank
+
+        def spy(block, *args, **kwargs):
+            ranks = real(block, *args, **kwargs)
+            calls.append((np.array(block), np.array(ranks)))
+            return ranks
+
+        monkeypatch.setattr(evaluation, "filtered_rank", spy)
+        return calls
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_three_row_blocks_equal_sort_oracle(self, monkeypatch, rng, constant):
+        triples = list(dict.fromkeys(map(tuple, rng.integers(0, 7, size=(14, 3)).tolist())))
+        triples = [(h, r % 2, t) for h, r, t in triples]
+        store = make_store(triples, num_entities=7, num_relations=2)
+        table = init_embeddings(7, 2, 6, init_scale=1.0, seed=4)
+        if constant:
+            table.entity_embeddings[:] = 0.0  # every candidate ties
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 3 * store.num_entities)
+        calls = self.spy_blocks(monkeypatch)
+        report = evaluate("train", table, store)
+
+        assert [len(block) for block, _ in calls[:-1]] == [3] * (len(calls) - 1)
+        queries = np.concatenate([block for block, _ in calls])
+        ranks = np.concatenate([r for _, r in calls])
+        # 2 queries per triple, 3 per block: triple 1's tail query ends
+        # block 0 and its head query starts block 1
+        h, r, t = store.train[1].tolist()
+        assert calls[0][0][2].tolist() == [h, r, t]
+        assert calls[1][0][0].tolist() == [t, r + 2, h]
+        expected = []
+        for query in queries.tolist():
+            scores = score_batch(table, query[0], query[1])
+            _, known = store.filter_index.known_answers([query])
+            expected.append(sort_rank(scores, query[2], set(known.tolist()) - {query[2]}))
+        assert ranks.tolist() == expected
+        assert report.mrr == np.mean(1.0 / np.asarray(expected))
+        if constant:
+            # every unfiltered rival ties with the answer, which goes last
+            known = [len(store.filter_index.known_answers([q])[1]) for q in queries.tolist()]
+            assert expected == [7 - k + 1 for k in known]
+
+    @pytest.mark.parametrize("tie_rule", ["pessimistic", "random"])
+    def test_block_equals_single_calls(self, rng, tie_rule):
+        triples = list(dict.fromkeys(map(tuple, rng.integers(0, 9, size=(20, 3)).tolist())))
+        triples = [(h, r % 3, t) for h, r, t in triples]
+        store = make_store(triples, num_entities=9, num_relations=3)
+        table = init_embeddings(9, 3, 6, init_scale=1.0, seed=6)
+        table.entity_embeddings[::3] = 0.0  # a few exact ties
+        queries = np.concatenate([store.train, store.reciprocal_triples("train")])
+        block = filtered_rank(queries, table, store.filter_index, tie_rule, np.random.default_rng(3))
+        single_rng = np.random.default_rng(3)
+        singles = [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in queries.tolist()]
+        assert block.shape == (len(queries),)
+        assert block.tolist() == singles
+        assert all(type(rank) is int for rank in singles)
+
+    def test_uncovered_query_in_block_is_named(self):
+        store = make_store([(0, 0, 1), (1, 0, 2), (2, 0, 3)], num_entities=4)
+        table = init_embeddings(4, 1, 4, seed=0)
+        block = [(0, 0, 1), (1, 0, 2), (1, 0, 3), (2, 0, 3)]
+        with pytest.raises(ValueError, match=r"query \(1, 0, 3\) is not covered by the filter index"):
+            filtered_rank(block, table, store.filter_index)
+        with pytest.raises(ValueError, match=r"query \(3, 0, 0\)"):
+            filtered_rank([(0, 0, 1), (3, 0, 0)], table, store.filter_index)
+
+    def test_report_states_ranking_time(self, toy_store):
+        table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
+        report = evaluate("train", table, toy_store)
+        assert report.ranking_s > 0.0
+        assert report.to_dict()["ranking_s"] == report.ranking_s
+
+
 class TestEvaluate:
     def test_perfectly_ranked_single_triple(self):
         store = make_store([(0, 0, 1)], num_entities=2)
@@ -109,9 +190,9 @@ class TestEvaluate:
     def test_known_rank_arithmetic(self, monkeypatch):
         store = make_store([(0, 0, 1)], num_entities=5)
         table = init_embeddings(5, 1, 4, seed=0)
-        ranks = iter([1, 4])
+        # one block holds both queries of the triple
         monkeypatch.setattr(
-            "star_kge.evaluation.filtered_rank", lambda *a, **k: next(ranks)
+            "star_kge.evaluation.filtered_rank", lambda *a, **k: np.array([1, 4])
         )
         report = evaluate("train", table, store)
         assert report.mrr == pytest.approx((1 + 0.25) / 2)

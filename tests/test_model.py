@@ -167,6 +167,30 @@ class TestScoreBatch:
         with pytest.raises(IndexError):
             score_batch(table, 0, 2)
 
+    def test_arrays_equal_stacked_scalar_calls(self, rng):
+        table = init_embeddings(40, 3, 8, init_scale=1.0, seed=12)
+        table.rel_tau[:] = rng.normal(size=table.rel_tau.shape)
+        heads = rng.integers(0, 40, size=7)
+        rels = rng.integers(0, table.num_relation_rows, size=7)
+        block = score_batch(table, heads, rels)
+        assert block.shape == (7, 40)
+        stacked = np.stack([score_batch(table, h, r) for h, r in zip(heads.tolist(), rels.tolist())])
+        np.testing.assert_allclose(block, stacked, rtol=1e-12, atol=1e-12)
+        assert score_batch(table, heads[:1], rels[:1]).shape == (1, 40)
+        assert score_batch(table, 3, 1).shape == (40,)
+        fast32 = score_batch(table, heads, rels, dtype=np.float32)
+        assert fast32.dtype == np.float32
+        np.testing.assert_allclose(fast32, block, rtol=1e-4, atol=1e-4)
+
+    def test_array_ids_checked(self):
+        table = init_embeddings(4, 1, 4, seed=0)
+        with pytest.raises(IndexError, match="head id 4"):
+            score_batch(table, np.array([0, 4]), np.array([0, 1]))
+        with pytest.raises(IndexError, match="relation id -1"):
+            score_batch(table, np.array([0, 1]), np.array([0, -1]))
+        with pytest.raises(ValueError, match="matching"):
+            score_batch(table, np.array([0, 1]), np.array([0]))
+
     def test_fortran_ordered_table_matches_c_ordered(self, rng):
         table = init_embeddings(30, 2, 8, init_scale=1.0, seed=11)
         table.rel_tau[:] = rng.normal(size=table.rel_tau.shape)
@@ -255,7 +279,7 @@ class TestBlockOps:
         n = 8
         rel = random_relation(rng, n)
         h, t = rng.normal(size=n), rng.normal(size=n)
-        q = transform_query(h, rel)
+        q = transform_query(h, rel.r_c, rel.tau)
         assert q @ t + 1.0 == pytest.approx(score(h, rel, t), abs=1e-12)
 
 
