@@ -74,7 +74,7 @@ def cmd_train(args) -> int:
 
     try:
         run_cfg = run_config_from_dict(load_flat_config(args.config))
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
@@ -222,10 +222,11 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     from .patterns import run_verify_suite
 
-    if args.n % 2 != 0 or args.n <= 0:
-        print(f"error: n must be positive and even, got {args.n}", file=sys.stderr)
+    try:
+        rows = run_verify_suite(n=args.n, trials=args.trials, seed=args.seed)
+    except ValueError as exc:  # n odd or not positive, trials < 1
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = run_verify_suite(n=args.n, trials=args.trials, seed=args.seed)
     width = max(len(r.pattern) for r in rows)
     failures = 0
     for row in rows:
@@ -250,7 +251,7 @@ def cmd_synth(args) -> int:
     try:
         spec = synth_spec_from_dict(load_flat_config(args.spec))
         result = generate_full(spec)
-    except (ConfigError, SynthSpecError, OSError) as exc:
+    except (ConfigError, SynthSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out)
@@ -324,7 +325,11 @@ def main(argv=None) -> int:
     # argparse reads every spelling of --threads (N, =N, abbreviations)
     args = build_parser().parse_args(argv)
     _pin_threads(args.threads)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # unreadable input or unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

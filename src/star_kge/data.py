@@ -76,9 +76,6 @@ class Vocab:
             self._rel_ids[name] = rid
             return rid
 
-    def reciprocal_id(self, relation_id: int) -> int:
-        return relation_id + self.num_relations
-
     @classmethod
     def from_lists(cls, entity_names, relation_names, frozen=True) -> "Vocab":
         v = cls(list(entity_names), list(relation_names), frozen=False)

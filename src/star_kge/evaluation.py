@@ -13,7 +13,11 @@ rivals are counted row-wise.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
-than chance) or uniformly at random.
+than chance) or uniformly at random. A tie is exact only up to the GEMM's
+rounding: BLAS may give identical entity rows scores that differ in the
+last bit, depending on the block height, so on a model with duplicate
+entity vectors pessimistic ranks can move by a few places with the block
+height.
 """
 
 from __future__ import annotations

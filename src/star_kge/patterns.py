@@ -38,7 +38,6 @@ from .model import (
     materialize_star_matrix,
     score,
     score_gradients,
-    score_via_matrix,
 )
 
 DEFAULT_TOL = 1e-10
@@ -89,6 +88,46 @@ def _witness(rel1=None, rel2=None, residual=0.0, **extra):
     return w
 
 
+# sampling harness ------------------------------------------------------------
+
+
+def _hom(x: np.ndarray) -> np.ndarray:
+    """Append the homogeneous coordinate 1 along the last axis."""
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+
+def _bilinear(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, 1] M [b; 1] for every stacked row pair of a and b."""
+    return ((_hom(a) @ m) * _hom(b)).sum(-1)
+
+
+def _draws(rng, trials: int, k: int, n: int) -> np.ndarray:
+    """k standard-normal n-vectors per trial, as a (k, trials, n) array.
+
+    One ``normal(size=(trials, k, n))`` call returns the same numbers, in the
+    same stream order, as k ``normal(size=n)`` calls per trial.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return np.moveaxis(rng.normal(size=(trials, k, n)), 1, 0)
+
+
+def _result(pattern, detail, resid, tol, rel=None, **draws) -> PatternCheckResult:
+    """Worst of the per-draw residuals. A failure's witness is the first worst
+    draw: array keywords are indexed at it, other keywords are kept whole.
+    A NaN residual counts as the worst and fails."""
+    i = int(np.argmax(resid))
+    worst = float(resid[i])
+    passed = worst <= tol
+    at_i = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in draws.items()}
+    witness = None if passed else _witness(rel, residual=worst, **at_i)
+    return PatternCheckResult(pattern, passed, residual=worst, witness=witness, detail=detail)
+
+
+def _inapplicable(pattern: str, detail: str) -> PatternCheckResult:
+    return PatternCheckResult(pattern, passed=True, applicable=False, detail=detail)
+
+
 def _block_pattern_residual(m: np.ndarray) -> float:
     """How far an n x n matrix is from the 2x2-block rotation-scaling layout."""
     n = m.shape[0]
@@ -130,26 +169,16 @@ def check_composition_closure(
         "corner": abs(float(m[n, n]) - 1.0),
         "block_pattern": _block_pattern_residual(m[:n, :n]),
     }
-    extracted = RelationParams(
-        np.ravel(np.column_stack([m[np.arange(0, n, 2), np.arange(0, n, 2)],
-                                  m[np.arange(1, n, 2), np.arange(0, n, 2)]])),
-        m[n, :n].copy(),
-    )
+    # each block's first column holds (a, b) at rows 2k, 2k + 1 of column 2k
+    extracted = RelationParams(m[np.arange(n), np.arange(n) // 2 * 2], m[n, :n].copy())
     residuals["roundtrip"] = float(np.abs(materialize_star_matrix(extracted) - m).max())
     composed = compose_relation_params(rel1, rel2)
     residuals["tau_formula"] = float(np.abs(composed.tau - extracted.tau).max())
     residuals["rc_formula"] = float(np.abs(composed.r_c - extracted.r_c).max())
 
-    if rng is None:
-        rng = np.random.default_rng(0)
-    score_resid = 0.0
-    for _ in range(4):
-        h = rng.normal(size=n)
-        t = rng.normal(size=n)
-        hh = np.concatenate([h, [1.0]])
-        tt = np.concatenate([t, [1.0]])
-        score_resid = max(score_resid, abs(float(hh @ m @ tt) - score(h, composed, t)))
-    residuals["score"] = score_resid
+    h, t = _draws(rng, 4, 2, n)
+    via_params = [score(a, composed, b) for a, b in zip(h, t)]
+    residuals["score"] = float(np.abs(_bilinear(h, m, t) - via_params).max())
 
     worst = max(residuals.values())
     passed = worst <= tol * scale
@@ -191,52 +220,37 @@ def check_symmetry_mode(
     failed.
     """
     if np.abs(rel.r_c[1::2]).max(initial=0.0) != 0.0 or np.abs(rel.tau).max(initial=0.0) != 0.0:
-        return PatternCheckResult(
-            "Symmetry",
-            passed=True,
-            applicable=False,
-            detail="relation is not in the diagonal-block, zero-translation configuration",
+        return _inapplicable(
+            "Symmetry", "relation is not in the diagonal-block, zero-translation configuration"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
     m = materialize_star_matrix(rel)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        h = rng.normal(size=rel.n)
-        t = rng.normal(size=rel.n)
-        hh = np.concatenate([h, [1.0]])
-        tt = np.concatenate([t, [1.0]])
-        resid = abs(float(hh @ m @ tt) - float(tt @ m @ hh))
-        if resid > worst:
-            worst = resid
-            witness = _witness(rel, residual=resid, h=h, t=t)
-    passed = worst <= tol
-    return PatternCheckResult(
-        "Symmetry",
-        passed,
-        residual=worst,
-        witness=None if passed else witness,
-        detail="s(h, r, t) = s(t, r, h) for the diagonal-block degeneration",
-    )
+    h, t = _draws(rng, trials, 2, rel.n)
+    resid = np.abs(_bilinear(h, m, t) - _bilinear(t, m, h))
+    detail = "s(h, r, t) = s(t, r, h) for the diagonal-block degeneration"
+    return _result("Symmetry", detail, resid, tol, rel, h=h, t=t)
 
 
 def find_asymmetry_witness(
     rel: RelationParams, trials: int = 100, tol: float = DEFAULT_TOL, rng=None
 ) -> dict | None:
-    """Search for (h, t) with s(h, r, t) != s(t, r, h); None if not found."""
+    """Search for (h, t) with s(h, r, t) != s(t, r, h); None if not found.
+
+    Returns the first such draw and leaves ``rng`` where a search that stops
+    there leaves it.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
     m = materialize_star_matrix(rel)
-    for _ in range(trials):
-        h = rng.normal(size=rel.n)
-        t = rng.normal(size=rel.n)
-        hh = np.concatenate([h, [1.0]])
-        tt = np.concatenate([t, [1.0]])
-        gap = abs(float(hh @ m @ tt) - float(tt @ m @ hh))
-        if gap > tol:
-            return _witness(rel, residual=gap, h=h, t=t)
-    return None
+    h, t = _draws(rng, trials, 2, rel.n)
+    gap = np.abs(_bilinear(h, m, t) - _bilinear(t, m, h))
+    above = np.flatnonzero(gap > tol)
+    if above.size == 0:
+        return None
+    i = int(above[0])
+    rng.bit_generator.state = start
+    _draws(rng, i + 1, 2, rel.n)
+    return _witness(rel, residual=gap[i], h=h[i], t=t[i])
 
 
 def check_antisymmetry_mode(
@@ -249,41 +263,16 @@ def check_antisymmetry_mode(
     head-independence is asserted.
     """
     if np.abs(rel.r_c).max(initial=0.0) != 0.0:
-        return PatternCheckResult(
-            "AntiSymmetry",
-            passed=True,
-            applicable=False,
-            detail="relation blocks are not zero",
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
+        return _inapplicable("AntiSymmetry", "relation blocks are not zero")
     m = materialize_star_matrix(rel)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        t = rng.normal(size=rel.n)
-        tt = np.concatenate([t, [1.0]])
-        vals = []
-        for _ in range(4):
-            h = rng.normal(size=rel.n)
-            hh = np.concatenate([h, [1.0]])
-            vals.append(float(hh @ m @ tt))
-        expected = float(rel.tau @ t) + 1.0
-        resid = max(abs(v - expected) for v in vals)
-        if resid > worst:
-            worst = resid
-            witness = _witness(rel, residual=resid, t=t)
-    passed = worst <= tol
-    return PatternCheckResult(
-        "AntiSymmetry",
-        passed,
-        residual=worst,
-        witness=None if passed else witness,
-        detail=(
-            "zero-block score equals tau . t + 1 for every head; "
-            "s(h,r,t) = s(t,r,h) would require tau . t = tau . h (informational)"
-        ),
+    draws = _draws(rng, trials, 5, rel.n)
+    t, heads = draws[0], draws[1:]
+    resid = np.abs(_bilinear(heads, m, t) - (t @ rel.tau + 1.0)).max(0)
+    detail = (
+        "zero-block score equals tau . t + 1 for every head; "
+        "s(h,r,t) = s(t,r,h) would require tau . t = tau . h (informational)"
     )
+    return _result("AntiSymmetry", detail, resid, tol, rel, t=t)
 
 
 def check_inversion(
@@ -296,35 +285,15 @@ def check_inversion(
     inapplicable.
     """
     if np.abs(rel.tau).max(initial=0.0) != 0.0:
-        return PatternCheckResult(
-            "Inversion",
-            passed=True,
-            applicable=False,
-            detail="translation must be zero (transposition leaves the matrix family)",
+        return _inapplicable(
+            "Inversion", "translation must be zero (transposition leaves the matrix family)"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
     m1 = materialize_star_matrix(rel)
     m2 = materialize_star_matrix(rel.conjugate())
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        h = rng.normal(size=rel.n)
-        t = rng.normal(size=rel.n)
-        hh = np.concatenate([h, [1.0]])
-        tt = np.concatenate([t, [1.0]])
-        resid = abs(float(hh @ m1 @ tt) - float(tt @ m2 @ hh))
-        if resid > worst:
-            worst = resid
-            witness = _witness(rel, residual=resid, h=h, t=t)
-    passed = worst <= tol
-    return PatternCheckResult(
-        "Inversion",
-        passed,
-        residual=worst,
-        witness=None if passed else witness,
-        detail="s(h, r, t) = s(t, conjugate(r), h) when the translation is zero",
-    )
+    h, t = _draws(rng, trials, 2, rel.n)
+    resid = np.abs(_bilinear(h, m1, t) - _bilinear(t, m2, h))
+    detail = "s(h, r, t) = s(t, conjugate(r), h) when the translation is zero"
+    return _result("Inversion", detail, resid, tol, rel, h=h, t=t)
 
 
 def check_margin_scaling(
@@ -338,68 +307,27 @@ def check_margin_scaling(
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    if rng is None:
-        rng = np.random.default_rng(0)
     m = materialize_star_matrix(rel)
     m_scaled = materialize_star_matrix(rel.scaled(alpha))
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        h = rng.normal(size=rel.n)
-        t = rng.normal(size=rel.n)
-        hh = np.concatenate([h, [1.0]])
-        tt = np.concatenate([t, [1.0]])
-        lhs = alpha * float(hh @ m @ tt)
-        rhs = float(hh @ m_scaled @ tt) + (alpha - 1.0)
-        resid = abs(lhs - rhs)
-        if resid > worst:
-            worst = resid
-            witness = _witness(rel, residual=resid, alpha=alpha, h=h, t=t)
-    scale = max(1.0, abs(alpha))
-    passed = worst <= tol * scale
-    return PatternCheckResult(
-        "ComplexRelationsMargin",
-        passed,
-        residual=worst,
-        witness=None if passed else witness,
-        detail="scaling the relation parameters rescales the score margin adaptively",
-    )
+    h, t = _draws(rng, trials, 2, rel.n)
+    resid = np.abs(alpha * _bilinear(h, m, t) - (_bilinear(h, m_scaled, t) + (alpha - 1.0)))
+    detail = "scaling the relation parameters rescales the score margin adaptively"
+    scaled_tol = tol * max(1.0, abs(alpha))
+    return _result("ComplexRelationsMargin", detail, resid, scaled_tol, rel, alpha=alpha, h=h, t=t)
 
 
 def check_E_term(
     rel: RelationParams, trials: int = 100, tol: float = DEFAULT_TOL, rng=None
 ) -> PatternCheckResult:
     """The translation contributes exactly tau . t, independent of the head."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     m = materialize_star_matrix(rel)
     m0 = materialize_star_matrix(rel.with_zero_tau())
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        t = rng.normal(size=rel.n)
-        tt = np.concatenate([t, [1.0]])
-        expected = float(rel.tau @ t)
-        diffs = []
-        for _ in range(4):
-            h = rng.normal(size=rel.n)
-            hh = np.concatenate([h, [1.0]])
-            diffs.append(float(hh @ m @ tt) - float(hh @ m0 @ tt))
-        resid = max(
-            max(abs(d - expected) for d in diffs),
-            max(diffs) - min(diffs),
-        )
-        if resid > worst:
-            worst = resid
-            witness = _witness(rel, residual=resid, t=t)
-    passed = worst <= tol
-    return PatternCheckResult(
-        "ETerm",
-        passed,
-        residual=worst,
-        witness=None if passed else witness,
-        detail="s(h, r, t) - s(h, r with tau=0, t) = tau . t for every head",
-    )
+    draws = _draws(rng, trials, 5, rel.n)
+    t, heads = draws[0], draws[1:]
+    diffs = _bilinear(heads, m, t) - _bilinear(heads, m0, t)
+    resid = np.maximum(np.abs(diffs - t @ rel.tau).max(0), np.ptp(diffs, axis=0))
+    detail = "s(h, r, t) - s(h, r with tau=0, t) = tau . t for every head"
+    return _result("ETerm", detail, resid, tol, rel, t=t)
 
 
 # random parameter draws ------------------------------------------------------
@@ -455,6 +383,8 @@ def run_pattern_suite(
     """Run every pattern check on fresh random parameters; one result per row."""
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"n must be positive and even, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     per_trial = 8  # inner (h, t) draws are enough per parameter draw
     rows: list[PatternCheckResult] = []
@@ -504,7 +434,6 @@ def run_pattern_suite(
             PatternCheckResult(
                 "Symmetry",
                 False,
-                residual=0.0,
                 witness=_witness(generic),
                 detail="generic relation unexpectedly symmetric",
             )
@@ -533,8 +462,6 @@ def run_pattern_suite(
     margins = []
     for i in range(trials):
         alpha = (1.0, 2.0, -1.0)[i % 3] if i < 3 else float(rng.uniform(-3, 3) or 1.0)
-        if alpha == 0.0:
-            alpha = 0.5
         margins.append(check_margin_scaling(random_relation(rng, n), alpha, per_trial, tol, rng))
     rows.append(
         _aggregate(
@@ -557,26 +484,17 @@ def check_kernel_oracle(
 ) -> PatternCheckResult:
     """Vectorized score vs the materialized-matrix product on random draws."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
+    r_c, tau, h, t = np.empty((4, trials, n))
+    resid = np.empty(trials)
+    for i in range(trials):
         rel = random_relation(rng, n)
-        h = rng.normal(size=n)
-        t = rng.normal(size=n)
-        fast = score(h, rel, t)
-        slow = score_via_matrix(h, rel, t)
-        resid = abs(fast - slow) / max(1.0, abs(fast), abs(slow))
-        if resid > worst:
-            worst = resid
-            witness = _witness(rel, residual=resid, h=h, t=t)
-    passed = worst <= tol
-    return PatternCheckResult(
-        "KernelOracle",
-        passed,
-        residual=worst,
-        witness=None if passed else witness,
-        detail="vectorized kernel equals the explicit matrix product",
-    )
+        r_c[i], tau[i] = rel.r_c, rel.tau
+        h[i], t[i] = rng.normal(size=(2, n))
+        fast = score(h[i], rel, t[i])
+        slow = float(_bilinear(h[i], materialize_star_matrix(rel), t[i]))
+        resid[i] = abs(fast - slow) / max(1.0, abs(fast), abs(slow))
+    detail = "vectorized kernel equals the explicit matrix product"
+    return _result("KernelOracle", detail, resid, tol, rel1_r_c=r_c, rel1_tau=tau, h=h, t=t)
 
 
 def _central_difference(f, x0, step=1e-5):

@@ -71,7 +71,6 @@ class OptimizerState:
     acc_entities: np.ndarray | None = None
     acc_rel_c: np.ndarray | None = None
     acc_rel_tau: np.ndarray | None = None
-    eps: float = ADAGRAD_EPS
 
     @classmethod
     def for_table(cls, table: EmbeddingTable, optimizer: str) -> "OptimizerState":

@@ -302,6 +302,29 @@ class TestVerify:
         assert main(["verify", "--n", "7"]) == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error_not_a_pass(self, capsys, trials):
+        assert main(["verify", "--n", "4", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "trials" in captured.err
+        assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "report.json")  # its parent is a regular file
+    if command == "verify":
+        argv = ["verify", "--n", "4", "--trials", "2", "--json", out]
+    else:
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tr1\tb\nb\tr2\tc\n", encoding="utf-8")
+        argv = ["analyze", "--train", str(train), "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestAnalyze:
     def test_report_csv_and_svg(self, tmp_path):

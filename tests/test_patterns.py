@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import star_kge.patterns as patterns
-from star_kge.model import RelationParams, materialize_star_matrix
+from star_kge.model import RelationParams, materialize_star_matrix, score
 from star_kge.patterns import (
     check_antisymmetry_mode,
     check_commutativity,
     check_composition_closure,
     check_E_term,
     check_inversion,
+    check_kernel_oracle,
     check_margin_scaling,
     check_symmetry_mode,
     compose_relation_params,
@@ -24,6 +25,11 @@ def identity_relation(n):
     rc = np.zeros(n)
     rc[0::2] = 1.0
     return RelationParams(rc, np.zeros(n))
+
+
+def hom_score(h, m, t):
+    """[h, 1] M [t; 1] for one pair, one vector product at a time."""
+    return float(np.concatenate([h, [1.0]]) @ m @ np.concatenate([t, [1.0]]))
 
 
 class TestCompositionClosure:
@@ -110,6 +116,25 @@ class TestSymmetry:
         assert witness is not None
         assert witness["residual"] > 1e-10
 
+    @pytest.mark.parametrize("tol", [1e-10, 1.0, 1e9])
+    def test_asymmetry_witness_is_first_draw_and_stream_stops_there(self, rng, tol):
+        rel = random_relation(rng, 8)
+        m = materialize_star_matrix(rel)
+        seeded, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        witness = find_asymmetry_witness(rel, trials=30, tol=tol, rng=seeded)
+        expected = None
+        for _ in range(30):  # the per-trial search, stopping at the first gap
+            h, t = fresh.normal(size=8), fresh.normal(size=8)
+            if abs(hom_score(h, m, t) - hom_score(t, m, h)) > tol:
+                expected = (h, t)
+                break
+        if expected is None:
+            assert witness is None
+        else:
+            np.testing.assert_array_equal(witness["h"], expected[0])
+            np.testing.assert_array_equal(witness["t"], expected[1])
+        assert seeded.normal() == fresh.normal()
+
 
 class TestAntiSymmetryInfo:
     def test_zero_blocks_score_head_independent(self, rng):
@@ -182,6 +207,127 @@ class TestETerm:
         assert score(h, rel, t) == score(h, rel.with_zero_tau(), t)
 
 
+def skew_entry(real):
+    """``materialize_star_matrix`` plus a head/tail-asymmetric entry that grows
+    with |tau|, so every sampled identity breaks by a different amount on
+    each draw and the worst draw is unique."""
+
+    def skewed(rel):
+        m = real(rel)
+        m[0, 1] += 0.5 * (1.0 + np.abs(rel.tau).sum())
+        return m
+
+    return skewed
+
+
+def per_trial_oracle(name, rel, seed, trials, n):
+    """The check's draws and residuals from a per-trial loop on a fresh
+    generator: (list of draw tuples, residuals, generator after the draws)."""
+    g = np.random.default_rng(seed)
+    m = patterns.materialize_star_matrix(rel)
+    draws, resid = [], []
+    for _ in range(trials):
+        k = 5 if name in ("antisymmetry", "eterm") else 2
+        d = tuple(g.normal(size=n) for _ in range(k))
+        if name == "symmetry":
+            r = abs(hom_score(d[0], m, d[1]) - hom_score(d[1], m, d[0]))
+        elif name == "inversion":
+            m2 = patterns.materialize_star_matrix(rel.conjugate())
+            r = abs(hom_score(d[0], m, d[1]) - hom_score(d[1], m2, d[0]))
+        elif name == "margin":
+            m2 = patterns.materialize_star_matrix(rel.scaled(2.0))
+            r = abs(2.0 * hom_score(d[0], m, d[1]) - hom_score(d[0], m2, d[1]) - 1.0)
+        elif name == "antisymmetry":
+            r = max(abs(hom_score(h, m, d[0]) - (rel.tau @ d[0] + 1.0)) for h in d[1:])
+        else:
+            m0 = patterns.materialize_star_matrix(rel.with_zero_tau())
+            diffs = [hom_score(h, m, d[0]) - hom_score(h, m0, d[0]) for h in d[1:]]
+            r = max(max(abs(x - rel.tau @ d[0]) for x in diffs), max(diffs) - min(diffs))
+        draws.append(d)
+        resid.append(r)
+    return draws, np.array(resid), g
+
+
+SAMPLED = {
+    "symmetry": (lambda rng: random_relation(rng, 6, tau_zero=True, diagonal=True), check_symmetry_mode),
+    "antisymmetry": (lambda rng: random_relation(rng, 6, zero_blocks=True), check_antisymmetry_mode),
+    "inversion": (lambda rng: random_relation(rng, 6, tau_zero=True), check_inversion),
+    "margin": (
+        lambda rng: random_relation(rng, 6),
+        lambda rel, **kw: check_margin_scaling(rel, 2.0, **kw),
+    ),
+    "eterm": (lambda rng: random_relation(rng, 6), check_E_term),
+}
+
+
+class TestHarness:
+    """The batched draws against the per-trial loops they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_forced_failure_witness_is_worst_per_trial_draw(self, name, skewed, rng, monkeypatch):
+        if skewed:
+            monkeypatch.setattr(
+                patterns, "materialize_star_matrix", skew_entry(patterns.materialize_star_matrix)
+            )
+        make_rel, check = SAMPLED[name]
+        rel = make_rel(rng)
+        seeded = np.random.default_rng(11)
+        res = check(rel, trials=25, tol=-1.0, rng=seeded)
+        draws, resid, fresh = per_trial_oracle(name, rel, 11, 25, 6)
+        assert not res.passed and res.applicable
+        # same stream: the generator ends where the per-trial loop ends
+        assert seeded.normal() == fresh.normal()
+        # the witness is one draw (h, t) or (t, h1..h4), and its residual recomputes
+        drawn = [res.witness[k] for k in ("h", "t") if k in res.witness]
+        hits = [i for i, d in enumerate(draws) if all(map(np.array_equal, d, drawn))]
+        assert len(hits) == 1
+        assert res.residual == res.witness["residual"]
+        assert res.residual == pytest.approx(resid[hits[0]], rel=1e-9, abs=1e-13)
+        if skewed:  # residuals are spread out: the witness is the unique worst draw
+            assert hits[0] == int(np.argmax(resid))
+            assert resid.max() > 1e-3
+
+    def test_kernel_oracle_witness_recomputes(self, monkeypatch):
+        monkeypatch.setattr(
+            patterns, "materialize_star_matrix", skew_entry(patterns.materialize_star_matrix)
+        )
+        res = check_kernel_oracle(n=6, trials=40, seed=4)
+        assert not res.passed
+        w = res.witness
+        rel = RelationParams(np.array(w["rel1_r_c"]), np.array(w["rel1_tau"]))
+        fast = score(w["h"], rel, w["t"])
+        slow = hom_score(w["h"], patterns.materialize_star_matrix(rel), w["t"])
+        assert res.residual == pytest.approx(abs(fast - slow) / max(1.0, abs(fast), abs(slow)))
+        g = np.random.default_rng(4)
+        worst = 0.0
+        for _ in range(40):  # the draws interleave relations with vectors
+            r = random_relation(g, 6)
+            h, t = g.normal(size=6), g.normal(size=6)
+            fast = score(h, r, t)
+            slow = hom_score(h, patterns.materialize_star_matrix(r), t)
+            worst = max(worst, abs(fast - slow) / max(1.0, abs(fast), abs(slow)))
+        assert res.residual == pytest.approx(worst, rel=1e-9)
+
+    def test_witness_is_first_of_tied_worst_and_nan_fails(self):
+        rel = identity_relation(2)
+        draws = np.arange(8.0).reshape(4, 2)
+        res = patterns._result("X", "d", np.array([0.0, 3.0, 1.0, 3.0]), 1.0, rel, h=draws, alpha=2.0)
+        assert not res.passed and res.residual == 3.0
+        np.testing.assert_array_equal(res.witness["h"], draws[1])
+        assert res.witness["alpha"] == 2.0 and res.witness["rel1_tau"] is rel.tau
+        res = patterns._result("X", "d", np.array([0.0, np.nan, 5.0]), 10.0, rel, h=draws)
+        assert not res.passed and np.isnan(res.residual)
+        np.testing.assert_array_equal(res.witness["h"], draws[1])
+        assert patterns._result("X", "d", np.zeros(3), 0.0, rel, h=draws).passed
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_zero_trials_rejected(self, name, rng):
+        make_rel, check = SAMPLED[name]
+        with pytest.raises(ValueError):
+            check(make_rel(rng), trials=0)
+
+
 class TestSuite:
     def test_full_suite_passes_at_n8(self):
         rows = run_pattern_suite(n=8, trials=100, seed=0)
@@ -207,6 +353,13 @@ class TestSuite:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             run_pattern_suite(n=7)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_pattern_suite(n=4, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            run_verify_suite(n=4, trials=trials)
 
     def test_injected_sign_error_fails_closure_with_witness(self, rng, monkeypatch):
         # corrupt the composed-parameter extraction the way a kernel sign bug would
