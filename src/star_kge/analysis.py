@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,37 +87,34 @@ def _incidence(triples: np.ndarray, num_entities: int, num_relations: int, col: 
 def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> PairCounts:
     """Count ordered two-hop chains for every relation pair on the train split.
 
-    ``exclude_degenerate`` drops chains whose three entities are not all
-    distinct (self-loops on either hop and e1 = e3 returns), for sensitivity
-    analysis. Reciprocal relations never participate. All products stay in
-    float64 where every intermediate value is an exact integer, then cast
-    back.
+    ``exclude_degenerate`` keeps only chains whose three entities are all
+    distinct, for sensitivity analysis. A chain has e1 = e2 or e2 = e3
+    exactly when one of its hops is a self-loop, so self-loop triples are
+    dropped before counting; the e1 = e3 returns left over are then
+    subtracted, found by joining every edge (h, r, t) with every edge
+    (t, r2, h). Reciprocal relations never participate. All products stay
+    in float64 where every intermediate value is an exact integer, then
+    cast back.
     """
     tr = store.train
     ne, nr = store.num_entities, store.num_relations
+    if exclude_degenerate:
+        tr = tr[tr[:, 0] != tr[:, 2]]
     in_mat = _incidence(tr, ne, nr, col=2)  # in_mat[e, r]  = #(. , r, e)
     out_mat = _incidence(tr, ne, nr, col=0)  # out_mat[e, r] = #(e , r, .)
-    counts = in_mat.T @ out_mat
+    out = np.rint(in_mat.T @ out_mat).astype(np.int64)
 
     if exclude_degenerate:
-        loops = np.zeros((ne, nr))
-        self_loops = tr[tr[:, 0] == tr[:, 2]]
-        np.add.at(loops, (self_loops[:, 0], self_loops[:, 1]), 1.0)
-        # chains with e1 = e2 (first hop loops) and e2 = e3 (second hop loops)
-        n_12 = loops.T @ out_mat
-        n_23 = in_mat.T @ loops
-        n_all = loops.T @ loops
-        # chains with e1 = e3: join each edge with the reversed edge set
-        by_pair: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for h, r, t in tr.tolist():
-            by_pair[(h, t)].append(r)
-        n_13 = np.zeros((nr, nr))
-        for h, r, t in tr.tolist():
-            for r2 in by_pair.get((t, h), ()):
-                n_13[r, r2] += 1.0
-        counts = counts - n_12 - n_23 - n_13 + 2.0 * n_all
+        # join each edge (h, r, t) with every edge (t, r2, h) on codes h * |E| + t
+        code = tr[:, 0] * ne + tr[:, 2]
+        order = np.argsort(code)
+        code, back = code[order], tr[:, 2] * ne + tr[:, 0]
+        lo = np.searchsorted(code, back)
+        count = np.searchsorted(code, back, side="right") - lo
+        row = np.repeat(np.arange(len(tr)), count)
+        match = order[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(row))]
+        out -= np.bincount(tr[row, 1] * nr + tr[match, 1], minlength=nr * nr).reshape(nr, nr)
 
-    out = np.rint(counts).astype(np.int64)
     if (out < 0).any():
         raise AssertionError("negative path count, exclusion bookkeeping is wrong")
     return PairCounts(out, nr, degenerate_excluded=exclude_degenerate)

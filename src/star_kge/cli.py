@@ -34,7 +34,10 @@ def _write_json(path, payload):
 def _load_store(train, valid=None, test=None):
     from .data import load_dataset
 
-    return load_dataset(train, valid, test)
+    store = load_dataset(train, valid, test)
+    if len(store.train) == 0:
+        raise ValueError(f"train split {train} is empty")
+    return store
 
 
 # train -------------------------------------------------------------------------

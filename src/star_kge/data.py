@@ -1,18 +1,22 @@
 """Triple ingestion, vocabularies, filter indexes and relation statistics.
 
 Triple files are the community-standard three-column TSV
-(``head<TAB>relation<TAB>tail``), UTF-8 encoded. Entities and relations
-receive dense 0-based ids in order of first appearance. For every
-relation id ``r`` the reciprocal relation (tail-to-head direction) is
-addressed as ``r + num_relations``; reciprocal triples are enumerable
-but never written back to disk.
+(``head<TAB>relation<TAB>tail``), UTF-8 encoded, read with universal
+newlines and split into lines at ``\\n`` only: ``\\x0b``, ``\\x85`` or
+``\\u2028`` stay inside names. Blank lines are skipped. Entities and
+relations receive dense 0-based ids in order of first appearance over
+train, then valid, then test, within a line the head before the tail.
+For every relation id ``r`` the reciprocal relation (tail-to-head
+direction) is addressed as ``r + num_relations``; reciprocal triples are
+enumerable but never written back to disk.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +37,28 @@ class TripleParseError(ValueError):
 
 
 class VocabularyError(KeyError):
-    """A name was not found in a frozen vocabulary."""
+    """A name is missing from a vocabulary, or a vocabulary repeats a name."""
 
 
 @dataclass
 class Vocab:
-    """Dense, 0-based name<->id maps for entities and original relations."""
+    """Dense, 0-based name<->id maps for entities and original relations.
 
-    entity_names: list[str] = field(default_factory=list)
-    relation_names: list[str] = field(default_factory=list)
-    _ent_ids: dict[str, int] = field(default_factory=dict, repr=False)
-    _rel_ids: dict[str, int] = field(default_factory=dict, repr=False)
-    frozen: bool = False
+    Built once from complete name lists: the id of a name is its position.
+    """
+
+    entity_names: list[str]
+    relation_names: list[str]
+
+    def __post_init__(self):
+        self.entity_names = list(self.entity_names)
+        self.relation_names = list(self.relation_names)
+        self._ent_ids = dict(zip(self.entity_names, range(len(self.entity_names))))
+        self._rel_ids = dict(zip(self.relation_names, range(len(self.relation_names))))
+        if len(self._ent_ids) != len(self.entity_names):
+            raise VocabularyError("duplicate entity names in vocabulary")
+        if len(self._rel_ids) != len(self.relation_names):
+            raise VocabularyError("duplicate relation names in vocabulary")
 
     @property
     def num_entities(self) -> int:
@@ -54,77 +68,61 @@ class Vocab:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def entity_id(self, name: str) -> int:
-        try:
-            return self._ent_ids[name]
-        except KeyError:
-            if self.frozen:
-                raise VocabularyError(f"unknown entity {name!r} (vocabulary is frozen)") from None
-            eid = len(self.entity_names)
-            self.entity_names.append(name)
-            self._ent_ids[name] = eid
-            return eid
 
-    def relation_id(self, name: str) -> int:
-        try:
-            return self._rel_ids[name]
-        except KeyError:
-            if self.frozen:
-                raise VocabularyError(f"unknown relation {name!r} (vocabulary is frozen)") from None
-            rid = len(self.relation_names)
-            self.relation_names.append(name)
-            self._rel_ids[name] = rid
-            return rid
-
-    @classmethod
-    def from_lists(cls, entity_names, relation_names, frozen=True) -> "Vocab":
-        v = cls(list(entity_names), list(relation_names), frozen=False)
-        v._ent_ids = {name: i for i, name in enumerate(v.entity_names)}
-        v._rel_ids = {name: i for i, name in enumerate(v.relation_names)}
-        if len(v._ent_ids) != len(v.entity_names):
-            raise VocabularyError("duplicate entity names in vocabulary")
-        if len(v._rel_ids) != len(v.relation_names):
-            raise VocabularyError("duplicate relation names in vocabulary")
-        v.frozen = frozen
-        return v
-
-
-def _parse_file(path) -> list[tuple[str, str, str]]:
-    """Read one TSV triple file into (head, relation, tail) name tuples."""
-    rows = []
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file with universal newlines, split at
+    ``\\n`` only; a final ``\\n`` ends the last line, as in splitlines()."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TripleParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            rows.append((parts[0], parts[1], parts[2]))
-    return rows
+        lines = fh.read().split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
-def _encode(rows, vocab: Vocab) -> np.ndarray:
-    out = np.empty((len(rows), 3), dtype=np.int64)
-    for i, (h, r, t) in enumerate(rows):
-        out[i, 0] = vocab.entity_id(h)
-        out[i, 1] = vocab.relation_id(r)
-        out[i, 2] = vocab.entity_id(t)
+def _read_names(path) -> list[str]:
+    """Read one TSV triple file into the flat name list ``[h, r, t, ...]``.
+
+    Blank lines are skipped but still count toward the line numbers that
+    :class:`TripleParseError` reports.
+    """
+    lines = _read_lines(path)
+    fields = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) + 1
+    for i in np.flatnonzero(fields != 3).tolist():
+        if lines[i]:
+            raise TripleParseError(
+                f"{path}:{i + 1}: expected 3 tab-separated fields, got {fields[i]}"
+            )
+    rows = list(filter(None, lines))
+    return "\t".join(rows).split("\t") if rows else []
+
+
+def _vocab_of(*splits: list[str]) -> Vocab:
+    """Vocabulary in order of first appearance over the flat name lists."""
+    names = list(chain(*splits))
+    relations = dict.fromkeys(names[1::3])
+    del names[1::3]  # [h0, t0, h1, t1, ...]
+    return Vocab(dict.fromkeys(names), relations)
+
+
+def _encode(names: list[str], vocab: Vocab) -> np.ndarray:
+    """Id triples of a flat name list; a name outside ``vocab`` raises."""
+    out = np.empty((len(names) // 3, 3), dtype=np.int64)
+    ents, rels = vocab._ent_ids, vocab._rel_ids
+    for col, kind, ids in ((0, "entity", ents), (1, "relation", rels), (2, "entity", ents)):
+        try:
+            out[:, col] = np.fromiter(map(ids.__getitem__, names[col::3]), np.int64, len(out))
+        except KeyError as exc:
+            raise VocabularyError(f"unknown {kind} {exc.args[0]!r}") from None
     return out
 
 
-def _dedupe(triples: np.ndarray, label: str) -> np.ndarray:
-    if len(triples) == 0:
+def _dedupe(triples: np.ndarray, vocab: Vocab, label: str) -> np.ndarray:
+    """Drop repeated triples, keeping first occurrences in file order."""
+    h, r, t = triples.T
+    code = (h * vocab.num_relations + r) * vocab.num_entities + t
+    first = np.unique(code, return_index=True)[1]
+    if len(first) == len(triples):
         return triples
-    seen = dict.fromkeys(map(tuple, triples.tolist()))
-    if len(seen) != len(triples):
-        logger.warning(
-            "dropped %d duplicate triples from %s split", len(triples) - len(seen), label
-        )
-        return np.array(list(seen), dtype=np.int64)
-    return triples
+    logger.warning("dropped %d duplicate triples from %s split", len(triples) - len(first), label)
+    return triples[np.sort(first)]
 
 
 class FilterIndex:
@@ -289,30 +287,23 @@ class TripleStore:
         manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
         if manifest.get("format") != "star-kge-store-v1":
             raise ValueError(f"unrecognized store manifest in {directory}")
-        ents = (directory / "entities.txt").read_text(encoding="utf-8").splitlines()
-        rels = (directory / "relations.txt").read_text(encoding="utf-8").splitlines()
-        vocab = Vocab.from_lists(ents, rels, frozen=True)
-        splits = {}
-        for name in ("train", "valid", "test"):
-            rows = _parse_file(directory / f"{name}.tsv")
-            splits[name] = _encode(rows, vocab)
-        return cls(vocab, splits["train"], splits["valid"], splits["test"])
+        vocab = Vocab(_read_lines(directory / "entities.txt"), _read_lines(directory / "relations.txt"))
+        splits = (_read_names(directory / f"{name}.tsv") for name in ("train", "valid", "test"))
+        return cls(vocab, *(_encode(names, vocab) for names in splits))
 
 
 def load_triples(path, vocab: Vocab | None = None) -> TripleStore:
     """Load a single TSV file as the train split of a new store.
 
-    With ``vocab`` given the vocabulary is frozen and unknown names raise
-    :class:`VocabularyError`; otherwise the vocabulary is built in file
-    order. Duplicate lines are dropped with a warning since they would bias
-    the per-relation head/tail statistics.
+    With ``vocab`` given, unknown names raise :class:`VocabularyError`;
+    otherwise the vocabulary is built in file order. Duplicate lines are
+    dropped with a warning since they would bias the per-relation head/tail
+    statistics.
     """
-    rows = _parse_file(path)
+    names = _read_names(path)
     if vocab is None:
-        vocab = Vocab()
-    triples = _dedupe(_encode(rows, vocab), "train")
-    vocab.frozen = True
-    return TripleStore(vocab, triples)
+        vocab = _vocab_of(names)
+    return TripleStore(vocab, _dedupe(_encode(names, vocab), vocab, "train"))
 
 
 def load_dataset(train_path, valid_path=None, test_path=None) -> TripleStore:
@@ -321,13 +312,12 @@ def load_dataset(train_path, valid_path=None, test_path=None) -> TripleStore:
     The vocabulary covers the union of all splits so evaluation never meets
     an unknown entity; entities absent from train are flagged with a warning.
     """
-    vocab = Vocab()
-    rows = {"train": _parse_file(train_path)}
-    rows["valid"] = _parse_file(valid_path) if valid_path else []
-    rows["test"] = _parse_file(test_path) if test_path else []
-    enc = {name: _dedupe(_encode(r, vocab), name) for name, r in rows.items()}
-    vocab.frozen = True
-    return TripleStore(vocab, enc["train"], enc["valid"], enc["test"])
+    names = {"train": _read_names(train_path)}
+    names["valid"] = _read_names(valid_path) if valid_path else []
+    names["test"] = _read_names(test_path) if test_path else []
+    vocab = _vocab_of(*names.values())
+    splits = (_dedupe(_encode(n, vocab), vocab, split) for split, n in names.items())
+    return TripleStore(vocab, *splits)
 
 
 @dataclass

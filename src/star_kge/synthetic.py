@@ -239,10 +239,8 @@ class _Generator:
 
         self._audit()
 
-        vocab = Vocab.from_lists(
-            [f"e{k:04d}" for k in range(spec.num_entities)],
-            [r.name for r in spec.relations],
-            frozen=True,
+        vocab = Vocab(
+            [f"e{k:04d}" for k in range(spec.num_entities)], [r.name for r in spec.relations]
         )
         rel_id = {r.name: k for k, r in enumerate(spec.relations)}
         all_triples: list[tuple[int, int, int]] = []

@@ -35,9 +35,7 @@ def make_store(triples, num_entities=None, num_relations=None, valid=(), test=()
     all_rows = np.concatenate(stacked)
     ne = num_entities if num_entities is not None else int(all_rows[:, [0, 2]].max()) + 1
     nr = num_relations if num_relations is not None else int(all_rows[:, 1].max()) + 1
-    vocab = Vocab.from_lists(
-        [f"e{i}" for i in range(ne)], [f"r{i}" for i in range(nr)], frozen=True
-    )
+    vocab = Vocab([f"e{i}" for i in range(ne)], [f"r{i}" for i in range(nr)])
     return TripleStore(vocab, triples, valid, test)
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 Kept deliberately separate from the package: finite differences, a
-sort-based ranking oracle and a quadratic-time two-hop join double-check
-the production paths without sharing code with them.
+sort-based ranking oracle, a quadratic-time two-hop join and a line-by-line
+triple reader double-check the production paths without sharing code with
+them.
 """
 
 import numpy as np
@@ -76,6 +77,47 @@ def classify_relations_loop(triples, num_relations, threshold=1.5):
         }[(many_tails, many_heads)]
         classified.append((rid, tphr, hptr, label))
     return classified, missing
+
+
+def read_triples_loop(path):
+    """(head, relation, tail) name tuples by iterating the file line by line.
+
+    Universal newlines, blank lines skipped; a line without exactly three
+    tab-separated fields raises ValueError naming the file and line number.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+                )
+            rows.append(tuple(parts))
+    return rows
+
+
+def encode_loop(splits):
+    """Grow a vocabulary name by name over the splits, then dedupe each split.
+
+    Returns ``(entity_names, relation_names, encoded, dropped)``: ``encoded``
+    holds one ``(k, 3)`` id array per split with first occurrences kept in
+    order, ``dropped`` the number of duplicate lines of each split.
+    """
+    ents, rels = {}, {}
+    encoded, dropped = [], []
+    for rows in splits:
+        ids = [
+            (ents.setdefault(h, len(ents)), rels.setdefault(r, len(rels)), ents.setdefault(t, len(ents)))
+            for h, r, t in rows
+        ]
+        kept = list(dict.fromkeys(ids))
+        encoded.append(np.array(kept, dtype=np.int64).reshape(-1, 3))
+        dropped.append(len(ids) - len(kept))
+    return list(ents), list(rels), encoded, dropped
 
 
 def brute_force_two_paths(triples, num_relations, exclude_degenerate=False):

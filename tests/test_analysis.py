@@ -14,10 +14,19 @@ from conftest import dataset_path, make_store
 from oracles import brute_force_two_paths
 
 
-def random_store(rng, num_entities=8, num_relations=3, num_triples=30):
+def random_store(rng, num_entities=8, num_relations=3, num_triples=30, messy=False):
+    """Distinct random triples; ``messy`` forces about a quarter of them to be
+    self-loops and repeats about a quarter of them instead of deduplicating."""
     rows = rng.integers(0, num_entities, size=(num_triples, 2))
     rels = rng.integers(0, num_relations, size=num_triples)
-    triples = list(dict.fromkeys((int(h), int(r), int(t)) for (h, t), r in zip(rows, rels)))
+    if messy:
+        loops = rng.random(num_triples) < 0.25
+        rows[loops, 1] = rows[loops, 0]
+    triples = [(int(h), int(r), int(t)) for (h, t), r in zip(rows, rels)]
+    if messy:
+        triples += [triples[i] for i in rng.integers(0, num_triples, size=num_triples // 4)]
+    else:
+        triples = list(dict.fromkeys(triples))
     return make_store(triples, num_entities=num_entities, num_relations=num_relations)
 
 
@@ -54,12 +63,13 @@ class TestCountTwoPaths:
 
     @pytest.mark.parametrize("exclude", [False, True])
     def test_matches_quadratic_join(self, exclude, rng):
-        for _ in range(25):
+        for k in range(50):
             store = random_store(
                 rng,
                 num_entities=int(rng.integers(3, 10)),
                 num_relations=int(rng.integers(1, 5)),
                 num_triples=int(rng.integers(5, 60)),
+                messy=k % 2 == 1,
             )
             fast = count_two_paths(store, exclude_degenerate=exclude)
             slow = brute_force_two_paths(
@@ -147,7 +157,7 @@ class TestExport:
         report = dataset_imbalance(counts)
         report.psi = {}
         path = export_arc_data(report, tmp_path / "pairs.csv", "csv")
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows == [["rel_i", "rel_j", "count_ij", "count_ji", "psi"]]
 
     def test_two_relation_toy_writes_one_arc(self, tmp_path):
@@ -158,7 +168,7 @@ class TestExport:
         assert svg.count("<path") == 1
         assert "rgb(" in svg
         csv_path = export_arc_data(report, tmp_path / "pairs.csv", "csv")
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert len(rows) == 2
         assert rows[1][:2] == ["r0", "r1"]
 

@@ -115,6 +115,18 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "momentum" in capsys.readouterr().err
 
+    def test_empty_train_split_is_usage_error(self, synth_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        cfg = write_train_config(
+            tmp_path / "train.cfg", synth_dir, tmp_path / "x", **{"data.train": str(empty)}
+        )
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "empty" in err
+        assert "Traceback" not in err
+
     def test_determinism_bitwise_checkpoints(self, synth_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -221,7 +233,7 @@ class TestEval:
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert 0.0 < payload["mrr"] <= 1.0
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         # header plus one row per relation present in the test split
         assert rows[0] == ["relation", "proportion", "mrr"]
         test_rels = {
@@ -247,6 +259,19 @@ class TestEval:
         )
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_empty_train_file_is_usage_error(self, tmp_path, capsys):
+        from star_kge.model import init_embeddings
+
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n", encoding="utf-8")
+        ckpt = tmp_path / "model.bin"
+        init_embeddings(1, 1, 4, seed=0).save_checkpoint(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--train", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "empty" in err
+        assert "Traceback" not in err
 
     def test_dimension_mismatch_is_usage_error(self, synth_dir, tmp_path, capsys):
         from star_kge.model import init_embeddings
@@ -350,7 +375,7 @@ class TestAnalyze:
         payload = json.loads(report.read_text())
         assert payload["Psi"] == 0.0  # both orders of (r1, r2) occur once each
         assert svg.read_text().startswith("<svg")
-        assert len(list(csv.reader(pairs.open()))) >= 2
+        assert len(list(csv.reader(pairs.read_text().splitlines()))) >= 2
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert (

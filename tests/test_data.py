@@ -1,3 +1,7 @@
+import logging
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from star_kge.data import (
     load_triples,
 )
 from conftest import dataset_path, make_store
-from oracles import classify_relations_loop
+from oracles import classify_relations_loop, encode_loop, read_triples_loop
 
 
 def write_tsv(path, rows):
@@ -41,7 +45,7 @@ class TestLoadTriples:
             load_triples(path)
 
     def test_frozen_vocab_rejects_unknown_entity(self, tmp_path):
-        vocab = Vocab.from_lists(["A", "B"], ["r"])
+        vocab = Vocab(["A", "B"], ["r"])
         path = write_tsv(tmp_path / "train.tsv", [("A", "r", "Z")])
         with pytest.raises(VocabularyError, match="Z"):
             load_triples(path, vocab)
@@ -57,6 +61,86 @@ class TestLoadTriples:
         path = tmp_path / "train.tsv"
         path.write_text("A\tr\tB\n\nB\tr\tC\n", encoding="utf-8")
         assert len(load_triples(path).train) == 2
+
+
+#: names mix letters with characters that str.splitlines() would break at;
+#: lines are well-formed, malformed or blank, ended by LF, CRLF or a lone CR
+_NAME = st.text(alphabet="ab\x0b\x0c\x1c\x85\u2028\u2029", max_size=2)
+_LINE = st.one_of(
+    st.tuples(_NAME, _NAME, _NAME).map("\t".join),
+    st.lists(_NAME, min_size=1, max_size=5).map("\t".join),
+    st.just(""),
+)
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+#: a file of lines, each repeated 1-3 times so that duplicate triples occur
+_FILE = st.lists(st.tuples(_LINE, _ENDS, st.integers(1, 3)), max_size=12).map(
+    lambda lines: "".join((line + end) * times for line, end, times in lines)
+)
+
+
+class TestReaderMatchesLoop:
+    """The array reader and encoder against the line-by-line oracle."""
+
+    @staticmethod
+    def _load(fn, *args):
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("star_kge.data")
+        logger.addHandler(handler)
+        try:
+            return fn(*args), [r.getMessage() for r in records if "duplicate" in r.getMessage()]
+        finally:
+            logger.removeHandler(handler)
+
+    @staticmethod
+    def _oracle(paths):
+        try:
+            rows = [read_triples_loop(p) if p else [] for p in paths]
+        except ValueError as exc:
+            return str(exc)
+        ents, rels, encoded, dropped = encode_loop(rows)
+        splits = ("train", "valid", "test")
+        warned = [f"dropped {n} duplicate triples from {s} split" for n, s in zip(dropped, splits) if n]
+        return ents, rels, encoded, warned
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(_FILE, st.none() | _FILE, st.none() | _FILE))
+    def test_load_dataset_and_load_triples(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, text in zip(("train", "valid", "test"), texts):
+                path = None
+                if text is not None:
+                    path = Path(tmp) / f"{name}.tsv"
+                    with open(path, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(text)
+                paths.append(path)
+            want = self._oracle(paths)
+            if isinstance(want, str):
+                with pytest.raises(TripleParseError) as err:
+                    load_dataset(*paths)
+                assert str(err.value) == want
+            else:
+                store, warned = self._load(load_dataset, *paths)
+                assert (store.vocab.entity_names, store.vocab.relation_names) == want[:2]
+                for split, ids in zip(("train", "valid", "test"), want[2]):
+                    np.testing.assert_array_equal(store.split(split), ids)
+                assert warned == want[3]
+
+            want = self._oracle(paths[:1])
+            if isinstance(want, str):
+                with pytest.raises(TripleParseError) as err:
+                    load_triples(paths[0])
+                assert str(err.value) == want
+            else:
+                store, warned = self._load(load_triples, paths[0])
+                assert (store.vocab.entity_names, store.vocab.relation_names) == want[:2]
+                np.testing.assert_array_equal(store.train, want[2][0])
+                assert warned == want[3]
+                frozen, warned = self._load(load_triples, paths[0], store.vocab)
+                np.testing.assert_array_equal(frozen.train, store.train)
+                assert warned == want[3]
 
 
 class TestFilterIndex:
@@ -84,7 +168,7 @@ class TestFilterIndex:
     def test_missing_pair_raises(self, toy_store):
         with pytest.raises(ValueError, match=r"query \(4, 1, 0\) is not covered"):
             toy_store.filter_index.known_answers([(0, 0, 1), (4, 1, 0)])
-        empty = TripleStore(Vocab.from_lists(["a"], ["r"]), np.empty((0, 3), dtype=np.int64))
+        empty = TripleStore(Vocab(["a"], ["r"]), np.empty((0, 3), dtype=np.int64))
         with pytest.raises(ValueError, match="not covered"):
             empty.filter_index.known_answers([(0, 0, 0)])
 
@@ -111,8 +195,28 @@ class TestRoundTrip:
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(reloaded.split(split), toy_store.split(split))
 
+    def test_names_with_unicode_line_breaks_survive(self, tmp_path):
+        names = ["a\u2028b", "c\x85d", "e\x0bf", "g\x1ch"]
+        train = [(names[0], "r\u2028", names[1]), (names[2], "r\x85", names[3])]
+        write_tsv(tmp_path / "train.tsv", train)
+        write_tsv(tmp_path / "test.tsv", [(names[3], "r\x0b\x1c", names[0])])
+        store = load_dataset(tmp_path / "train.tsv", test_path=tmp_path / "test.tsv")
+        assert store.vocab.entity_names == names
+        assert store.vocab.relation_names == ["r\u2028", "r\x85", "r\x0b\x1c"]
+        store.save(tmp_path / "store")
+        reloaded = TripleStore.load(tmp_path / "store")
+        assert reloaded.vocab == store.vocab
+        for split in ("train", "valid", "test"):
+            np.testing.assert_array_equal(reloaded.split(split), store.split(split))
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(VocabularyError, match="entity"):
+            Vocab(["a", "a"], ["r"])
+        with pytest.raises(VocabularyError, match="relation"):
+            Vocab(["a"], ["r", "r"])
+
     def test_out_of_range_ids_rejected(self):
-        vocab = Vocab.from_lists(["a", "b"], ["r"])
+        vocab = Vocab(["a", "b"], ["r"])
         with pytest.raises(ValueError, match="entity ids"):
             TripleStore(vocab, np.array([[0, 0, 5]]))
 
