@@ -243,11 +243,12 @@ class TripleStore:
 
     def _flag_unseen_entities(self):
         seen = np.zeros(self.num_entities, dtype=bool)
-        if len(self.train):
-            seen[self.train[:, 0]] = True
-            seen[self.train[:, 2]] = True
+        seen[self.train[:, 0]] = True
+        seen[self.train[:, 2]] = True
         self.entities_not_in_train = np.flatnonzero(~seen)
-        if len(self.entities_not_in_train):
+        # without train triples every entity is unseen; the empty split is
+        # the error that training and the CLI report
+        if len(self.train) and len(self.entities_not_in_train):
             logger.warning(
                 "%d entities appear only in valid/test splits", len(self.entities_not_in_train)
             )

@@ -3,10 +3,16 @@
 Kept deliberately separate from the package: finite differences, a
 sort-based ranking oracle, a quadratic-time two-hop join and a line-by-line
 triple reader double-check the production paths without sharing code with
-them.
+them. The whole-matrix training step is the exception: it shares the block
+kernels and the penalty terms with the package, because what it checks is
+the pass structure of the blocked step, not the kernels.
 """
 
 import numpy as np
+
+from star_kge.model import block_grad, block_rotate, block_rotate_t
+from star_kge.regularization import penalty_terms_batch
+from star_kge.training import ADAGRAD_EPS, BatchGradients, DivergenceError
 
 
 def central_diff(f, x0, step=1e-5):
@@ -132,3 +138,66 @@ def brute_force_two_paths(triples, num_relations, exclude_degenerate=False):
                 continue
             counts[r1, r2] += 1
     return counts
+
+
+def batch_loss_whole(batch, table, config, tail_weights=None, head_weights=None):
+    """The training step in whole-matrix passes: one fresh score matrix, six
+    full passes over it and the transposed backward GEMM ``dS^T Q``."""
+    batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
+    ents = table.entity_embeddings
+    h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
+    src = np.concatenate([h, t])
+    rel = np.concatenate([r, r + table.num_relations])
+    tgt = np.concatenate([t, h])
+    nq = len(src)
+
+    if tail_weights is None and head_weights is None:
+        w = np.ones(nq)
+    else:
+        tw = np.ones(table.num_entities) if tail_weights is None else tail_weights
+        hw = np.ones(table.num_entities) if head_weights is None else head_weights
+        m = len(batch)
+        w = np.concatenate([tw[tgt[:m]], hw[tgt[m:]]])
+
+    H = ents[src]
+    RC = table.rel_c[rel]
+    TAU = table.rel_tau[rel]
+    T = ents[tgt]
+
+    Q = block_rotate_t(RC, H) + TAU
+    scores = Q @ ents.T
+    rows = np.arange(nq)
+    tgt_scores = scores[rows, tgt].copy()
+    smax = scores.max(axis=1)
+    scores -= smax[:, None]
+    np.exp(scores, out=scores)
+    row_sums = scores.sum(axis=1)
+    ce = smax + np.log(row_sums) - tgt_scores
+
+    reg_vals, reg_dH, reg_dT, reg_dRC, reg_dTAU = penalty_terms_batch(H, T, RC, TAU, config.reg)
+    lam = config.reg.lam if config.reg.kind != "none" else 0.0
+    loss = float((w @ ce + lam * reg_vals.sum()) / nq)
+    if not np.isfinite(loss):
+        raise DivergenceError("non-finite batch loss")
+
+    dS = scores
+    dS /= row_sums[:, None]
+    dS[rows, tgt] -= 1.0
+    dS *= (w / nq)[:, None]
+
+    d_entities = dS.T @ Q
+    V = dS @ ents
+    scale = lam / nq
+    np.add.at(d_entities, src, block_rotate(RC, V) + scale * reg_dH)
+    np.add.at(d_entities, tgt, scale * reg_dT)
+    d_rel_c = np.zeros_like(table.rel_c)
+    d_rel_tau = np.zeros_like(table.rel_tau)
+    np.add.at(d_rel_c, rel, block_grad(H, V) + scale * reg_dRC)
+    np.add.at(d_rel_tau, rel, V + scale * reg_dTAU)
+    return loss, BatchGradients(d_entities, d_rel_c, d_rel_tau)
+
+
+def adagrad_update_whole(param, grad, accumulator, lr):
+    """In-place Adagrad step over the whole table at once."""
+    accumulator += grad * grad
+    param -= lr * grad / np.sqrt(accumulator + ADAGRAD_EPS)

@@ -89,7 +89,8 @@ class TestTrain:
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 5
         row = json.loads(log_lines[0])
-        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms"}
+        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms", "queries_per_s"}
+        assert row["queries_per_s"] > 0
 
     def test_repeats_emit_mean_and_std(self, synth_dir, tmp_path):
         out = tmp_path / "runs"
@@ -138,6 +139,38 @@ class TestTrain:
         blob_b = (outs[1] / "checkpoint.bin").read_bytes()
         assert blob_a == blob_b
         assert (outs[0] / "eval_test.json").read_bytes() == (outs[1] / "eval_test.json").read_bytes()
+
+
+def run_cli(*argv):
+    """``star-kge`` in a fresh interpreter, so that its logging set-up is its own."""
+    import subprocess
+    import sys
+
+    import star_kge
+
+    env = dict(os.environ, PYTHONPATH=str(Path(star_kge.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "star_kge.cli", *argv], env=env, capture_output=True, text=True)
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("flag, shown", [([], False), (["--log-level", "INFO"], True)], ids=["default", "info"])
+    def test_best_epoch_message_only_at_info(self, synth_dir, tmp_path, flag, shown):
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, tmp_path / "run", epochs=2)
+        done = run_cli("train", "--config", str(cfg), *flag)
+        assert done.returncode == 0, done.stderr
+        assert ("INFO: best validation MRR" in done.stderr) is shown
+
+    @pytest.mark.parametrize("level", ["WARNING", "INFO"])
+    def test_usage_error_prints_error_first(self, synth_dir, tmp_path, level):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        cfg = write_train_config(
+            tmp_path / "train.cfg", synth_dir, tmp_path / "x", **{"data.train": str(empty)}
+        )
+        done = run_cli("train", "--config", str(cfg), "--log-level", level)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+        assert "empty" in done.stderr
 
 
 class TestEval:

@@ -1,13 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import star_kge.training as training
 from star_kge.data import entity_frequency
-from star_kge.model import init_embeddings
+from star_kge.model import MODEL_KINDS, init_embeddings
 from star_kge.regularization import RegConfig
 from star_kge.training import (
     DivergenceError,
+    OptimizerState,
     TrainConfig,
     adagrad_update,
     batch_loss,
@@ -15,7 +20,7 @@ from star_kge.training import (
     train,
 )
 from conftest import make_store
-from oracles import central_diff, gradient_rel_error
+from oracles import adagrad_update_whole, batch_loss_whole, central_diff, gradient_rel_error
 
 
 def tiny_config(**kw):
@@ -285,3 +290,127 @@ class TestTrain:
             tiny_config(batch_size=0)
         with pytest.raises(ValueError):
             tiny_config(optimizer="Adam")
+
+
+REGS = (
+    RegConfig("none"),
+    RegConfig("Fro", lam=0.05),
+    RegConfig("DURA", lam=0.1, dura_variant="literal"),
+    RegConfig("DURA", lam=0.1, dura_variant="exact"),
+)
+TABLES = ("entity_embeddings", "rel_c", "rel_tau")
+GRADS = ("d_entities", "d_rel_c", "d_rel_tau")
+ACCUMULATORS = ("acc_entities", "acc_rel_c", "acc_rel_tau")
+
+
+@st.composite
+def step_cases(draw):
+    """A random small store and step config, with ``BLOCK_BYTES`` set so
+    that a score block holds ``height`` rows; a batch of m triples has 2m."""
+    ne = draw(st.integers(1, 40))
+    num_train = draw(st.integers(1, 25))
+    batch_size = draw(st.integers(1, num_train + 5))  # a ragged last batch, or more than |train|
+    height = draw(st.integers(1, 2 * batch_size + 1))
+    return {
+        "ne": ne,
+        "nr": draw(st.integers(1, 3)),
+        "n": draw(st.sampled_from((2, 4, 6))),
+        "num_train": num_train,
+        "batch_size": batch_size,
+        "block_bytes": height * 8 * ne + draw(st.integers(0, 8 * ne - 1)),
+        "kind": draw(st.sampled_from(MODEL_KINDS)),
+        "reg": draw(st.sampled_from(REGS)),
+        "w0": draw(st.sampled_from((0.0, 0.1))),
+        "seed": draw(st.integers(0, 2**31 - 1)),
+    }
+
+
+#: 9 triples in batches of 4 (ragged 4/4/1); 3 score rows per block cut the
+#: 8-row batches mid-batch; 888 bytes is 27 entity rows at n=4, and 37 is no
+#: multiple of 27
+CUT_MID_BATCH = {
+    "ne": 37, "nr": 2, "n": 4, "num_train": 9, "batch_size": 4, "block_bytes": 3 * 8 * 37,
+    "kind": "STaR", "reg": REGS[2], "w0": 0.1, "seed": 7,
+}
+BATCH_OVER_TRAIN = dict(CUT_MID_BATCH, num_train=5, batch_size=9, kind="TaR", reg=REGS[3], w0=0.0)
+
+
+def _case_setup(case, epochs=1):
+    rng = np.random.default_rng(case["seed"])
+    ne, nr = case["ne"], case["nr"]
+    triples = rng.integers(0, [ne, nr, ne], size=(case["num_train"], 3))
+    store = make_store(triples, num_entities=ne, num_relations=nr)
+    cfg = tiny_config(
+        n=case["n"], epochs=epochs, batch_size=case["batch_size"], w0=case["w0"], reg=case["reg"],
+        seed=case["seed"], init_scale=0.5,
+    )
+    weights = (None, None)
+    if cfg.w0 > 0:
+        weights = tuple(
+            tail_weight(np.arange(ne), entity_frequency(store, side)[0], cfg.w0) for side in ("tail", "head")
+        )
+    return store, cfg, weights
+
+
+class TestBlockedStep:
+    """The row-blocked step against the whole-matrix oracle of tests/oracles.py."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(step_cases())
+    @example(CUT_MID_BATCH)
+    @example(BATCH_OVER_TRAIN)
+    def test_matches_whole_matrix_oracle(self, case):
+        store, cfg, (tw, hw) = _case_setup(case)
+        table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+        want_table = table.copy()
+        state = OptimizerState.for_table(table, "Adagrad")
+        want_state = OptimizerState.for_table(want_table, "Adagrad")
+        # reused and stale between batches, as in train()
+        scores = np.full((2 * min(cfg.batch_size, len(store.train)), case["ne"]), np.nan)
+        with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
+            for start in range(0, len(store.train), cfg.batch_size):
+                batch = store.train[start : start + cfg.batch_size]
+                loss, grads = batch_loss(batch, table, cfg, tw, hw, _scores=scores)
+                want_loss, want = batch_loss_whole(batch, want_table, cfg, tw, hw)
+                assert loss == want_loss
+                np.testing.assert_array_equal(grads.d_rel_c, want.d_rel_c)
+                np.testing.assert_array_equal(grads.d_rel_tau, want.d_rel_tau)
+                # (Q^T dS)^T and dS^T Q are different GEMM calls
+                np.testing.assert_allclose(grads.d_entities, want.d_entities, rtol=1e-12)
+                # both optimisers step on the oracle's gradient, so the tables stay comparable
+                for name, grad, acc in zip(TABLES, GRADS, ACCUMULATORS):
+                    adagrad_update(getattr(table, name), getattr(want, grad), getattr(state, acc), cfg.lr)
+                    adagrad_update_whole(
+                        getattr(want_table, name), getattr(want, grad), getattr(want_state, acc), cfg.lr
+                    )
+                    np.testing.assert_array_equal(getattr(table, name), getattr(want_table, name))
+                    np.testing.assert_array_equal(getattr(state, acc), getattr(want_state, acc))
+                table.enforce_kind()
+                want_table.enforce_kind()
+
+    @settings(max_examples=30, deadline=None)
+    @given(step_cases())
+    @example(CUT_MID_BATCH)
+    @example(BATCH_OVER_TRAIN)
+    def test_train_with_reused_buffer_equals_fresh_buffer_loop(self, case):
+        store, cfg, (tw, hw) = _case_setup(case, epochs=2)
+        with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
+            got, log = train(store, cfg, case["kind"])
+            # train()'s loop with a fresh score matrix for every batch
+            rng = np.random.default_rng(cfg.seed)
+            want = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+            state = OptimizerState.for_table(want, cfg.optimizer)
+            mean_losses = []
+            for _ in range(cfg.epochs):
+                order = rng.permutation(len(store.train))
+                total = 0.0
+                for start in range(0, len(order), cfg.batch_size):
+                    batch = store.train[order[start : start + cfg.batch_size]]
+                    loss, grads = batch_loss(batch, want, cfg, tw, hw)
+                    training._apply_updates(want, grads, state, cfg)
+                    want.enforce_kind()
+                    total += loss * 2 * len(batch)
+                mean_losses.append(total / (2 * len(order)))
+        assert [r["mean_loss"] for r in log] == mean_losses
+        for name in TABLES:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
