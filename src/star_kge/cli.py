@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 check or metric failure, 2 usage/config error.
 Heavy modules are imported inside the handlers so ``--threads`` can pin the
-BLAS thread pools before numpy loads. ``--log-level`` (default WARNING)
-sets which log messages reach standard error; INFO adds the best-epoch
-message of ``train``.
+BLAS thread pools before numpy loads. Log messages down to INFO go to
+standard error as bare lines, so ``train`` shows its best-epoch message.
 """
 
 from __future__ import annotations
@@ -284,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None, help="pin BLAS thread count")
-    common.add_argument(
-        "--log-level",
-        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        default="WARNING",
-        help="lowest level of log messages printed on standard error",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     p = sub.add_parser("train", help="train a model from a flat config file", parents=[common])
@@ -337,7 +330,7 @@ def main(argv=None) -> int:
     # argparse reads every spelling of --threads (N, =N, abbreviations)
     args = build_parser().parse_args(argv)
     _pin_threads(args.threads)
-    logging.basicConfig(level=args.log_level, format="%(levelname)s: %(message)s")
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
     except OSError as exc:  # unreadable input or unwritable output path

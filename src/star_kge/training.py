@@ -11,20 +11,13 @@ and each query adds lambda times the regularization penalty of its own
 (source, relation, target) parameters. The batch objective is the mean
 over the 2 * batch_size queries.
 
-A training step makes few passes over the 2 * batch_size x |E| score
-matrix, the largest array it touches:
-
-* :func:`train` allocates one score buffer per call and every batch's
-  score GEMM writes into it, so no batch maps a fresh matrix;
-* the softmax runs over blocks of rows of at most ``BLOCK_BYTES`` (a few
-  rows at WN18RR's 40,943 entities), so each block stays in cache from its
-  row max through ``exp`` and its row sums, and again from the divide by
-  the row sum through the weight multiply; every row sees the same ufunc
-  sequence as a whole-matrix pass, so the result is bitwise the same;
-* the entity gradient is ``(Q^T dS)^T``, copied to C order, which lets
-  BLAS read ``dS`` as stored instead of packing a transposed copy;
-* :func:`adagrad_update` steps the tables in row blocks under the same
-  byte budget.
+A training step keeps its passes over the 2 * batch_size x |E| score
+matrix few: :func:`train` reuses one score buffer for every batch; the
+softmax and :func:`adagrad_update` walk their arrays in row blocks of at
+most ``BLOCK_BYTES``, so each block stays in cache, and every row still
+sees the same ufunc sequence as a whole-array pass, so results are
+bitwise the same; the entity gradient is ``(Q^T dS)^T`` so that BLAS reads
+``dS`` as stored instead of packing a transposed copy.
 """
 
 from __future__ import annotations
@@ -44,9 +37,7 @@ logger = logging.getLogger(__name__)
 OPTIMIZERS = ("Adagrad", "SGD")
 ADAGRAD_EPS = 1e-10
 
-#: bytes of one row block in the blocked passes over the score matrix and
-#: the parameter tables (1 MB, about the L2 cache): 3 score rows at 40,943
-#: entities, 4,096 entity rows at n=32
+#: bytes of one row block in the blocked passes (1 MB, about the L2 cache)
 BLOCK_BYTES = 2**20
 
 
@@ -271,9 +262,7 @@ def train(
     validation every ``eval_every`` epochs (when a valid split exists) and
     returns the checkpoint with the best validation MRR, or the final table
     when validation never ran. The log holds one record per epoch:
-    {epoch, mean_loss, valid_mrr, wall_ms, queries_per_s}, where
-    ``queries_per_s`` is the epoch's 2 * |train| queries over its wall time
-    (validation included).
+    {epoch, mean_loss, valid_mrr, wall_ms}.
     """
     from .evaluation import evaluate  # local import to avoid a module cycle
 
@@ -333,14 +322,12 @@ def train(
                 best_mrr = valid_mrr
                 best_table = table.copy()
                 best_epoch = epoch
-        wall_s = time.perf_counter() - t0
         log.append(
             {
                 "epoch": epoch,
                 "mean_loss": mean_loss,
                 "valid_mrr": valid_mrr,
-                "wall_ms": wall_s * 1000.0,
-                "queries_per_s": query_count / wall_s,
+                "wall_ms": (time.perf_counter() - t0) * 1000.0,
             }
         )
 
