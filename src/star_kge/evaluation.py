@@ -6,10 +6,13 @@ relation row, so a model is never transposed. All other known-true
 answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
-Queries are ranked in blocks: one matrix product scores a block of queries
-against every entity, the known answers of each row (from the array
-:class:`~star_kge.data.FilterIndex`) are masked by scattering ``-inf``, and
-rivals are counted row-wise.
+Queries are ranked in blocks: one matrix product in homogeneous
+coordinates, ``[q, 1] @ [E, 1]^T``, scores a block of queries against every
+entity with the score's ``+ 1`` inside the product; the known answers of
+each row (from the array :class:`~star_kge.data.FilterIndex`) are masked by
+scattering ``-inf``, and rivals are counted row-wise. :func:`evaluate`
+builds one workspace per call, ``[E, 1]``, a score block and a bool mask
+block of the block height, and every block writes into (a prefix of) it.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FilterIndex, RelationClass, TripleStore
-from .model import EmbeddingTable, score_batch
+from .model import EmbeddingTable, homogeneous, score_batch
 
 TIE_RULES = ("pessimistic", "random")
 HITS_AT = (1, 3, 10)
@@ -78,6 +81,8 @@ def filtered_rank(
     filter_index: FilterIndex,
     tie_rule: str = "pessimistic",
     rng: np.random.Generator | None = None,
+    *,
+    _workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
     """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
@@ -85,23 +90,29 @@ def filtered_rank(
     which gives an array of k ranks scored by one matrix product. ``rel``
     may be a reciprocal relation id for head prediction. Every query triple
     must be present in the filter index, otherwise the store and the query
-    disagree and a ValueError naming the query is raised.
+    disagree and a ValueError naming the query is raised. ``_workspace`` is
+    private: :func:`evaluate` passes ``([E, 1], scores, mask)``, the last two
+    at least k rows high, to be reused across blocks.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     query = np.asarray(query, dtype=np.int64)
     block = query.reshape(-1, 3)
     row, answer = filter_index.known_answers(block)
-    scores = score_batch(table, block[:, 0], block[:, 1])
-    s_true = scores[np.arange(len(block)), block[:, 2]][:, None]
+    k = len(block)
+    hom_ents = scores = mask = None
+    if _workspace is not None:
+        hom_ents, scores, mask = _workspace[0], _workspace[1][:k], _workspace[2][:k]
+    scores = score_batch(table, block[:, 0], block[:, 1], _hom_ents=hom_ents, _out=scores)
+    s_true = scores[np.arange(k), block[:, 2]][:, None]
     scores[row, answer] = -np.inf  # the true answer too: it never outranks itself
-    at_least = _count_rows(scores >= s_true)
+    at_least = _count_rows(np.greater_equal(scores, s_true, out=mask))
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        greater = _count_rows(scores > s_true)
+        greater = _count_rows(np.greater(scores, s_true, out=mask))
         ranks = 1 + greater + rng.integers(0, at_least - greater + 1)
     return int(ranks[0]) if query.ndim == 1 else ranks
 
@@ -119,9 +130,10 @@ def evaluate(
 
     Queries go to :func:`filtered_rank` in blocks of
     ``max(1, BLOCK_SCORES // |E|)`` rows, in the order tail query then head
-    query of each triple. Per-relation results merge the head and tail
-    queries of each original relation; per-class results group relations
-    by their complexity class when ``classes`` is given.
+    query of each triple, all in one workspace allocated per call.
+    Per-relation results merge the head and tail queries of each original
+    relation; per-class results group relations by their complexity class
+    when ``classes`` is given.
     """
     if direction not in ("tail", "head", "both"):
         raise ValueError(f"direction must be tail, head or both, got {direction!r}")
@@ -140,11 +152,13 @@ def evaluate(
     queries = np.stack(sides, axis=1).reshape(-1, 3)
     rels = np.repeat(r, len(sides))
 
-    height = max(1, BLOCK_SCORES // table.num_entities)
+    ne = table.num_entities
+    height = min(len(queries), max(1, BLOCK_SCORES // ne))
     start = time.perf_counter()
+    workspace = homogeneous(table.entity_embeddings), np.empty((height, ne)), np.empty((height, ne), dtype=bool)
     ranks = np.concatenate(
         [
-            filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng)
+            filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
             for i in range(0, len(queries), height)
         ]
     )

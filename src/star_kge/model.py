@@ -24,6 +24,7 @@ relation-pattern checks.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,15 +136,23 @@ def _check_range(ids, bound, what):
         raise IndexError(f"{what} id {ids.flat[np.argmax(bad)]} out of range [0, {bound})")
 
 
-def score_batch(table: "EmbeddingTable", head_id, rel_id, dtype=np.float64) -> np.ndarray:
+def homogeneous(x) -> np.ndarray:
+    """Append the homogeneous coordinate 1 along the last axis of x."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+
+def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _hom_ents=None, _out=None) -> np.ndarray:
     """Score (head, relation) queries against every entity.
 
     With scalar ids, entry j equals ``score(head, rel, entity_j)``. With
     arrays of k head ids and k relation ids, row i of the ``(k, |E|)`` result
-    scores query i; the whole block is one matrix product against the
-    entity table. ``dtype=np.float32`` runs the product in single precision
-    (ranking large tables faster at reduced accuracy); everything else in the
-    package stays 64-bit.
+    scores query i. The scores come from one matrix product in homogeneous
+    coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``, so
+    the score's ``+ 1`` costs no second pass. ``_hom_ents`` (``[E, 1]``)
+    and ``_out`` (a ``(k, |E|)`` float64 block to write into) are private:
+    ``evaluate()`` passes the workspace it reuses across blocks. Without
+    them the call builds ``[E, 1]`` and returns a fresh array.
     """
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
@@ -152,11 +161,10 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, dtype=np.float64) -> n
     _check_range(rels, table.num_relation_rows, "relation")
     h, r = np.atleast_1d(heads), np.atleast_1d(rels)
     ents = table.entity_embeddings
+    if _hom_ents is None:
+        _hom_ents = homogeneous(ents)
     q = transform_query(ents[h], table.rel_c[r], table.rel_tau[r])
-    if dtype == np.float32:
-        q, ents = q.astype(np.float32), ents.astype(np.float32)
-    scores = q @ ents.T
-    scores += 1.0
+    scores = np.matmul(homogeneous(q), _hom_ents.T, out=_out)
     return scores[0] if heads.ndim == 0 else scores
 
 
@@ -179,9 +187,7 @@ def apply_translation_matrix(x, tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=np.float64)
     if x.shape != tau.shape:
         raise ValueError("x and tau must have equal length")
-    xh = np.concatenate([x, [1.0]])
-    y = translation_matrix(tau) @ xh
-    return y[:-1]
+    return (translation_matrix(tau) @ homogeneous(x))[:-1]
 
 
 def materialize_star_matrix(rel: RelationParams) -> np.ndarray:
@@ -205,9 +211,7 @@ def materialize_star_matrix(rel: RelationParams) -> np.ndarray:
 
 def score_via_matrix(h, rel: RelationParams, t) -> float:
     """Score through the materialized matrix: [h^T, 1] M [t; 1]."""
-    hh = np.concatenate([np.asarray(h, dtype=np.float64), [1.0]])
-    tt = np.concatenate([np.asarray(t, dtype=np.float64), [1.0]])
-    return float(hh @ materialize_star_matrix(rel) @ tt)
+    return float(homogeneous(h) @ materialize_star_matrix(rel) @ homogeneous(t))
 
 
 def score_gradients(h, rel: RelationParams, t) -> ScoreGradient:
@@ -293,9 +297,13 @@ class EmbeddingTable:
 
         Layout: fixed little-endian header (magic, version, n, |E|, relation
         rows, model kind code) followed by the row-major float64 entity,
-        block and translation matrices.
+        block and translation matrices. Both files are written in full to
+        sibling ``.tmp`` files first and then renamed over their targets, so
+        a save that fails part way leaves the previous checkpoint whole and
+        no temporary file behind.
         """
         path = Path(path)
+        sidecar_path = Path(str(path) + ".json")
         header = _CKPT_HEADER.pack(
             _CKPT_MAGIC,
             _CKPT_VERSION,
@@ -304,11 +312,6 @@ class EmbeddingTable:
             self.num_relation_rows,
             _MODEL_KIND_CODES[self.model_kind],
         )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.entity_embeddings, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.rel_c, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.rel_tau, dtype="<f8").tobytes())
         sidecar = {
             "config_hash": config_hash,
             "epoch": int(epoch),
@@ -317,9 +320,19 @@ class EmbeddingTable:
             "num_entities": self.num_entities,
             "num_relations": self.num_relations,
         }
-        Path(str(path) + ".json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        tmp, sidecar_tmp = Path(str(path) + ".tmp"), Path(str(sidecar_path) + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(np.ascontiguousarray(self.entity_embeddings, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(self.rel_c, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(self.rel_tau, dtype="<f8").tobytes())
+            sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+            os.replace(sidecar_tmp, sidecar_path)
+        finally:
+            tmp.unlink(missing_ok=True)
+            sidecar_tmp.unlink(missing_ok=True)
 
     @classmethod
     def load_checkpoint(cls, path) -> tuple["EmbeddingTable", dict]:

@@ -35,6 +35,7 @@ from .model import (
     ScoreGradient,
     block_rotate,
     block_rotate_t,
+    homogeneous,
     materialize_star_matrix,
     score,
     score_gradients,
@@ -91,14 +92,9 @@ def _witness(rel1=None, rel2=None, residual=0.0, **extra):
 # sampling harness ------------------------------------------------------------
 
 
-def _hom(x: np.ndarray) -> np.ndarray:
-    """Append the homogeneous coordinate 1 along the last axis."""
-    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-
-
 def _bilinear(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, 1] M [b; 1] for every stacked row pair of a and b."""
-    return ((_hom(a) @ m) * _hom(b)).sum(-1)
+    return ((homogeneous(a) @ m) * homogeneous(b)).sum(-1)
 
 
 def _draws(rng, trials: int, k: int, n: int) -> np.ndarray:

@@ -156,6 +156,22 @@ class TestBlockedRanking:
         assert block.tolist() == singles
         assert all(type(rank) is int for rank in singles)
 
+    def test_workspace_ranks_equal_workspace_free_calls(self, monkeypatch, rng):
+        triples = list(dict.fromkeys(map(tuple, rng.integers(0, 8, size=(16, 3)).tolist())))
+        triples = [(h, r % 2, t) for h, r, t in triples]
+        store = make_store(triples, num_entities=8, num_relations=2)
+        table = init_embeddings(8, 2, 6, init_scale=1.0, seed=8)
+        table.entity_embeddings[::3] = 0.0  # exact ties for the random rule to break
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 3 * store.num_entities)
+        calls = self.spy_blocks(monkeypatch)
+        report = evaluate("train", table, store, tie_rule="random", seed=5)
+
+        assert 0 < len(calls[-1][0]) < 3 and all(len(block) == 3 for block, _ in calls[:-1])
+        free_rng = np.random.default_rng(5)
+        free = [filtered_rank(block, table, store.filter_index, "random", free_rng) for block, _ in calls]
+        assert np.concatenate([r for _, r in calls]).tolist() == np.concatenate(free).tolist()
+        assert report.mrr == np.mean(1.0 / np.concatenate(free))
+
     def test_uncovered_query_in_block_is_named(self):
         store = make_store([(0, 0, 1), (1, 0, 2), (2, 0, 3)], num_entities=4)
         table = init_embeddings(4, 1, 4, seed=0)
