@@ -55,11 +55,15 @@ def _run_single(run_cfg, store, seed, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = replace(run_cfg.train, seed=seed)
-    table, log = train_model(store, cfg, run_cfg.model_kind)
-    table.save_checkpoint(out_dir / "checkpoint.bin", epoch=cfg.epochs, config_hash=run_cfg.config_hash())
+    # streamed, so that a run that fails keeps the records of its finished epochs
     with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as fh:
-        for row in log:
+
+        def write_record(row):
             fh.write(json.dumps(row) + "\n")
+            fh.flush()
+
+        table, _ = train_model(store, cfg, run_cfg.model_kind, on_epoch=write_record)
+    table.save_checkpoint(out_dir / "checkpoint.bin", epoch=cfg.epochs, config_hash=run_cfg.config_hash())
     classes = classify_relations(store)
     metrics = {}
     for split in ("valid", "test"):

@@ -11,19 +11,30 @@ and each query adds lambda times the regularization penalty of its own
 (source, relation, target) parameters. The batch objective is the mean
 over the 2 * batch_size queries.
 
-A training step keeps its passes over the 2 * batch_size x |E| score
-matrix few: :func:`train` reuses one score buffer for every batch; the
-softmax and :func:`adagrad_update` walk their arrays in row blocks of at
-most ``BLOCK_BYTES``, so each block stays in cache, and every row still
-sees the same ufunc sequence as a whole-array pass, so results are
-bitwise the same; the entity gradient is ``(Q^T dS)^T`` so that BLAS reads
-``dS`` as stored instead of packing a transposed copy.
+A training step makes one pass over the 2 * batch_size x |E| score
+matrix S = Q E^T besides the GEMMs: the softmax walks it in row blocks of
+at most ``BLOCK_BYTES``, so each block stays in cache, and leaves
+Z = exp(S - max) in place. With a = w / (2 * batch_size) and
+c = a / rowsum(Z), the score gradient is dS = diag(c) Z - diag(a) onehot(tgt),
+and it is never formed:
+
+    dS^T Q = Z^T (c * Q) - scatter_tgt(a * Q)
+    dS E   = c * (Z E) - a * E[tgt]
+
+and only the 2 * batch_size x n operands are scaled. The entity gradient
+is computed as (c * Q)^T Z, so that BLAS reads Z as stored, and copied
+transposed into its own buffer. :func:`train` reuses the score buffer and both
+entity-gradient buffers for every batch. The softmax and
+:func:`adagrad_update` give every row the same ufunc sequence as a
+whole-array pass, so the loss and the optimiser step are bitwise those of
+one; the folded gradients differ from the whole-matrix ones by rounding.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,14 +156,18 @@ def batch_loss(
     head_weights: np.ndarray | None = None,
     *,
     _scores: np.ndarray | None = None,
+    _grad_t: np.ndarray | None = None,
+    _d_entities: np.ndarray | None = None,
 ) -> tuple[float, BatchGradients]:
     """Mean weighted cross-entropy plus penalties over one batch of triples.
 
     ``tail_weights`` / ``head_weights`` are per-entity weight arrays
     (default: uniform 1). Returns the scalar loss and dense gradients of the
-    mean objective for every parameter matrix. ``_scores`` is a private
-    float64 work buffer of at least 2 * len(batch) rows by |E| columns that
-    :func:`train` reuses across batches; without it one is allocated.
+    mean objective for every parameter matrix. ``_scores`` (at least
+    2 * len(batch) rows by |E|), ``_grad_t`` (n by |E|) and ``_d_entities``
+    (|E| by n) are private float64 work buffers that :func:`train` reuses
+    across batches; each one not given is allocated. The returned
+    ``d_entities`` is ``_d_entities`` itself.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     if len(batch) == 0:
@@ -179,12 +194,10 @@ def batch_loss(
     Q = block_rotate_t(RC, H) + TAU
     scores = np.empty((nq, len(ents))) if _scores is None else _scores[:nq]
     np.matmul(Q, ents.T, out=scores)
-    rows = np.arange(nq)
-    tgt_scores = scores[rows, tgt]
-    blocks = _row_blocks(scores)
+    tgt_scores = scores[np.arange(nq), tgt]
     smax = np.empty(nq)
     row_sums = np.empty(nq)
-    for b in blocks:
+    for b in _row_blocks(scores):
         block = scores[b]
         smax[b] = block.max(axis=1)
         block -= smax[b, None]
@@ -202,23 +215,21 @@ def batch_loss(
             "lower the learning rate or raise the regularization weight"
         )
 
-    # d loss / d scores: softmax probabilities minus the one-hot target
-    dS = scores
-    for b in blocks:
-        block = dS[b]
-        block /= row_sums[b, None]
-        block[rows[: len(block)], tgt[b]] -= 1.0
-        block *= (w[b] / nq)[:, None]
-
-    d_entities = np.ascontiguousarray((Q.T @ dS).T)
-    V = dS @ ents
+    # d loss / d scores is diag(c) Z - diag(a) onehot(tgt); the backward
+    # GEMMs read Z as it is and the small operands carry c and a
+    a = (w / nq)[:, None]
+    c = a / row_sums[:, None]
+    grad_t = np.matmul((c * Q).T, scores, out=_grad_t)
+    d_entities = np.empty_like(ents) if _d_entities is None else _d_entities
+    np.copyto(d_entities, grad_t.T)
+    V = c * (scores @ ents) - a * T
     d_src = block_rotate(RC, V)
     d_RC = block_grad(H, V)
     d_TAU = V
 
     scale = lam / nq
     np.add.at(d_entities, src, d_src + scale * reg_dH)
-    np.add.at(d_entities, tgt, scale * reg_dT)
+    np.add.at(d_entities, tgt, scale * reg_dT - a * Q)
     d_rel_c = np.zeros_like(table.rel_c)
     d_rel_tau = np.zeros_like(table.rel_tau)
     np.add.at(d_rel_c, rel, d_RC + scale * reg_dRC)
@@ -255,6 +266,7 @@ def train(
     store: TripleStore,
     config: TrainConfig,
     model_kind: str = "STaR",
+    on_epoch: Callable[[dict], None] | None = None,
 ) -> tuple[EmbeddingTable, list[dict]]:
     """Train a fresh table on the store's train split.
 
@@ -262,7 +274,8 @@ def train(
     validation every ``eval_every`` epochs (when a valid split exists) and
     returns the checkpoint with the best validation MRR, or the final table
     when validation never ran. The log holds one record per epoch:
-    {epoch, mean_loss, valid_mrr, wall_ms}.
+    {epoch, mean_loss, valid_mrr, wall_ms}; ``on_epoch``, when given, is
+    called with each record as soon as its epoch ends.
     """
     from .evaluation import evaluate  # local import to avoid a module cycle
 
@@ -283,6 +296,8 @@ def train(
         tail_w = head_w = None
 
     scores = np.empty((2 * min(config.batch_size, len(store.train)), store.num_entities))
+    grad_t = np.empty((config.n, store.num_entities))
+    d_entities = np.empty_like(table.entity_embeddings)
     can_validate = config.eval_every > 0 and len(store.valid) > 0
     best_mrr = -np.inf
     best_table = None
@@ -298,7 +313,10 @@ def train(
             idx = order[start : start + config.batch_size]
             batch = store.train[idx]
             try:
-                loss, grads = batch_loss(batch, table, config, tail_w, head_w, _scores=scores)
+                loss, grads = batch_loss(
+                    batch, table, config, tail_w, head_w,
+                    _scores=scores, _grad_t=grad_t, _d_entities=d_entities,
+                )
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"epoch {epoch}, batch {start // config.batch_size}: {exc}"
@@ -330,6 +348,8 @@ def train(
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
             }
         )
+        if on_epoch is not None:
+            on_epoch(log[-1])
 
     if best_table is not None:
         logger.info("best validation MRR %.4f at epoch %d", best_mrr, best_epoch)

@@ -127,6 +127,27 @@ class TestTrain:
         assert "empty" in err
         assert "Traceback" not in err
 
+    def test_divergence_keeps_the_streamed_epoch_records(self, synth_dir, tmp_path, monkeypatch, capsys):
+        import star_kge.training as training
+
+        real_batch_loss = training.batch_loss
+        calls = []
+
+        def diverge_in_epoch_2(batch, table, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # one batch per epoch: the first batch of epoch 2
+                table.rel_c[:] = np.nan
+            return real_batch_loss(batch, table, *args, **kwargs)
+
+        monkeypatch.setattr(training, "batch_loss", diverge_in_epoch_2)
+        out = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, batch_size=10**6)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "epoch 2, batch 0" in capsys.readouterr().err
+        rows = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+        assert [row["epoch"] for row in rows] == [0, 1]
+        assert not (out / "checkpoint.bin").exists()
+
     def test_determinism_bitwise_checkpoints(self, synth_dir, tmp_path):
         outs = []
         for name in ("a", "b"):

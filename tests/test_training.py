@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import star_kge.training as training
 from star_kge.data import entity_frequency
-from star_kge.model import MODEL_KINDS, init_embeddings
-from star_kge.regularization import RegConfig
+from star_kge.model import MODEL_KINDS, block_rotate_t, init_embeddings
+from star_kge.regularization import RegConfig, penalty_terms_batch
 from star_kge.training import (
     DivergenceError,
     OptimizerState,
@@ -333,6 +333,18 @@ CUT_MID_BATCH = {
     "kind": "STaR", "reg": REGS[2], "w0": 0.1, "seed": 7,
 }
 BATCH_OVER_TRAIN = dict(CUT_MID_BATCH, num_train=5, batch_size=9, kind="TaR", reg=REGS[3], w0=0.0)
+#: one entity, so the whole-matrix entity gradient is exactly 0 and the fold
+#: leaves the rounding residue of c * Q - a * Q (about 4e-19)
+ONE_ENTITY = {
+    "ne": 1, "nr": 1, "n": 2, "num_train": 1, "batch_size": 1, "block_bytes": 8,
+    "kind": "STaR", "reg": REGS[0], "w0": 0.0, "seed": 0,
+}
+#: a large init scale, so each query's target scores at least 30 above every
+#: rival: the probability of the target rounds to 1 and a * T cancels c * (Z E)
+SATURATED = {
+    "ne": 3, "nr": 1, "n": 6, "num_train": 2, "batch_size": 2, "block_bytes": 8 * 3,
+    "kind": "STaR", "reg": REGS[0], "w0": 0.0, "seed": 55, "init_scale": 4.0,
+}
 
 
 def _case_setup(case, epochs=1):
@@ -342,7 +354,7 @@ def _case_setup(case, epochs=1):
     store = make_store(triples, num_entities=ne, num_relations=nr)
     cfg = tiny_config(
         n=case["n"], epochs=epochs, batch_size=case["batch_size"], w0=case["w0"], reg=case["reg"],
-        seed=case["seed"], init_scale=0.5,
+        seed=case["seed"], init_scale=case.get("init_scale", 0.5),
     )
     weights = (None, None)
     if cfg.w0 > 0:
@@ -352,6 +364,48 @@ def _case_setup(case, epochs=1):
     return store, cfg, weights
 
 
+def _query_terms(batch, table, cfg, tw, hw):
+    """The per-query operands of ``batch_loss``: weights a = w / 2m, H, RC,
+    TAU and T, in the order of ``training._query_arrays``."""
+    src, rel, tgt = training._query_arrays(batch, table.num_relations)
+    m = len(batch)
+    w = np.ones(2 * m) if cfg.w0 == 0 else np.concatenate([tw[tgt[:m]], hw[tgt[m:]]])
+    ents = table.entity_embeddings
+    return w / (2 * m), ents[src], table.rel_c[rel], table.rel_tau[rel], ents[tgt]
+
+
+def fold_atol(batch, table, cfg, tw, hw):
+    """A bound on |folded - whole-matrix| for every entry of every gradient.
+
+    Both steps round the same exact gradient. A result computed by a chain
+    of K roundings lies within gamma_K * M of its exact value, where
+    gamma_K = K u / (1 - K u), u = eps / 2, and M sums the magnitudes of
+    the terms on the chain (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3); the two steps then differ by at most 2 gamma_K M.
+    The longest chain is a GEMM over |E| or 2m terms, at most 8 scalings
+    and subtractions, and scatter-adds of up to 3 * 2m rows, so
+    K = |E| + 8m + 8. M sums, over the 2m queries with p_i the softmax row
+    (entries summing to 1) and e = max |E|:
+    - V_i = a_i (p_i E - T_i), with terms of size at most 2 a_i e; the
+      block products block_rotate(RC_i, V_i) and block_grad(H_i, V_i) sum
+      two products per entry, scaling that by 2 max|RC_i| and 2 max|H_i|;
+    - the entity-gradient GEMM and its one-hot term, a_i (p_ij + 1) |Q_i|,
+      at most 2 a_i max|Q_i| per entry;
+    - the penalty gradients, times lam / 2m, in the same scatter-adds.
+    """
+    a, H, RC, TAU, T = _query_terms(batch, table, cfg, tw, hw)
+    Q = block_rotate_t(RC, H) + TAU
+    vmax = 2 * a * np.abs(table.entity_embeddings).max()
+    M = np.sum(vmax * (1 + 2 * np.abs(RC).max(axis=1) + 2 * np.abs(H).max(axis=1)))
+    M += np.sum(2 * a * np.abs(Q).max(axis=1))
+    if cfg.reg.kind != "none":
+        reg_grads = penalty_terms_batch(H, T, RC, TAU, cfg.reg)[1:]
+        M += cfg.reg.lam / len(a) * sum(np.abs(g).sum() for g in reg_grads)
+    u = np.finfo(np.float64).eps / 2
+    k = table.num_entities + 4 * len(a) + 8
+    return 2 * (k * u / (1 - k * u)) * M
+
+
 class TestBlockedStep:
     """The row-blocked step against the whole-matrix oracle of tests/oracles.py."""
 
@@ -359,6 +413,8 @@ class TestBlockedStep:
     @given(step_cases())
     @example(CUT_MID_BATCH)
     @example(BATCH_OVER_TRAIN)
+    @example(ONE_ENTITY)
+    @example(SATURATED)
     def test_matches_whole_matrix_oracle(self, case):
         store, cfg, (tw, hw) = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
@@ -373,10 +429,14 @@ class TestBlockedStep:
                 loss, grads = batch_loss(batch, table, cfg, tw, hw, _scores=scores)
                 want_loss, want = batch_loss_whole(batch, want_table, cfg, tw, hw)
                 assert loss == want_loss
-                np.testing.assert_array_equal(grads.d_rel_c, want.d_rel_c)
-                np.testing.assert_array_equal(grads.d_rel_tau, want.d_rel_tau)
-                # (Q^T dS)^T and dS^T Q are different GEMM calls
-                np.testing.assert_allclose(grads.d_entities, want.d_entities, rtol=1e-12)
+                # the fold scales the small GEMM operands instead of dS and
+                # moves the one-hot term out of the GEMMs: the same gradient,
+                # rounded in another order
+                atol = fold_atol(batch, table, cfg, tw, hw)
+                for name in GRADS:
+                    np.testing.assert_allclose(
+                        getattr(grads, name), getattr(want, name), rtol=1e-12, atol=atol, err_msg=name
+                    )
                 # both optimisers step on the oracle's gradient, so the tables stay comparable
                 for name, grad, acc in zip(TABLES, GRADS, ACCUMULATORS):
                     adagrad_update(getattr(table, name), getattr(want, grad), getattr(state, acc), cfg.lr)
@@ -387,6 +447,44 @@ class TestBlockedStep:
                     np.testing.assert_array_equal(getattr(state, acc), getattr(want_state, acc))
                 table.enforce_kind()
                 want_table.enforce_kind()
+
+    def test_saturated_example_saturates(self):
+        case = SATURATED
+        store, cfg, (tw, hw) = _case_setup(case)
+        table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+        _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, tw, hw)
+        scores = (block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T
+        tgt = training._query_arrays(store.train, table.num_relations)[2]
+        is_tgt = np.arange(table.num_entities) == tgt[:, None]
+        margins = scores[is_tgt] - np.where(is_tgt, -np.inf, scores).max(axis=1)
+        assert margins.min() >= 30
+
+    @settings(max_examples=30, deadline=None)
+    @given(step_cases())
+    @example(CUT_MID_BATCH)
+    @example(BATCH_OVER_TRAIN)
+    def test_stale_workspace_gives_bitwise_equal_step(self, case):
+        """NaN-filled buffers, a full batch and a short last batch that uses
+        a prefix of the score buffer, against calls that allocate their own."""
+        store, cfg, (tw, hw) = _case_setup(case)
+        table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+        ne = case["ne"]
+        scores = np.empty((2 * min(cfg.batch_size, len(store.train)), ne))
+        grad_t = np.empty((cfg.n, ne))
+        d_entities = np.empty((ne, cfg.n))
+        with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
+            for start in range(0, len(store.train), cfg.batch_size):
+                batch = store.train[start : start + cfg.batch_size]
+                for buffer in (scores, grad_t, d_entities):
+                    buffer.fill(np.nan)
+                loss, grads = batch_loss(
+                    batch, table, cfg, tw, hw, _scores=scores, _grad_t=grad_t, _d_entities=d_entities
+                )
+                want_loss, want = batch_loss(batch, table, cfg, tw, hw)
+                assert grads.d_entities is d_entities
+                assert loss == want_loss
+                for name in GRADS:
+                    np.testing.assert_array_equal(getattr(grads, name), getattr(want, name))
 
     @settings(max_examples=30, deadline=None)
     @given(step_cases())
