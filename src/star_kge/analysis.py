@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TripleStore
+from .data import TripleStore, _expand_runs
 
 
 @dataclass
@@ -111,8 +111,8 @@ def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> Pai
         code, back = code[order], tr[:, 2] * ne + tr[:, 0]
         lo = np.searchsorted(code, back)
         count = np.searchsorted(code, back, side="right") - lo
-        row = np.repeat(np.arange(len(tr)), count)
-        match = order[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(row))]
+        row, at = _expand_runs(lo, count)
+        match = order[at]
         out -= np.bincount(tr[row, 1] * nr + tr[match, 1], minlength=nr * nr).reshape(nr, nr)
 
     if (out < 0).any():
@@ -144,30 +144,17 @@ def dataset_imbalance(counts: PairCounts, include_diagonal: bool = True) -> Imba
     ``include_diagonal=False`` drops them instead.
     """
     c = counts.counts
-    nr = counts.num_relations
-    psi: dict[tuple[int, int], float] = {}
-    both = 0
-    single = 0
-    for i in range(nr):
-        for j in range(i, nr):
-            if i == j:
-                if not include_diagonal:
-                    continue
-                c_ii = int(c[i, i])
-                if c_ii == 0:
-                    continue
-                psi[(i, i)] = 0.0
-                both += c_ii
-                continue
-            c_ij, c_ji = int(c[i, j]), int(c[j, i])
-            total = c_ij + c_ji
-            if total == 0:
-                continue
-            psi[(i, j)] = pair_imbalance(counts, i, j)
-            if c_ij > 0 and c_ji > 0:
-                both += total
-            else:
-                single += total
+    i, j = np.triu_indices(counts.num_relations, k=0 if include_diagonal else 1)
+    c_ij, c_ji = c[i, j], c[j, i]
+    total = np.where(i == j, c_ij, c_ij + c_ji)
+    keep = total > 0
+    i, j, c_ij, c_ji, total = i[keep], j[keep], c_ij[keep], c_ji[keep], total[keep]
+    # exact integers below 2**53, so each float64 quotient is rounded as
+    # pair_imbalance's int division is; a diagonal pair gets 0 / c_ii = 0.0
+    psi = dict(zip(zip(i.tolist(), j.tolist()), (np.abs(c_ij - c_ji) / total).tolist()))
+    balanced = (c_ij > 0) & (c_ji > 0)
+    both = int(total[balanced].sum())
+    single = int(total[~balanced].sum())
     if both + single == 0:
         raise ValueError("no two-hop chains at all, imbalance ratio is undefined")
     return ImbalanceReport(

@@ -175,6 +175,13 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
     )
 
 
+def _integer(key: str, value) -> int:
+    """A parsed value that must be an integer: no float, bool or word."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def synth_spec_from_dict(cfg: dict) -> SynthSpec:
     """Assemble a synthetic-KG spec from indexed flat keys.
 
@@ -209,10 +216,10 @@ def synth_spec_from_dict(cfg: dict) -> SynthSpec:
             parts = str(fields.pop("offset")).split(",")
             if len(parts) != 2:
                 raise ConfigError(f"relation.{k}.offset must be 'di,dj'")
-            kwargs["offset"] = (int(parts[0]), int(parts[1]))
+            kwargs["offset"] = tuple(_integer(f"relation.{k}.offset", _parse_value(p)) for p in parts)
         for name in ("quarter_turns", "num_tails", "heads_per_tail", "num_pairs"):
             if name in fields:
-                kwargs[name] = int(fields.pop(name))
+                kwargs[name] = _integer(f"relation.{k}.{name}", fields.pop(name))
         if "of" in fields:
             kwargs["of"] = str(fields.pop("of"))
         if fields:
@@ -230,10 +237,10 @@ def synth_spec_from_dict(cfg: dict) -> SynthSpec:
 
     try:
         return SynthSpec(
-            num_entities=int(cfg["num_entities"]),
+            num_entities=_integer("num_entities", cfg["num_entities"]),
             relations=rules,
             compositions=comps,
-            seed=int(cfg.get("seed", 0)),
+            seed=_integer("seed", cfg.get("seed", 0)),
             holdout_fraction=float(cfg.get("holdout_fraction", 0.0)),
             paired_holdout_fraction=float(cfg.get("paired_holdout_fraction", 0.0)),
         )

@@ -125,6 +125,15 @@ def _dedupe(triples: np.ndarray, vocab: Vocab, label: str) -> np.ndarray:
     return triples[np.sort(first)]
 
 
+def _expand_runs(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand the index runs ``[lo[k], lo[k] + count[k])`` into parallel
+    ``(row, at)``: ``at`` walks every run in turn and ``row`` holds the
+    ``k`` of the run each index came from."""
+    row = np.repeat(np.arange(len(count)), count)
+    at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(row))
+    return row, at
+
+
 class FilterIndex:
     """Known answers of every ``(source, relation)`` query, in CSR form.
 
@@ -162,9 +171,8 @@ class FilterIndex:
         found[found] = self.keys[pos[found]] == code[found]
         pos[~found] = 0  # with found False, count is offsets[0] - offsets[0] = 0
         count = self.offsets[pos + found] - self.offsets[pos]
-        row = np.repeat(np.arange(len(q)), count)
-        first = np.repeat(self.offsets[pos] - (np.cumsum(count) - count), count)
-        answer = self.answers[first + np.arange(len(row))]
+        row, at = _expand_runs(self.offsets[pos], count)
+        answer = self.answers[at]
         covered = np.zeros(len(q), dtype=bool)
         covered[row[answer == q[row, 2]]] = True
         if not covered.all():
@@ -259,21 +267,12 @@ class TripleStore:
         """Write vocab files, per-split TSVs and a JSON manifest."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "entities.txt").write_text(
-            "".join(f"{n}\n" for n in self.vocab.entity_names), encoding="utf-8"
-        )
-        (directory / "relations.txt").write_text(
-            "".join(f"{n}\n" for n in self.vocab.relation_names), encoding="utf-8"
-        )
+        ents, rels = self.vocab.entity_names, self.vocab.relation_names
+        (directory / "entities.txt").write_text("".join(f"{n}\n" for n in ents), encoding="utf-8")
+        (directory / "relations.txt").write_text("".join(f"{n}\n" for n in rels), encoding="utf-8")
         for name in ("train", "valid", "test"):
-            s = getattr(self, name)
-            with open(directory / f"{name}.tsv", "w", encoding="utf-8") as fh:
-                for h, r, t in s.tolist():
-                    fh.write(
-                        f"{self.vocab.entity_names[h]}\t"
-                        f"{self.vocab.relation_names[r]}\t"
-                        f"{self.vocab.entity_names[t]}\n"
-                    )
+            lines = (f"{ents[h]}\t{rels[r]}\t{ents[t]}\n" for h, r, t in getattr(self, name).tolist())
+            (directory / f"{name}.tsv").write_text("".join(lines), encoding="utf-8")
         manifest = {
             "format": "star-kge-store-v1",
             "num_entities": self.num_entities,

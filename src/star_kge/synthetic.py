@@ -17,7 +17,7 @@ Rule kinds
 ``permutation()``                  random entity bijection
 ``fan_in(num_tails, heads_per_tail)``  N-to-1 groups
 ``symmetric(num_pairs)``           random symmetric pairs
-``inverse_of(of)``                 reverse of an earlier relation
+``inverse_of(of)``                 reverse of an earlier, non-composed relation
 ``composed``                       filled in by a composition rule
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TripleStore, Vocab
+from .data import TripleStore, Vocab, _expand_runs
 
 RULE_KINDS = (
     "grid_rotation",
@@ -59,6 +59,11 @@ class RelationRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise SynthSpecError(f"unknown rule kind {self.kind!r} for relation {self.name!r}")
+        for count in ("num_tails", "heads_per_tail", "num_pairs"):
+            if getattr(self, count) < 0:
+                raise SynthSpecError(
+                    f"relation {self.name!r}: {count} must be >= 0, got {getattr(self, count)}"
+                )
 
 
 @dataclass
@@ -118,154 +123,114 @@ def _grid_side(num_entities: int) -> int:
     return side
 
 
-def _rotate_cell(cell, side, quarter_turns):
-    """Rotate a lattice cell about the grid center by 90-degree steps."""
-    i, j = cell
-    for _ in range(quarter_turns % 4):
-        i, j = j, side - 1 - i
-    return i, j
-
-
-def _shift_cell(cell, offset):
-    return cell[0] + offset[0], cell[1] + offset[1]
-
-
-def _in_grid(cell, side):
-    return 0 <= cell[0] < side and 0 <= cell[1] < side
-
-
 class _Generator:
+    """Builds every relation as one sorted array of distinct pair codes
+    ``h * num_entities + t``."""
+
     def __init__(self, spec: SynthSpec):
         self.spec = spec
         self.rng = np.random.default_rng(spec.seed)
-        self.maps: dict[str, dict[int, set[int]]] = {}
-        self.uses_grid = any(r.kind.startswith("grid_") for r in spec.relations)
-        self.side = _grid_side(spec.num_entities) if self.uses_grid else 0
+        self.maps: dict[str, np.ndarray] = {}
+        self.kinds = {r.name: r.kind for r in spec.relations}
+        if any(r.kind.startswith("grid_") for r in spec.relations):
+            self.side = _grid_side(spec.num_entities)
+            self.cells = np.divmod(np.arange(spec.num_entities), self.side)
 
-    def _cell_of(self, e: int):
-        return divmod(e, self.side)
-
-    def _id_of(self, cell) -> int:
-        return cell[0] * self.side + cell[1]
-
-    def _base_pairs(self, rule: RelationRule) -> dict[int, set[int]]:
+    def _base_pairs(self, rule: RelationRule) -> np.ndarray:
         ne = self.spec.num_entities
         rng = self.rng
-        pairs: dict[int, set[int]] = {}
+        heads = np.arange(ne)
         if rule.kind == "grid_rotation":
-            for e in range(ne):
-                pairs[e] = {self._id_of(_rotate_cell(self._cell_of(e), self.side, rule.quarter_turns))}
-        elif rule.kind == "grid_translation":
-            for e in range(ne):
-                target = _shift_cell(self._cell_of(e), rule.offset)
-                if _in_grid(target, self.side):
-                    pairs[e] = {self._id_of(target)}
-        elif rule.kind == "permutation":
-            perm = rng.permutation(ne)
-            for e in range(ne):
-                pairs[e] = {int(perm[e])}
-        elif rule.kind == "fan_in":
+            i, j = self.cells
+            for _ in range(rule.quarter_turns % 4):  # a quarter turn about the grid center
+                i, j = j, self.side - 1 - i
+            return heads * ne + i * self.side + j
+        if rule.kind == "grid_translation":
+            i, j = self.cells[0] + rule.offset[0], self.cells[1] + rule.offset[1]
+            inside = (i >= 0) & (i < self.side) & (j >= 0) & (j < self.side)
+            return (heads * ne + i * self.side + j)[inside]
+        if rule.kind == "permutation":
+            return heads * ne + rng.permutation(ne)
+        if rule.kind == "fan_in":
             need = rule.num_tails * (rule.heads_per_tail + 1)
             if need > ne:
                 raise SynthSpecError(
                     f"fan_in rule {rule.name!r} needs {need} entities, have {ne}"
                 )
-            chosen = rng.choice(ne, size=need, replace=False)
-            for g in range(rule.num_tails):
-                block = chosen[g * (rule.heads_per_tail + 1) : (g + 1) * (rule.heads_per_tail + 1)]
-                tail = int(block[0])
-                for head in block[1:]:
-                    pairs.setdefault(int(head), set()).add(tail)
-        elif rule.kind == "symmetric":
+            groups = rng.choice(ne, size=need, replace=False)
+            groups = groups.reshape(rule.num_tails, rule.heads_per_tail + 1)
+            return np.sort((groups[:, 1:] * ne + groups[:, :1]).ravel())
+        if rule.kind == "symmetric":
             if 2 * rule.num_pairs > ne:
                 raise SynthSpecError(f"symmetric rule {rule.name!r} needs more entities")
-            chosen = rng.choice(ne, size=2 * rule.num_pairs, replace=False)
-            for k in range(rule.num_pairs):
-                a, b = int(chosen[2 * k]), int(chosen[2 * k + 1])
-                pairs.setdefault(a, set()).add(b)
-                pairs.setdefault(b, set()).add(a)
-        elif rule.kind == "inverse_of":
+            a, b = rng.choice(ne, size=2 * rule.num_pairs, replace=False).reshape(-1, 2).T
+            return np.sort(np.concatenate([a * ne + b, b * ne + a]))
+        if rule.kind == "inverse_of":
             src = self.maps.get(rule.of)
             if src is None:
                 raise SynthSpecError(
                     f"relation {rule.name!r} is inverse_of unknown or later relation {rule.of!r}"
                 )
-            for h, tails in src.items():
-                for t in tails:
-                    pairs.setdefault(t, set()).add(h)
-        elif rule.kind == "composed":
-            pass  # populated by composition rules
-        return pairs
+            if self.kinds[rule.of] == "composed":
+                raise SynthSpecError(
+                    f"relation {rule.name!r} is inverse_of composed relation {rule.of!r}; "
+                    "composed relations are filled in after every base rule, so its "
+                    "inverse would stay empty"
+                )
+            return np.sort(src % ne * ne + src // ne)
+        return np.empty(0, dtype=np.int64)  # composed: filled in by composition rules
 
-    def _compose(self, first: str, second: str) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
+    def _compose(self, first: str, second: str) -> np.ndarray:
+        """Codes of ``first`` then ``second``: a sorted join on the middle entity."""
+        ne = self.spec.num_entities
         f, s = self.maps[first], self.maps[second]
-        for e1, mids in f.items():
-            for e2 in mids:
-                for e3 in s.get(e2, ()):
-                    out.setdefault(e1, set()).add(e3)
-        return out
+        mid, s_head = f % ne, s // ne
+        lo = np.searchsorted(s_head, mid)
+        row, at = _expand_runs(lo, np.searchsorted(s_head, mid, side="right") - lo)
+        return np.unique(f[row] // ne * ne + s[at] % ne)
 
     def build(self) -> SynthResult:
         spec = self.spec
-        composed_names = set()
+        ne = spec.num_entities
         for rule in spec.relations:
             self.maps[rule.name] = self._base_pairs(rule)
-            if rule.kind == "composed":
-                composed_names.add(rule.name)
 
-        by_name = {r.name for r in spec.relations}
         for comp in spec.compositions:
             for name in (comp.first, comp.second, comp.composed):
-                if name not in by_name:
+                if name not in self.kinds:
                     raise SynthSpecError(f"composition references unknown relation {name!r}")
-            if comp.composed not in composed_names:
+            if self.kinds[comp.composed] != "composed":
                 raise SynthSpecError(
                     f"composition target {comp.composed!r} must have kind 'composed'"
                 )
             chains = self._compose(comp.first, comp.second)
-            if comp.commutes:
-                swapped = self._compose(comp.second, comp.first)
-                if chains != swapped:
-                    raise SynthSpecError(
-                        f"{comp.first!r} and {comp.second!r} are declared commuting "
-                        "but their composition orders disagree"
-                    )
-            for h, tails in chains.items():
-                self.maps[comp.composed].setdefault(h, set()).update(tails)
-        for name in composed_names:
-            if not self.maps[name]:
-                raise SynthSpecError(f"composed relation {name!r} received no triples")
-
-        self._audit()
-
-        vocab = Vocab(
-            [f"e{k:04d}" for k in range(spec.num_entities)], [r.name for r in spec.relations]
-        )
-        rel_id = {r.name: k for k, r in enumerate(spec.relations)}
-        all_triples: list[tuple[int, int, int]] = []
-        holdout_eligible: list[int] = []
+            if comp.commutes and not np.array_equal(chains, self._compose(comp.second, comp.first)):
+                raise SynthSpecError(
+                    f"{comp.first!r} and {comp.second!r} are declared commuting "
+                    "but their composition orders disagree"
+                )
+            self.maps[comp.composed] = np.union1d(self.maps[comp.composed], chains)
         for rule in spec.relations:
-            rid = rel_id[rule.name]
-            for h in sorted(self.maps[rule.name]):
-                for t in sorted(self.maps[rule.name][h]):
-                    if rule.name in composed_names:
-                        holdout_eligible.append(len(all_triples))
-                    all_triples.append((h, rid, t))
+            if rule.kind == "composed" and not len(self.maps[rule.name]):
+                raise SynthSpecError(f"composed relation {rule.name!r} received no triples")
 
-        triples = np.array(all_triples, dtype=np.int64).reshape(-1, 3)
-        held = self._pick_holdout(triples, holdout_eligible)
+        vocab = Vocab([f"e{k:04d}" for k in range(ne)], [r.name for r in spec.relations])
+        pairs = [self.maps[r.name] for r in spec.relations]
+        rel = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
+        pair = np.concatenate(pairs)
+        triples = np.stack([pair // ne, rel, pair % ne], axis=1)
+        codes = rel * ne * ne + pair  # rows are sorted by (r, h, t): strictly increasing
+        composed = np.array([r.kind == "composed" for r in spec.relations])
+        held = self._pick_holdout(codes, np.flatnonzero(composed[rel]))
         held_idx = np.flatnonzero(held)
         valid_idx = held_idx[0::2]
         test_idx = held_idx[1::2]
         train_idx = np.flatnonzero(~held)
 
         store = TripleStore(vocab, triples[train_idx], triples[valid_idx], triples[test_idx])
-        discriminating = self._mark_discriminating(triples[test_idx], rel_id)
-        train_set = {tuple(row) for row in triples[train_idx].tolist()}
-        hard = np.array(
-            [(t, r, h) not in train_set for h, r, t in triples[test_idx].tolist()], dtype=bool
-        )
+        discriminating = self._mark_discriminating(triples[test_idx])
+        h, r, t = triples[test_idx].T
+        hard = ~np.isin((r * ne + t) * ne + h, codes[train_idx])
         manifest = {
             "num_entities": spec.num_entities,
             "relations": [r.name for r in spec.relations],
@@ -281,75 +246,56 @@ class _Generator:
         }
         return SynthResult(store, spec, discriminating, manifest, test_mirror_free=hard)
 
-    def _pick_holdout(self, triples: np.ndarray, eligible: list[int]) -> np.ndarray:
+    def _pick_holdout(self, codes: np.ndarray, eligible: np.ndarray) -> np.ndarray:
         """Choose held-out rows, controlling how many lose their mirror twin too.
 
-        A paired pick removes both (h, r, t) and (t, r, h); a single pick
+        ``codes`` are the sorted triple codes ``(r * |E| + h) * |E| + t``. A
+        paired pick removes both (h, r, t) and (t, r, h); a single pick
         keeps the mirror edge in train (when one exists).
         """
         spec = self.spec
-        held = np.zeros(len(triples), dtype=bool)
-        if spec.holdout_fraction == 0 or not eligible:
+        ne = spec.num_entities
+        held = np.zeros(len(codes), dtype=bool)
+        if spec.holdout_fraction == 0 or not len(eligible):
             return held
-        index_of = {tuple(row): i for i, row in enumerate(triples.tolist())}
+        rh, t = np.divmod(codes, ne)
+        r, h = np.divmod(rh, ne)
+        mirror_code = (r * ne + t) * ne + h
+        mirror = np.minimum(np.searchsorted(codes, mirror_code), len(codes) - 1)
+        mirror[(codes[mirror] != mirror_code) | (h == t)] = -1
+        mirror = mirror.tolist()
         target = int(round(spec.holdout_fraction * len(eligible)))
         pair_budget = int(round(spec.paired_holdout_fraction * target))
-        order = self.rng.permutation(np.array(eligible))
         picked = 0
         paired = 0
-        for idx in order:
+        for idx in self.rng.permutation(eligible).tolist():
             if picked >= target:
                 break
-            if held[idx]:
+            m = mirror[idx]
+            if held[idx] or (m >= 0 and held[m]):
                 continue
-            h, r, t = triples[idx].tolist()
-            mirror = index_of.get((t, r, h)) if h != t else None
-            mirror_available = mirror is not None and not held[mirror]
-            if paired + 2 <= pair_budget and mirror_available and picked + 2 <= target:
-                held[idx] = held[mirror] = True
-                picked += 2
-                paired += 2
-            elif mirror is None or not held[mirror]:
-                held[idx] = True
+            if m >= 0 and paired + 2 <= pair_budget and picked + 2 <= target:
+                held[m] = True
                 picked += 1
+                paired += 2
+            held[idx] = True
+            picked += 1
         return held
 
-    def _audit(self):
-        """Generated triples must satisfy every declared rule."""
-        for rule in self.spec.relations:
-            pairs = self.maps[rule.name]
-            if rule.kind == "symmetric":
-                for h, tails in pairs.items():
-                    for t in tails:
-                        if h not in pairs.get(t, set()):
-                            raise SynthSpecError(
-                                f"symmetric relation {rule.name!r} misses ({t}, {h})"
-                            )
-            if rule.kind == "inverse_of":
-                src = self.maps[rule.of]
-                for h, tails in src.items():
-                    for t in tails:
-                        if h not in pairs.get(t, set()):
-                            raise SynthSpecError(
-                                f"inverse relation {rule.name!r} misses ({t}, {h})"
-                            )
-
-    def _mark_discriminating(self, test_triples: np.ndarray, rel_id: dict[str, int]) -> np.ndarray:
-        """Tag held-out composed queries whose two application orders disagree."""
+    def _mark_discriminating(self, test_triples: np.ndarray) -> np.ndarray:
+        """Tag held-out composed queries whose two application orders disagree:
+        the head has answers in the swapped order, and they differ."""
+        ne = self.spec.num_entities
+        names = [r.name for r in self.spec.relations]
+        swapped = {
+            comp.composed: self._compose(comp.second, comp.first)
+            for comp in self.spec.compositions
+            if not comp.commutes
+        }
         flags = np.zeros(len(test_triples), dtype=bool)
-        swapped_answers: dict[int, dict[int, set[int]]] = {}
-        for comp in self.spec.compositions:
-            if comp.commutes:
-                continue
-            rid = rel_id[comp.composed]
-            swapped_answers[rid] = self._compose(comp.second, comp.first)
-        for k, (h, r, t) in enumerate(test_triples.tolist()):
-            other = swapped_answers.get(r)
-            if other is None:
-                continue
-            alt = other.get(h, set())
-            if alt and alt != self.maps[self.spec.relations[r].name].get(h, set()):
-                flags[k] = True
+        for name, other in swapped.items():
+            heads = np.intersect1d(other // ne, np.setxor1d(other, self.maps[name]) // ne)
+            flags |= (test_triples[:, 1] == names.index(name)) & np.isin(test_triples[:, 0], heads)
         return flags
 
 

@@ -1,17 +1,20 @@
 """Independent oracles used by the tests.
 
 Kept deliberately separate from the package: finite differences, a
-sort-based ranking oracle, a quadratic-time two-hop join and a line-by-line
-triple reader double-check the production paths without sharing code with
-them. The whole-matrix training step is the exception: it shares the block
+sort-based ranking oracle, a quadratic-time two-hop join, a line-by-line
+triple reader and a dict-of-sets synthetic-KG generator double-check the
+production paths without sharing code with them (the generator shares only
+the spec classes). The whole-matrix training step is the exception: it shares the block
 kernels and the penalty terms with the package, because what it checks is
 the pass structure of the blocked step, not the kernels.
 """
 
 import numpy as np
 
+from star_kge.data import TripleStore, Vocab
 from star_kge.model import block_grad, block_rotate, block_rotate_t
 from star_kge.regularization import penalty_terms_batch
+from star_kge.synthetic import RelationRule, SynthResult, SynthSpec, SynthSpecError, _grid_side
 from star_kge.training import ADAGRAD_EPS, BatchGradients, DivergenceError
 
 
@@ -201,3 +204,246 @@ def adagrad_update_whole(param, grad, accumulator, lr):
     """In-place Adagrad step over the whole table at once."""
     accumulator += grad * grad
     param -= lr * grad / np.sqrt(accumulator + ADAGRAD_EPS)
+
+
+# reference synthetic-KG generator ---------------------------------------------
+#
+# The dict-of-sets generator that star_kge.synthetic replaced, kept as the
+# parity reference: relations are dicts of sets, compositions triple-nested
+# loops, and an audit pass re-checks the symmetric and inverse rules edge by
+# edge. Its class body is unchanged apart from the name.
+
+
+def _rotate_cell(cell, side, quarter_turns):
+    """Rotate a lattice cell about the grid center by 90-degree steps."""
+    i, j = cell
+    for _ in range(quarter_turns % 4):
+        i, j = j, side - 1 - i
+    return i, j
+
+
+def _shift_cell(cell, offset):
+    return cell[0] + offset[0], cell[1] + offset[1]
+
+
+def _in_grid(cell, side):
+    return 0 <= cell[0] < side and 0 <= cell[1] < side
+
+
+class DictOfSetsGenerator:
+    def __init__(self, spec: SynthSpec):
+        self.spec = spec
+        self.rng = np.random.default_rng(spec.seed)
+        self.maps: dict[str, dict[int, set[int]]] = {}
+        self.uses_grid = any(r.kind.startswith("grid_") for r in spec.relations)
+        self.side = _grid_side(spec.num_entities) if self.uses_grid else 0
+
+    def _cell_of(self, e: int):
+        return divmod(e, self.side)
+
+    def _id_of(self, cell) -> int:
+        return cell[0] * self.side + cell[1]
+
+    def _base_pairs(self, rule: RelationRule) -> dict[int, set[int]]:
+        ne = self.spec.num_entities
+        rng = self.rng
+        pairs: dict[int, set[int]] = {}
+        if rule.kind == "grid_rotation":
+            for e in range(ne):
+                pairs[e] = {self._id_of(_rotate_cell(self._cell_of(e), self.side, rule.quarter_turns))}
+        elif rule.kind == "grid_translation":
+            for e in range(ne):
+                target = _shift_cell(self._cell_of(e), rule.offset)
+                if _in_grid(target, self.side):
+                    pairs[e] = {self._id_of(target)}
+        elif rule.kind == "permutation":
+            perm = rng.permutation(ne)
+            for e in range(ne):
+                pairs[e] = {int(perm[e])}
+        elif rule.kind == "fan_in":
+            need = rule.num_tails * (rule.heads_per_tail + 1)
+            if need > ne:
+                raise SynthSpecError(
+                    f"fan_in rule {rule.name!r} needs {need} entities, have {ne}"
+                )
+            chosen = rng.choice(ne, size=need, replace=False)
+            for g in range(rule.num_tails):
+                block = chosen[g * (rule.heads_per_tail + 1) : (g + 1) * (rule.heads_per_tail + 1)]
+                tail = int(block[0])
+                for head in block[1:]:
+                    pairs.setdefault(int(head), set()).add(tail)
+        elif rule.kind == "symmetric":
+            if 2 * rule.num_pairs > ne:
+                raise SynthSpecError(f"symmetric rule {rule.name!r} needs more entities")
+            chosen = rng.choice(ne, size=2 * rule.num_pairs, replace=False)
+            for k in range(rule.num_pairs):
+                a, b = int(chosen[2 * k]), int(chosen[2 * k + 1])
+                pairs.setdefault(a, set()).add(b)
+                pairs.setdefault(b, set()).add(a)
+        elif rule.kind == "inverse_of":
+            src = self.maps.get(rule.of)
+            if src is None:
+                raise SynthSpecError(
+                    f"relation {rule.name!r} is inverse_of unknown or later relation {rule.of!r}"
+                )
+            for h, tails in src.items():
+                for t in tails:
+                    pairs.setdefault(t, set()).add(h)
+        elif rule.kind == "composed":
+            pass  # populated by composition rules
+        return pairs
+
+    def _compose(self, first: str, second: str) -> dict[int, set[int]]:
+        out: dict[int, set[int]] = {}
+        f, s = self.maps[first], self.maps[second]
+        for e1, mids in f.items():
+            for e2 in mids:
+                for e3 in s.get(e2, ()):
+                    out.setdefault(e1, set()).add(e3)
+        return out
+
+    def build(self) -> SynthResult:
+        spec = self.spec
+        composed_names = set()
+        for rule in spec.relations:
+            self.maps[rule.name] = self._base_pairs(rule)
+            if rule.kind == "composed":
+                composed_names.add(rule.name)
+
+        by_name = {r.name for r in spec.relations}
+        for comp in spec.compositions:
+            for name in (comp.first, comp.second, comp.composed):
+                if name not in by_name:
+                    raise SynthSpecError(f"composition references unknown relation {name!r}")
+            if comp.composed not in composed_names:
+                raise SynthSpecError(
+                    f"composition target {comp.composed!r} must have kind 'composed'"
+                )
+            chains = self._compose(comp.first, comp.second)
+            if comp.commutes:
+                swapped = self._compose(comp.second, comp.first)
+                if chains != swapped:
+                    raise SynthSpecError(
+                        f"{comp.first!r} and {comp.second!r} are declared commuting "
+                        "but their composition orders disagree"
+                    )
+            for h, tails in chains.items():
+                self.maps[comp.composed].setdefault(h, set()).update(tails)
+        for name in composed_names:
+            if not self.maps[name]:
+                raise SynthSpecError(f"composed relation {name!r} received no triples")
+
+        self._audit()
+
+        vocab = Vocab(
+            [f"e{k:04d}" for k in range(spec.num_entities)], [r.name for r in spec.relations]
+        )
+        rel_id = {r.name: k for k, r in enumerate(spec.relations)}
+        all_triples: list[tuple[int, int, int]] = []
+        holdout_eligible: list[int] = []
+        for rule in spec.relations:
+            rid = rel_id[rule.name]
+            for h in sorted(self.maps[rule.name]):
+                for t in sorted(self.maps[rule.name][h]):
+                    if rule.name in composed_names:
+                        holdout_eligible.append(len(all_triples))
+                    all_triples.append((h, rid, t))
+
+        triples = np.array(all_triples, dtype=np.int64).reshape(-1, 3)
+        held = self._pick_holdout(triples, holdout_eligible)
+        held_idx = np.flatnonzero(held)
+        valid_idx = held_idx[0::2]
+        test_idx = held_idx[1::2]
+        train_idx = np.flatnonzero(~held)
+
+        store = TripleStore(vocab, triples[train_idx], triples[valid_idx], triples[test_idx])
+        discriminating = self._mark_discriminating(triples[test_idx], rel_id)
+        train_set = {tuple(row) for row in triples[train_idx].tolist()}
+        hard = np.array(
+            [(t, r, h) not in train_set for h, r, t in triples[test_idx].tolist()], dtype=bool
+        )
+        manifest = {
+            "num_entities": spec.num_entities,
+            "relations": [r.name for r in spec.relations],
+            "seed": spec.seed,
+            "holdout_fraction": spec.holdout_fraction,
+            "splits": {
+                "train": int(len(train_idx)),
+                "valid": int(len(valid_idx)),
+                "test": int(len(test_idx)),
+            },
+            "discriminating_test_queries": int(discriminating.sum()),
+            "mirror_free_test_triples": int(hard.sum()),
+        }
+        return SynthResult(store, spec, discriminating, manifest, test_mirror_free=hard)
+
+    def _pick_holdout(self, triples: np.ndarray, eligible: list[int]) -> np.ndarray:
+        """Choose held-out rows, controlling how many lose their mirror twin too.
+
+        A paired pick removes both (h, r, t) and (t, r, h); a single pick
+        keeps the mirror edge in train (when one exists).
+        """
+        spec = self.spec
+        held = np.zeros(len(triples), dtype=bool)
+        if spec.holdout_fraction == 0 or not eligible:
+            return held
+        index_of = {tuple(row): i for i, row in enumerate(triples.tolist())}
+        target = int(round(spec.holdout_fraction * len(eligible)))
+        pair_budget = int(round(spec.paired_holdout_fraction * target))
+        order = self.rng.permutation(np.array(eligible))
+        picked = 0
+        paired = 0
+        for idx in order:
+            if picked >= target:
+                break
+            if held[idx]:
+                continue
+            h, r, t = triples[idx].tolist()
+            mirror = index_of.get((t, r, h)) if h != t else None
+            mirror_available = mirror is not None and not held[mirror]
+            if paired + 2 <= pair_budget and mirror_available and picked + 2 <= target:
+                held[idx] = held[mirror] = True
+                picked += 2
+                paired += 2
+            elif mirror is None or not held[mirror]:
+                held[idx] = True
+                picked += 1
+        return held
+
+    def _audit(self):
+        """Generated triples must satisfy every declared rule."""
+        for rule in self.spec.relations:
+            pairs = self.maps[rule.name]
+            if rule.kind == "symmetric":
+                for h, tails in pairs.items():
+                    for t in tails:
+                        if h not in pairs.get(t, set()):
+                            raise SynthSpecError(
+                                f"symmetric relation {rule.name!r} misses ({t}, {h})"
+                            )
+            if rule.kind == "inverse_of":
+                src = self.maps[rule.of]
+                for h, tails in src.items():
+                    for t in tails:
+                        if h not in pairs.get(t, set()):
+                            raise SynthSpecError(
+                                f"inverse relation {rule.name!r} misses ({t}, {h})"
+                            )
+
+    def _mark_discriminating(self, test_triples: np.ndarray, rel_id: dict[str, int]) -> np.ndarray:
+        """Tag held-out composed queries whose two application orders disagree."""
+        flags = np.zeros(len(test_triples), dtype=bool)
+        swapped_answers: dict[int, dict[int, set[int]]] = {}
+        for comp in self.spec.compositions:
+            if comp.commutes:
+                continue
+            rid = rel_id[comp.composed]
+            swapped_answers[rid] = self._compose(comp.second, comp.first)
+        for k, (h, r, t) in enumerate(test_triples.tolist()):
+            other = swapped_answers.get(r)
+            if other is None:
+                continue
+            alt = other.get(h, set())
+            if alt and alt != self.maps[self.spec.relations[r].name].get(h, set()):
+                flags[k] = True
+        return flags

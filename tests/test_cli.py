@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from star_kge.cli import main
+
+LATTICE_SPEC = Path(__file__).resolve().parent.parent / "configs" / "lattice_noncommuting.spec"
 
 SYNTH_SPEC = """
 num_entities = 36
@@ -74,6 +77,58 @@ class TestSynth:
         spec.write_text("num_entities = 10\nrelation.0.name = x\n", encoding="utf-8")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "kind" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("relation.1.offset = 1,0", "relation.1.offset = a,0"),
+            ("relation.0.quarter_turns = 1", "relation.0.quarter_turns = two"),
+            ("relation.0.quarter_turns = 1", "relation.0.quarter_turns = 1.5"),
+            ("relation.0.kind = grid_rotation", "relation.0.kind = symmetric\nrelation.0.num_pairs = -2"),
+            ("relation.0.kind = grid_rotation", "relation.0.kind = fan_in\nrelation.0.heads_per_tail = -3"),
+        ],
+        ids=["offset-word", "turns-word", "turns-float", "negative-pairs", "negative-heads"],
+    )
+    def test_bad_rule_values_are_usage_errors(self, tmp_path, capsys, edit):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(SYNTH_SPEC.replace(*edit), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_inverse_of_composed_relation_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(
+            SYNTH_SPEC + "relation.4.name = back\nrelation.4.kind = inverse_of\nrelation.4.of = turn_then_shift\n",
+            encoding="utf-8",
+        )
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "inverse_of composed relation 'turn_then_shift'" in capsys.readouterr().err
+
+    def test_lattice_config_writes_its_recorded_files(self, tmp_path):
+        # sha256 of the files the dict-of-sets generator wrote for this config
+        recorded = {
+            "entities.txt": "38512920d297cfd94c2c166d2fe1a7c530ab4712fcb9cf8035011d4bbcfef993",
+            "manifest.json": "5067d7325776cf3c74574bc3acc354fb35abe32769b8671de8267985e21bbfa2",
+            "relations.txt": "5cbca257fe0566ab316c45e487cae79bd2a8f63492a4d06c71143e6f166c3984",
+            "synth_manifest.json": "8cf494cba5b873bd77f1272431c911e570712daafeda4d05c86c814fc65b27d4",
+            "test.tsv": "0a084c03534c12302487d016924b771688233e67c5796dd6e1c16c0d7119b06f",
+            "train.tsv": "38d87039aab5a45be7978f44fdd3f7fafa963c3641fcc563160be370f185af3e",
+            "valid.tsv": "221113242c64c01b711c64b31c5686a1ef680fe3a375ec2808b7ae8ef53adb79",
+        }
+        out = tmp_path / "kg"
+        assert main(["synth", "--spec", str(LATTICE_SPEC), "--out", str(out)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == recorded
+
+    def test_lattice_config_is_criterion_6_spec(self):
+        from star_kge.config import load_flat_config, synth_spec_from_dict
+        from star_kge.synthetic import grid_composition_spec
+
+        assert synth_spec_from_dict(load_flat_config(LATTICE_SPEC)) == grid_composition_spec(
+            side=14, quarter_turns=2, seed=7, holdout_fraction=0.25, paired_holdout_fraction=0.2
+        )
 
 
 class TestTrain:

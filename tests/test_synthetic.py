@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import DictOfSetsGenerator
 
 from star_kge.data import CLASS_N_TO_ONE, classify_relations
 from star_kge.synthetic import (
+    RULE_KINDS,
     CompositionRule,
     RelationRule,
     SynthSpec,
@@ -92,6 +98,24 @@ class TestValidation:
         with pytest.raises(SynthSpecError, match="disagree"):
             generate(spec)
 
+    def test_inverse_of_composed_relation_rejected(self):
+        spec = SynthSpec(
+            num_entities=16,
+            relations=[
+                RelationRule("turn", "grid_rotation"),
+                RelationRule("c", "composed"),
+                RelationRule("back", "inverse_of", of="c"),
+            ],
+            compositions=[CompositionRule("turn", "turn", "c", commutes=True)],
+        )
+        with pytest.raises(SynthSpecError, match="'back' is inverse_of composed relation 'c'"):
+            generate_full(spec)
+
+    @pytest.mark.parametrize("count", ["num_tails", "heads_per_tail", "num_pairs"])
+    def test_negative_counts_rejected(self, count):
+        with pytest.raises(SynthSpecError, match=f"{count} must be >= 0, got -1"):
+            RelationRule("x", "fan_in", **{count: -1})
+
     def test_composition_over_unknown_relation_rejected(self):
         spec = SynthSpec(
             num_entities=16,
@@ -169,3 +193,135 @@ class TestGridComposition:
         held = len(store.valid) + len(store.test)
         assert held == round(0.25 * composed_total)
         assert abs(len(store.valid) - len(store.test)) <= 1
+
+
+@st.composite
+def synth_specs(draw):
+    """Random spec fields: every rule kind, square and non-square entity
+    counts, compositions that may or may not commute, and names that may be
+    unknown, later or the rule itself. Counts are occasionally negative."""
+    # half the specs use only maps that cover (almost) every entity, on a
+    # square grid, so that most of their compositions come out non-empty
+    dense = draw(st.booleans())
+    square = st.integers(2, 7).map(lambda side: side * side)
+    num_entities = draw(square if dense else square | st.integers(2, 40))
+    pool = ("grid_rotation", "grid_translation", "permutation", "inverse_of") if dense else RULE_KINDS
+    kinds = draw(st.lists(st.sampled_from(pool + ("composed",)), min_size=1, max_size=6))
+    names = [f"r{k}" for k in range(len(kinds))]
+    any_name = st.sampled_from(names + ["ghost"])
+    count = st.integers(-1, 6)
+    fields_of = {
+        "grid_rotation": {"quarter_turns": st.integers(-5, 5)},
+        "grid_translation": {"offset": st.tuples(st.integers(-2, 2), st.integers(-2, 2))},
+        "fan_in": {"num_tails": count, "heads_per_tail": count},
+        "symmetric": {"num_pairs": count},
+    }
+    relations = [
+        dict(name=name, kind=kind, **{f: draw(s) for f, s in fields_of.get(kind, {}).items()})
+        for name, kind in zip(names, kinds)
+    ]
+    for k, rule in enumerate(relations):
+        if rule["kind"] == "inverse_of":  # mostly an earlier relation
+            rule["of"] = draw(st.sampled_from(names[:k]) | any_name if k else any_name)
+    # one composition per composed relation, in random order, plus strays
+    known = st.sampled_from([n for n, k in zip(names, kinds) if k != "composed"] or names)
+    compositions = [
+        (draw(known), draw(known), name, draw(st.booleans()))
+        for name, kind in zip(names, kinds)
+        if kind == "composed"
+    ]
+    compositions = draw(st.permutations(compositions))
+    if not dense:
+        compositions += draw(st.lists(st.tuples(any_name, any_name, any_name, st.booleans()), max_size=1))
+    return dict(
+        num_entities=num_entities,
+        relations=relations,
+        compositions=compositions,
+        seed=draw(st.integers(0, 2**16)),
+        holdout_fraction=draw(st.integers(0, 19).map(lambda k: k / 20) | st.floats(0.0, 1.0, exclude_max=True)),
+        paired_holdout_fraction=draw(st.integers(0, 10).map(lambda k: k / 10) | st.floats(0.0, 1.0)),
+    )
+
+
+def assert_matches_reference(spec: SynthSpec):
+    """The array generator reproduces the dict-of-sets reference: the same
+    splits in the same row order, manifest and query flags, or the same
+    SynthSpecError text."""
+    try:
+        ref = DictOfSetsGenerator(spec)
+        expected = ref.build()
+    except SynthSpecError as exc:
+        expected = str(exc)
+    try:
+        got = generate_full(spec)
+    except SynthSpecError as exc:
+        got = str(exc)
+
+    if isinstance(got, str) and "is inverse_of composed relation" in got:
+        # rejected up front now; the reference failed later, in its audit
+        # or on the empty composed relation
+        kinds = {r.name: r.kind for r in spec.relations}
+        earlier = [r.name for r in spec.relations]
+        assert any(
+            r.kind == "inverse_of" and kinds.get(r.of) == "composed" and r.of in earlier[:k]
+            for k, r in enumerate(spec.relations)
+        )
+        assert isinstance(expected, str)
+        return
+    if re.fullmatch(r"composed relation '\w+' received no triples", str(expected)):
+        # the reference names an empty composed relation in set order, the
+        # generator the first in spec order
+        first = next(r.name for r in spec.relations if r.kind == "composed" and not ref.maps[r.name])
+        expected = f"composed relation {first!r} received no triples"
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    for split in ("train", "valid", "test"):
+        np.testing.assert_array_equal(got.store.split(split), expected.store.split(split))
+    assert got.store.vocab.entity_names == expected.store.vocab.entity_names
+    assert got.store.vocab.relation_names == expected.store.vocab.relation_names
+    assert got.manifest == expected.manifest
+    np.testing.assert_array_equal(got.test_discriminating, expected.test_discriminating)
+    np.testing.assert_array_equal(got.test_mirror_free, expected.test_mirror_free)
+
+
+class TestReferenceParity:
+    @settings(max_examples=300, deadline=None)
+    @given(synth_specs())
+    def test_random_specs_match_the_dict_of_sets_generator(self, fields):
+        relations, compositions = fields.pop("relations"), fields.pop("compositions")
+        try:
+            spec = SynthSpec(
+                relations=[RelationRule(**r) for r in relations],
+                compositions=[CompositionRule(*c) for c in compositions],
+                **fields,
+            )
+        except SynthSpecError as exc:
+            # the reference crashed in rng.choice on these, or built nothing
+            assert "must be >= 0, got -1" in str(exc)
+            return
+        assert_matches_reference(spec)
+
+    @pytest.mark.parametrize("paired", [0.0, 0.2, 1.0])
+    def test_half_turn_lattice_matches_the_dict_of_sets_generator(self, paired):
+        assert_matches_reference(
+            grid_composition_spec(
+                side=9, quarter_turns=2, seed=4, holdout_fraction=0.5, paired_holdout_fraction=paired
+            )
+        )
+
+    def test_chains_through_several_middles_match_the_dict_of_sets_generator(self):
+        # a tail reaches itself through each of its heads
+        assert_matches_reference(
+            SynthSpec(
+                num_entities=30,
+                relations=[
+                    RelationRule("sink", "fan_in", num_tails=3, heads_per_tail=4),
+                    RelationRule("source", "inverse_of", of="sink"),
+                    RelationRule("back", "composed"),
+                ],
+                compositions=[CompositionRule("source", "sink", "back", commutes=False)],
+                seed=5,
+                holdout_fraction=0.5,
+            )
+        )
