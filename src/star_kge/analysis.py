@@ -79,9 +79,8 @@ class ImbalanceReport:
 
 
 def _incidence(triples: np.ndarray, num_entities: int, num_relations: int, col: int) -> np.ndarray:
-    m = np.zeros((num_entities, num_relations))
-    np.add.at(m, (triples[:, col], triples[:, 1]), 1.0)
-    return m
+    code = triples[:, col] * num_relations + triples[:, 1]
+    return np.bincount(code, minlength=num_entities * num_relations).reshape(num_entities, -1).astype(np.float64)
 
 
 def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> PairCounts:
@@ -105,15 +104,14 @@ def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> Pai
     out = np.rint(in_mat.T @ out_mat).astype(np.int64)
 
     if exclude_degenerate:
-        # join each edge (h, r, t) with every edge (t, r2, h) on codes h * |E| + t
-        code = tr[:, 0] * ne + tr[:, 2]
-        order = np.argsort(code)
-        code, back = code[order], tr[:, 2] * ne + tr[:, 0]
-        lo = np.searchsorted(code, back)
-        count = np.searchsorted(code, back, side="right") - lo
-        row, at = _expand_runs(lo, count)
-        match = order[at]
-        out -= np.bincount(tr[row, 1] * nr + tr[match, 1], minlength=nr * nr).reshape(nr, nr)
+        # join each edge (h, r, t) with every edge (t, r2, h): both sides are
+        # sorted keys (h * |E| + t) * |R| + r, the needles reversed to (t, h)
+        h, r, t = tr.T
+        pair, rel = np.divmod(np.sort((h * ne + t) * nr + r), nr)
+        back, back_rel = np.divmod(np.sort((t * ne + h) * nr + r), nr)
+        lo = np.searchsorted(pair, back)
+        row, at = _expand_runs(lo, np.searchsorted(pair, back, side="right") - lo)
+        out -= np.bincount(back_rel[row] * nr + rel[at], minlength=nr * nr).reshape(nr, nr)
 
     if (out < 0).any():
         raise AssertionError("negative path count, exclusion bookkeeping is wrong")

@@ -14,6 +14,9 @@ Recognized training keys::
     reg.dura_variant  literal | exact
     data.train, data.valid, data.test   TSV paths
     out_dir      output directory
+
+``n``, ``batch_size``, ``epochs``, ``seed`` and ``eval_every`` must parse
+as integers: a float, bool or word is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -152,15 +155,15 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
             dura_variant=str(cfg.get("reg.dura_variant", "literal")),
         )
         train = TrainConfig(
-            n=int(cfg.get("n", 32)),
-            epochs=int(cfg.get("epochs", 10)),
+            n=_integer("n", cfg.get("n", 32)),
+            epochs=_integer("epochs", cfg.get("epochs", 10)),
             lr=float(cfg.get("lr", 0.1)),
-            batch_size=int(cfg.get("batch_size", 100)),
+            batch_size=_integer("batch_size", cfg.get("batch_size", 100)),
             w0=float(cfg.get("w0", 0.0)),
             reg=reg,
-            seed=int(cfg.get("seed", 0)),
+            seed=_integer("seed", cfg.get("seed", 0)),
             optimizer=str(cfg.get("optimizer", "Adagrad")),
-            eval_every=int(cfg.get("eval_every", 0)),
+            eval_every=_integer("eval_every", cfg.get("eval_every", 0)),
             init_scale=float(cfg.get("init_scale", 1e-3)),
         )
     except ValueError as exc:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import chain, repeat
+from collections import defaultdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,14 @@ class Vocab:
         if len(self._rel_ids) != len(self.relation_names):
             raise VocabularyError("duplicate relation names in vocabulary")
 
+    @classmethod
+    def _of_ids(cls, ent_ids: dict, rel_ids: dict) -> "Vocab":
+        """The vocabulary of name->id dicts whose ids count up in insertion order."""
+        vocab = cls.__new__(cls)
+        vocab.entity_names, vocab.relation_names = list(ent_ids), list(rel_ids)
+        vocab._ent_ids, vocab._rel_ids = ent_ids, rel_ids
+        return vocab
+
     @property
     def num_entities(self) -> int:
         return len(self.entity_names)
@@ -94,33 +103,59 @@ def _read_names(path) -> list[str]:
     return "\t".join(rows).split("\t") if rows else []
 
 
-def _vocab_of(*splits: list[str]) -> Vocab:
-    """Vocabulary in order of first appearance over the flat name lists."""
-    names = list(chain(*splits))
-    relations = dict.fromkeys(names[1::3])
-    del names[1::3]  # [h0, t0, h1, t1, ...]
-    return Vocab(dict.fromkeys(names), relations)
+def _encode(splits: list[list[str]], vocab: Vocab | None = None) -> tuple[Vocab, list[np.ndarray]]:
+    """Id triples of flat name lists, and the vocabulary that encoded them.
 
-
-def _encode(names: list[str], vocab: Vocab) -> np.ndarray:
-    """Id triples of a flat name list; a name outside ``vocab`` raises."""
-    out = np.empty((len(names) // 3, 3), dtype=np.int64)
-    ents, rels = vocab._ent_ids, vocab._rel_ids
-    for col, kind, ids in ((0, "entity", ents), (1, "relation", rels), (2, "entity", ents)):
+    Each name is hashed once: entity names go through one dict, heads and
+    tails interleaved line by line, relation names through another. For a
+    given ``vocab`` these are its own dicts, so an unknown name raises
+    :class:`VocabularyError`. Otherwise they grow: each dict's missing-key
+    factory is its own ``__len__``, so a new name takes the next id in
+    order of first appearance over the splits.
+    """
+    if vocab is None:
+        ents, rels = defaultdict(), defaultdict()
+        ents.default_factory, rels.default_factory = ents.__len__, rels.__len__
+    else:
+        ents, rels = vocab._ent_ids, vocab._rel_ids
+    out = []
+    for names in splits:
+        ids = np.empty((len(names) // 3, 3), dtype=np.int64)
+        pairs = names[:]
+        del pairs[1::3]  # [h0, t0, h1, t1, ...]
         try:
-            out[:, col] = np.fromiter(map(ids.__getitem__, names[col::3]), np.int64, len(out))
-        except KeyError as exc:
-            raise VocabularyError(f"unknown {kind} {exc.args[0]!r}") from None
-    return out
+            ids[:, ::2] = np.fromiter(map(ents.__getitem__, pairs), np.int64, len(pairs)).reshape(-1, 2)
+            ids[:, 1] = np.fromiter(map(rels.__getitem__, names[1::3]), np.int64, len(ids))
+        except KeyError:
+            # name the first unknown head, else relation, else tail
+            for col, kind, known in ((0, "entity", ents), (1, "relation", rels), (2, "entity", ents)):
+                name = next((n for n in names[col::3] if n not in known), None)
+                if name is not None:
+                    raise VocabularyError(f"unknown {kind} {name!r}") from None
+        out.append(ids)
+    if vocab is None:
+        # without a factory the dicts raise KeyError for unknown names, as a
+        # vocabulary's must, and no dict -> bound __len__ -> dict cycle
+        # keeps them alive until a gc pass
+        ents.default_factory = rels.default_factory = None
+        vocab = Vocab._of_ids(ents, rels)
+    return vocab, out
+
+
+def _fresh(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in a sorted array."""
+    fresh = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return fresh
 
 
 def _dedupe(triples: np.ndarray, vocab: Vocab, label: str) -> np.ndarray:
     """Drop repeated triples, keeping first occurrences in file order."""
     h, r, t = triples.T
     code = (h * vocab.num_relations + r) * vocab.num_entities + t
-    first = np.unique(code, return_index=True)[1]
-    if len(first) == len(triples):
+    if _fresh(np.sort(code)).all():
         return triples
+    first = np.unique(code, return_index=True)[1]
     logger.warning("dropped %d duplicate triples from %s split", len(triples) - len(first), label)
     return triples[np.sort(first)]
 
@@ -140,19 +175,19 @@ class FilterIndex:
     ``keys`` holds the sorted, distinct int64 codes
     ``src * num_relation_rows + rel``; the answers of ``keys[i]`` are
     ``answers[offsets[i]:offsets[i + 1]]``, sorted and distinct. Built from
-    parallel ``src``, ``rel`` and ``answer`` arrays with one lexsort and a
-    run-boundary dedupe.
+    parallel ``src``, ``rel`` and ``answer`` arrays by sorting one int64 key
+    ``(src * num_relation_rows + rel) * span + answer`` per pair, with
+    ``span`` one more than the largest answer, dropping repeats at run
+    boundaries and splitting the key back with ``np.divmod``.
     """
 
     def __init__(self, src, rel, answer, num_relation_rows: int):
         self.num_relation_rows = int(num_relation_rows)
-        code = np.asarray(src, dtype=np.int64) * self.num_relation_rows + rel
-        order = np.lexsort((answer, code))
-        code, answers = code[order], np.asarray(answer, dtype=np.int64)[order]
-        fresh = np.ones(len(code), dtype=bool)
-        fresh[1:] = (code[1:] != code[:-1]) | (answers[1:] != answers[:-1])
-        code, self.answers = code[fresh], answers[fresh]
-        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]]) if len(code) else code
+        answer = np.asarray(answer, dtype=np.int64)
+        span = int(answer.max()) + 1 if len(answer) else 1
+        key = np.sort((np.asarray(src, dtype=np.int64) * self.num_relation_rows + rel) * span + answer)
+        code, self.answers = np.divmod(key[_fresh(key)], span)
+        starts = np.flatnonzero(_fresh(code))
         self.keys = code[starts]
         self.offsets = np.append(starts, len(code))
 
@@ -288,8 +323,9 @@ class TripleStore:
         if manifest.get("format") != "star-kge-store-v1":
             raise ValueError(f"unrecognized store manifest in {directory}")
         vocab = Vocab(_read_lines(directory / "entities.txt"), _read_lines(directory / "relations.txt"))
-        splits = (_read_names(directory / f"{name}.tsv") for name in ("train", "valid", "test"))
-        return cls(vocab, *(_encode(names, vocab) for names in splits))
+        splits = [_read_names(directory / f"{name}.tsv") for name in ("train", "valid", "test")]
+        vocab, ids = _encode(splits, vocab)
+        return cls(vocab, *ids)
 
 
 def load_triples(path, vocab: Vocab | None = None) -> TripleStore:
@@ -300,10 +336,8 @@ def load_triples(path, vocab: Vocab | None = None) -> TripleStore:
     dropped with a warning since they would bias the per-relation head/tail
     statistics.
     """
-    names = _read_names(path)
-    if vocab is None:
-        vocab = _vocab_of(names)
-    return TripleStore(vocab, _dedupe(_encode(names, vocab), vocab, "train"))
+    vocab, (train,) = _encode([_read_names(path)], vocab)
+    return TripleStore(vocab, _dedupe(train, vocab, "train"))
 
 
 def load_dataset(train_path, valid_path=None, test_path=None) -> TripleStore:
@@ -312,12 +346,9 @@ def load_dataset(train_path, valid_path=None, test_path=None) -> TripleStore:
     The vocabulary covers the union of all splits so evaluation never meets
     an unknown entity; entities absent from train are flagged with a warning.
     """
-    names = {"train": _read_names(train_path)}
-    names["valid"] = _read_names(valid_path) if valid_path else []
-    names["test"] = _read_names(test_path) if test_path else []
-    vocab = _vocab_of(*names.values())
-    splits = (_dedupe(_encode(n, vocab), vocab, split) for split, n in names.items())
-    return TripleStore(vocab, *splits)
+    names = [_read_names(path) if path else [] for path in (train_path, valid_path, test_path)]
+    vocab, splits = _encode(names)
+    return TripleStore(vocab, *map(_dedupe, splits, repeat(vocab), ("train", "valid", "test")))
 
 
 @dataclass
@@ -354,11 +385,10 @@ def classify_relations(store: TripleStore) -> list[RelationClass]:
     nr, ne = store.num_relations, store.num_entities
 
     def distinct_per_relation(ents):
-        # a sort and its run boundaries: np.unique took ~20x as long on
-        # 87k train triples (numpy 2.4)
+        # one-key np.sort and its run boundaries, as in the rest of this
+        # module: np.unique took ~20x as long on 87k train triples (numpy 2.4)
         code = np.sort(rels * ne + ents)
-        fresh = np.r_[True, code[1:] != code[:-1]]
-        return np.bincount(code[fresh] // ne, minlength=nr).tolist()
+        return np.bincount(code[_fresh(code)] // ne, minlength=nr).tolist()
 
     counts = np.bincount(rels, minlength=nr).tolist()
     n_heads = distinct_per_relation(heads)

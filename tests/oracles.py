@@ -2,11 +2,12 @@
 
 Kept deliberately separate from the package: finite differences, a
 sort-based ranking oracle, a quadratic-time two-hop join, a line-by-line
-triple reader and a dict-of-sets synthetic-KG generator double-check the
-production paths without sharing code with them (the generator shares only
-the spec classes). The whole-matrix training step is the exception: it shares the block
-kernels and the penalty terms with the package, because what it checks is
-the pass structure of the blocked step, not the kernels.
+triple reader and encoder, a dict-of-sets filter index and a dict-of-sets
+synthetic-KG generator double-check the production paths without sharing
+code with them (the generator shares only the spec classes). The
+whole-matrix training step is the exception: it shares the block kernels
+and the penalty terms with the package, because what it checks is the pass
+structure of the blocked step, not the kernels.
 """
 
 import numpy as np
@@ -127,6 +128,35 @@ def encode_loop(splits):
         encoded.append(np.array(kept, dtype=np.int64).reshape(-1, 3))
         dropped.append(len(ids) - len(kept))
     return list(ents), list(rels), encoded, dropped
+
+
+def encode_frozen_loop(rows, entity_names, relation_names):
+    """Encode name rows with a fixed vocabulary, then dedupe.
+
+    Returns ``(encoded, dropped)`` like one split of :func:`encode_loop`, or
+    the VocabularyError text: the first unknown head, else the first
+    unknown relation, else the first unknown tail.
+    """
+    ents = {name: i for i, name in enumerate(entity_names)}
+    rels = {name: i for i, name in enumerate(relation_names)}
+    for col, kind, known in ((0, "entity", ents), (1, "relation", rels), (2, "entity", ents)):
+        for row in rows:
+            if row[col] not in known:
+                return f"unknown {kind} {row[col]!r}"
+    ids = [(ents[h], rels[r], ents[t]) for h, r, t in rows]
+    kept = list(dict.fromkeys(ids))
+    return np.array(kept, dtype=np.int64).reshape(-1, 3), len(ids) - len(kept)
+
+
+def filter_sets(splits, num_relations):
+    """Known answers of every ``(source, relation)`` pair as a dict of sets:
+    tails of ``(h, r)`` and heads of ``(t, r + num_relations)`` over all splits."""
+    known = {}
+    for triples in splits:
+        for h, r, t in np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist():
+            known.setdefault((h, r), set()).add(t)
+            known.setdefault((t, r + num_relations), set()).add(h)
+    return known
 
 
 def brute_force_two_paths(triples, num_relations, exclude_degenerate=False):

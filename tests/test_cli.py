@@ -170,6 +170,18 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "8.5"), ("epochs", "2.9"), ("batch_size", "true"), ("seed", "1.0"), ("eval_every", "two")],
+    )
+    def test_non_integer_count_is_usage_error(self, synth_dir, tmp_path, capsys, key, value):
+        out = tmp_path / "x"
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an integer, got ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_train_split_is_usage_error(self, synth_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
@@ -489,6 +501,53 @@ class TestAnalyze:
         assert payload["Psi"] == 0.0  # both orders of (r1, r2) occur once each
         assert svg.read_text().startswith("<svg")
         assert len(list(csv.reader(pairs.read_text().splitlines()))) >= 2
+
+    @staticmethod
+    def _seeded_train(path, seed=7, lines=120, entities=60, relations=12):
+        """A train file from a 64-bit LCG, so its bytes depend on no library's
+        random stream; it holds self-loops, repeated lines and reversed edges."""
+        rows, x = [], seed
+        for _ in range(lines):
+            x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+            rows.append(((x >> 45) % entities, (x >> 20) % relations, (x >> 33) % entities))
+        rows += rows[::13] + [(t, (r + 1) % relations, h) for h, r, t in rows[::11]]
+        rows += [(h, r, h) for h, r, _ in rows[::17]]
+        path.write_text("".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in rows), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "flags, recorded",
+        [
+            (
+                [],
+                {
+                    "report.json": "d220d12d158a93cb96f7471ad1893c281eb5d2d8804334fbe740c5ee74b5d29c",
+                    "pairs.csv": "ed020cedbde981c754c0470875e3e177abbb2a4e3111cc8751f103c040c8f325",
+                    "arcs.svg": "87661d34f816ae66a2f5b4aa2b1e440ebf8042431a4187fb9225b589eb0a3a2c",
+                },
+            ),
+            (
+                ["--exclude-degenerate"],
+                {
+                    "report.json": "e4836ba2fa31197f440aba8ad4e4da80b968c19c04ed944888be2a281540a32c",
+                    "pairs.csv": "3b696704b104fed14732b7033f0f17226ebaecf3580398a75880993eb80483dc",
+                    "arcs.svg": "dbd8a494e85e621742922f7818acf40521ae04a22a54e182bd7cad4b6572827e",
+                },
+            ),
+        ],
+        ids=["default", "exclude-degenerate"],
+    )
+    def test_outputs_match_recorded_bytes(self, tmp_path, flags, recorded):
+        # sha256 of the files the lexsort/np.unique ingest and the argsort
+        # reverse-edge join wrote for this graph
+        train = self._seeded_train(tmp_path / "train.tsv")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["analyze", "--train", str(train), "--out", str(out / "report.json")]
+        argv += ["--csv", str(out / "pairs.csv"), "--svg", str(out / "arcs.svg"), *flags]
+        assert main(argv) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == recorded
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert (

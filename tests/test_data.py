@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from star_kge.data import (
@@ -21,7 +21,13 @@ from star_kge.data import (
     load_triples,
 )
 from conftest import dataset_path, make_store
-from oracles import classify_relations_loop, encode_loop, read_triples_loop
+from oracles import (
+    classify_relations_loop,
+    encode_frozen_loop,
+    encode_loop,
+    filter_sets,
+    read_triples_loop,
+)
 
 
 def write_tsv(path, rows):
@@ -106,6 +112,11 @@ class TestReaderMatchesLoop:
 
     @settings(max_examples=150, deadline=None)
     @given(st.tuples(_FILE, st.none() | _FILE, st.none() | _FILE))
+    @example(texts=("a\tr\tb\n" * 3, "b\tr\ta\r\n" * 2, None))  # splits of repeated lines
+    @example(texts=("a\tr\tb\n", "a\tr\tb\n", "a\tr\tb\n"))  # one triple in every split, kept
+    @example(texts=("a\tr\tb\n", "", ""))  # empty splits
+    @example(texts=("a\tr\tb\n", "b\tr\tc\nd\tr\ta\n", None))  # unknown tail, then head: the head is named
+    @example(texts=("a\tr\tb\n", "a\tq\tc\n", None))  # unknown relation and tail: the relation is named
     def test_load_dataset_and_load_triples(self, texts):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
@@ -141,9 +152,67 @@ class TestReaderMatchesLoop:
                 frozen, warned = self._load(load_triples, paths[0], store.vocab)
                 np.testing.assert_array_equal(frozen.train, store.train)
                 assert warned == want[3]
+                self._check_frozen(paths[1], store.vocab)
+
+    def _check_frozen(self, path, vocab):
+        """``path`` loaded under ``vocab``: the same ids, dedupe warning or
+        VocabularyError text as the oracle, and ``vocab`` left as it was."""
+        if path is None:
+            return
+        try:
+            rows = read_triples_loop(path)
+        except ValueError:
+            return  # the parse error is checked by the caller
+        names = (list(vocab.entity_names), list(vocab.relation_names))
+        want = encode_frozen_loop(rows, *names)
+        if isinstance(want, str):
+            with pytest.raises(VocabularyError) as err:
+                load_triples(path, vocab)
+            assert err.value.args == (want,)
+        else:
+            store, warned = self._load(load_triples, path, vocab)
+            np.testing.assert_array_equal(store.train, want[0])
+            assert warned == ([f"dropped {want[1]} duplicate triples from train split"] if want[1] else [])
+        assert (vocab.entity_names, vocab.relation_names) == names
+        assert (len(vocab._ent_ids), len(vocab._rel_ids)) == (len(names[0]), len(names[1]))
+
+
+@st.composite
+def _split_graphs(draw):
+    """``(num_entities, num_relations, train, valid, test)``: triples repeat
+    inside a split and across splits, self-loops are common and entities
+    may appear only in valid/test or nowhere."""
+    ne, nr = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, ne - 1), st.integers(0, nr - 1), st.integers(0, ne - 1))
+    train = draw(st.lists(triple, max_size=20))
+    again = st.sampled_from(train) | triple if train else triple
+    valid = draw(st.lists(again, max_size=6))
+    test = draw(st.lists(again, max_size=6))
+    return ne, nr, train, valid, test
 
 
 class TestFilterIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(_split_graphs())
+    @example(case=(1, 1, [(0, 0, 0), (0, 0, 0)], [], []))  # one entity: a repeated self-loop
+    @example(case=(4, 2, [(0, 0, 1)], [], [(2, 1, 3), (0, 0, 1)]))  # test-only entities
+    @example(case=(3, 2, [], [], []))  # no triples
+    def test_matches_dict_of_sets(self, case):
+        ne, nr, train, valid, test = case
+        index = make_store(train, num_entities=ne, num_relations=nr, valid=valid, test=test).filter_index
+        known = filter_sets([train, valid, test], nr)
+        pairs = sorted(known)  # (src, rel) order is code order: rel < 2 * nr
+        assert index.keys.dtype == index.offsets.dtype == index.answers.dtype == np.int64
+        assert index.keys.tolist() == [src * 2 * nr + rel for src, rel in pairs]
+        assert index.offsets.tolist() == np.cumsum([0] + [len(known[p]) for p in pairs]).tolist()
+        assert index.answers.tolist() == [a for p in pairs for a in sorted(known[p])]
+        triples = train + valid + test
+        queries = triples + [(t, r + nr, h) for h, r, t in triples]
+        if queries:
+            row, answer = index.known_answers(queries)
+            want = [(i, a) for i, (src, rel, _) in enumerate(queries) for a in sorted(known[(src, rel)])]
+            assert list(zip(row.tolist(), answer.tolist())) == want
+
     def test_covers_every_triple_in_both_directions(self, toy_store):
         nr = toy_store.num_relations
         for split in ("train", "valid", "test"):
