@@ -206,6 +206,8 @@ def cmd_analyze(args) -> int:
 
     try:
         store = load_triples(args.train)
+        if len(store.train) == 0:
+            raise ValueError(f"train split {args.train} is empty")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -333,6 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # argparse reads every spelling of --threads (N, =N, abbreviations)
     args = build_parser().parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_USAGE
     _pin_threads(args.threads)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:

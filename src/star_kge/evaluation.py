@@ -7,12 +7,12 @@ answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
 Queries are ranked in blocks: one matrix product in homogeneous
-coordinates, ``[q, 1] @ [E, 1]^T``, scores a block of queries against every
-entity with the score's ``+ 1`` inside the product; the known answers of
-each row (from the array :class:`~star_kge.data.FilterIndex`) are masked by
-scattering ``-inf``, and rivals are counted row-wise. :func:`evaluate`
-builds one workspace per call, ``[E, 1]``, a score block and a bool mask
-block of the block height, and every block writes into (a prefix of) it.
+coordinates, ``[q, 1] @ [E, 1]^T`` with the table's stored ``[E, 1]^T``,
+scores a block of queries against every entity with the score's ``+ 1``
+inside the product; the known answers of each row (from the array
+:class:`~star_kge.data.FilterIndex`) are masked by scattering ``-inf``, and
+rivals are counted row-wise. :func:`evaluate` builds one workspace per call,
+a score block and a bool mask block, and every block writes into a prefix.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FilterIndex, RelationClass, TripleStore
-from .model import EmbeddingTable, homogeneous, score_batch
+from .model import EmbeddingTable, score_batch
 
 TIE_RULES = ("pessimistic", "random")
 HITS_AT = (1, 3, 10)
@@ -82,7 +82,7 @@ def filtered_rank(
     tie_rule: str = "pessimistic",
     rng: np.random.Generator | None = None,
     *,
-    _workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    _workspace: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
@@ -91,8 +91,8 @@ def filtered_rank(
     may be a reciprocal relation id for head prediction. Every query triple
     must be present in the filter index, otherwise the store and the query
     disagree and a ValueError naming the query is raised. ``_workspace`` is
-    private: :func:`evaluate` passes ``([E, 1], scores, mask)``, the last two
-    at least k rows high, to be reused across blocks.
+    private: :func:`evaluate` passes ``(scores, mask)``, both at least k rows
+    high, to be reused across blocks.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
@@ -100,10 +100,10 @@ def filtered_rank(
     block = query.reshape(-1, 3)
     row, answer = filter_index.known_answers(block)
     k = len(block)
-    hom_ents = scores = mask = None
+    scores = mask = None
     if _workspace is not None:
-        hom_ents, scores, mask = _workspace[0], _workspace[1][:k], _workspace[2][:k]
-    scores = score_batch(table, block[:, 0], block[:, 1], _hom_ents=hom_ents, _out=scores)
+        scores, mask = _workspace[0][:k], _workspace[1][:k]
+    scores = score_batch(table, block[:, 0], block[:, 1], _out=scores)
     s_true = scores[np.arange(k), block[:, 2]][:, None]
     scores[row, answer] = -np.inf  # the true answer too: it never outranks itself
     at_least = _count_rows(np.greater_equal(scores, s_true, out=mask))
@@ -155,7 +155,7 @@ def evaluate(
     ne = table.num_entities
     height = min(len(queries), max(1, BLOCK_SCORES // ne))
     start = time.perf_counter()
-    workspace = homogeneous(table.entity_embeddings), np.empty((height, ne)), np.empty((height, ne), dtype=bool)
+    workspace = np.empty((height, ne)), np.empty((height, ne), dtype=bool)
     ranks = np.concatenate(
         [
             filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)

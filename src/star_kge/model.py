@@ -142,17 +142,17 @@ def homogeneous(x) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _hom_ents=None, _out=None) -> np.ndarray:
+def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None) -> np.ndarray:
     """Score (head, relation) queries against every entity.
 
     With scalar ids, entry j equals ``score(head, rel, entity_j)``. With
     arrays of k head ids and k relation ids, row i of the ``(k, |E|)`` result
     scores query i. The scores come from one matrix product in homogeneous
-    coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``, so
-    the score's ``+ 1`` costs no second pass. ``_hom_ents`` (``[E, 1]``)
-    and ``_out`` (a ``(k, |E|)`` float64 block to write into) are private:
-    ``evaluate()`` passes the workspace it reuses across blocks. Without
-    them the call builds ``[E, 1]`` and returns a fresh array.
+    coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
+    against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
+    costs no second pass. ``_out`` (a ``(k, |E|)`` float64 block to write
+    into) is private: ``evaluate()`` passes the workspace it reuses across
+    blocks. Without it the call returns a fresh array.
     """
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
@@ -160,11 +160,8 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _hom_ents=None, _ou
     _check_range(heads, table.num_entities, "head")
     _check_range(rels, table.num_relation_rows, "relation")
     h, r = np.atleast_1d(heads), np.atleast_1d(rels)
-    ents = table.entity_embeddings
-    if _hom_ents is None:
-        _hom_ents = homogeneous(ents)
-    q = transform_query(ents[h], table.rel_c[r], table.rel_tau[r])
-    scores = np.matmul(homogeneous(q), _hom_ents.T, out=_out)
+    q = transform_query(table.entity_embeddings[h], table.rel_c[r], table.rel_tau[r])
+    scores = np.matmul(homogeneous(q), table._hom_rows, out=_out)
     return scores[0] if heads.ndim == 0 else scores
 
 
@@ -236,23 +233,38 @@ class EmbeddingTable:
     * TaR     - unit-norm blocks (pure rotation) plus translation,
     * ComplEx - unconstrained blocks, translation pinned to zero,
     * DistMult- diagonal blocks only, translation pinned to zero.
+
+    Entities are stored once as ``[E, 1]^T``: a C-order (n+1, |E|) array
+    whose last row is 1. ``entity_embeddings`` is the (|E|, n) view of its
+    first n rows; assigning to it copies into them.
     """
 
     def __init__(self, entity_embeddings, rel_c, rel_tau, num_relations, model_kind="STaR"):
         if model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
-        self.entity_embeddings = np.asarray(entity_embeddings, dtype=np.float64)
+        ne, n = np.shape(entity_embeddings)
+        self._hom_rows = np.ones((n + 1, ne))
+        self.entity_embeddings = entity_embeddings
         self.rel_c = np.asarray(rel_c, dtype=np.float64)
         self.rel_tau = np.asarray(rel_tau, dtype=np.float64)
         self.num_relations = int(num_relations)
         self.model_kind = model_kind
-        n = self.entity_embeddings.shape[1]
         if n % 2 != 0:
             raise ValueError(f"embedding dimension must be even, got {n}")
         if self.rel_c.shape != self.rel_tau.shape or self.rel_c.shape[1] != n:
             raise ValueError("relation parameter matrices must be (rows, n) like entities")
         if self.rel_c.shape[0] != 2 * self.num_relations:
             raise ValueError("expected one relation row per original and reciprocal relation")
+
+    @property
+    def entity_embeddings(self) -> np.ndarray:
+        return self._hom_rows[:-1].T
+
+    @entity_embeddings.setter
+    def entity_embeddings(self, value) -> None:
+        value = np.broadcast_to(value, (self.num_entities, self.n))
+        for lo in range(0, len(value), 2048):  # in blocks: one whole-table transposing copy is ~3x slower
+            self.entity_embeddings[lo : lo + 2048] = value[lo : lo + 2048]
 
     @property
     def n(self) -> int:
@@ -271,7 +283,7 @@ class EmbeddingTable:
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(
-            self.entity_embeddings.copy(),
+            self.entity_embeddings,
             self.rel_c.copy(),
             self.rel_tau.copy(),
             self.num_relations,
@@ -352,7 +364,7 @@ class EmbeddingTable:
         if len(raw) != expected:
             raise ValueError(f"{path}: size {len(raw)} != expected {expected}")
         body = np.frombuffer(raw, dtype="<f8", offset=_CKPT_HEADER.size)
-        ent = body[: ne * n].reshape(ne, n).copy()
+        ent = body[: ne * n].reshape(ne, n)
         rc = body[ne * n : ne * n + nrows * n].reshape(nrows, n).copy()
         tau = body[ne * n + nrows * n :].reshape(nrows, n).copy()
         if nrows % 2 != 0:

@@ -21,10 +21,10 @@ and it is never formed:
     dS^T Q = Z^T (c * Q) - scatter_tgt(a * Q)
     dS E   = c * (Z E) - a * E[tgt]
 
-and only the 2 * batch_size x n operands are scaled. The entity gradient
-is computed as (c * Q)^T Z, so that BLAS reads Z as stored, and copied
-transposed into its own buffer. :func:`train` reuses the score buffer and both
-entity-gradient buffers for every batch. The softmax and
+and only the 2 * batch_size x n operands are scaled. The GEMMs read the
+table's n x |E| entity rows and Z as stored; the entity gradient (c * Q)^T Z
+is written n x |E| and ``d_entities`` is its transpose. :func:`train` reuses
+the score and entity-gradient buffers for every batch. The softmax and
 :func:`adagrad_update` give every row the same ufunc sequence as a
 whole-array pass, so the loss and the optimiser step are bitwise those of
 one; the folded gradients differ from the whole-matrix ones by rounding.
@@ -45,7 +45,7 @@ from .regularization import RegConfig, penalty_terms_batch
 
 logger = logging.getLogger(__name__)
 
-OPTIMIZERS = ("Adagrad", "SGD")
+OPTIMIZERS = ("Adagrad",)
 ADAGRAD_EPS = 1e-10
 
 #: bytes of one row block in the blocked passes (1 MB, about the L2 cache)
@@ -88,16 +88,14 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adagrad accumulators (elementwise squared-gradient sums) or nothing for SGD."""
+    """Adagrad accumulators (elementwise squared-gradient sums), laid out like their tables."""
 
-    acc_entities: np.ndarray | None = None
-    acc_rel_c: np.ndarray | None = None
-    acc_rel_tau: np.ndarray | None = None
+    acc_entities: np.ndarray
+    acc_rel_c: np.ndarray
+    acc_rel_tau: np.ndarray
 
     @classmethod
-    def for_table(cls, table: EmbeddingTable, optimizer: str) -> "OptimizerState":
-        if optimizer == "SGD":
-            return cls()
+    def for_table(cls, table: EmbeddingTable) -> "OptimizerState":
         return cls(
             np.zeros_like(table.entity_embeddings),
             np.zeros_like(table.rel_c),
@@ -157,17 +155,16 @@ def batch_loss(
     *,
     _scores: np.ndarray | None = None,
     _grad_t: np.ndarray | None = None,
-    _d_entities: np.ndarray | None = None,
 ) -> tuple[float, BatchGradients]:
     """Mean weighted cross-entropy plus penalties over one batch of triples.
 
     ``tail_weights`` / ``head_weights`` are per-entity weight arrays
     (default: uniform 1). Returns the scalar loss and dense gradients of the
     mean objective for every parameter matrix. ``_scores`` (at least
-    2 * len(batch) rows by |E|), ``_grad_t`` (n by |E|) and ``_d_entities``
-    (|E| by n) are private float64 work buffers that :func:`train` reuses
-    across batches; each one not given is allocated. The returned
-    ``d_entities`` is ``_d_entities`` itself.
+    2 * len(batch) rows by |E|) and ``_grad_t`` (n by |E|, C order) are
+    private float64 work buffers that :func:`train` reuses across batches;
+    each one not given is allocated. The returned ``d_entities`` is the
+    ``(|E|, n)`` transpose of ``_grad_t``.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     if len(batch) == 0:
@@ -219,9 +216,7 @@ def batch_loss(
     # GEMMs read Z as it is and the small operands carry c and a
     a = (w / nq)[:, None]
     c = a / row_sums[:, None]
-    grad_t = np.matmul((c * Q).T, scores, out=_grad_t)
-    d_entities = np.empty_like(ents) if _d_entities is None else _d_entities
-    np.copyto(d_entities, grad_t.T)
+    d_entities = np.matmul((c * Q).T, scores, out=_grad_t).T
     V = c * (scores @ ents) - a * T
     d_src = block_rotate(RC, V)
     d_RC = block_grad(H, V)
@@ -247,19 +242,11 @@ def adagrad_update(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
         p -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
 
 
-def sgd_update(param: np.ndarray, grad: np.ndarray, lr: float):
-    param -= lr * grad
-
-
 def _apply_updates(table, grads, state, config):
-    if config.optimizer == "Adagrad":
-        adagrad_update(table.entity_embeddings, grads.d_entities, state.acc_entities, config.lr)
-        adagrad_update(table.rel_c, grads.d_rel_c, state.acc_rel_c, config.lr)
-        adagrad_update(table.rel_tau, grads.d_rel_tau, state.acc_rel_tau, config.lr)
-    else:
-        sgd_update(table.entity_embeddings, grads.d_entities, config.lr)
-        sgd_update(table.rel_c, grads.d_rel_c, config.lr)
-        sgd_update(table.rel_tau, grads.d_rel_tau, config.lr)
+    # Adagrad is elementwise, so stepping the contiguous (n, |E|) transposes is bitwise the same
+    adagrad_update(table.entity_embeddings.T, grads.d_entities.T, state.acc_entities.T, config.lr)
+    adagrad_update(table.rel_c, grads.d_rel_c, state.acc_rel_c, config.lr)
+    adagrad_update(table.rel_tau, grads.d_rel_tau, state.acc_rel_tau, config.lr)
 
 
 def train(
@@ -285,7 +272,7 @@ def train(
     table = init_embeddings(
         store.num_entities, store.num_relations, config.n, model_kind, config.init_scale, config.seed
     )
-    state = OptimizerState.for_table(table, config.optimizer)
+    state = OptimizerState.for_table(table)
 
     if config.w0 > 0.0:
         tail_counts, _ = entity_frequency(store, "tail")
@@ -297,7 +284,6 @@ def train(
 
     scores = np.empty((2 * min(config.batch_size, len(store.train)), store.num_entities))
     grad_t = np.empty((config.n, store.num_entities))
-    d_entities = np.empty_like(table.entity_embeddings)
     can_validate = config.eval_every > 0 and len(store.valid) > 0
     best_mrr = -np.inf
     best_table = None
@@ -313,10 +299,7 @@ def train(
             idx = order[start : start + config.batch_size]
             batch = store.train[idx]
             try:
-                loss, grads = batch_loss(
-                    batch, table, config, tail_w, head_w,
-                    _scores=scores, _grad_t=grad_t, _d_entities=d_entities,
-                )
+                loss, grads = batch_loss(batch, table, config, tail_w, head_w, _scores=scores, _grad_t=grad_t)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"epoch {epoch}, batch {start // config.batch_size}: {exc}"

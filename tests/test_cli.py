@@ -436,6 +436,24 @@ class TestVerify:
         assert main(["verify", *flag, "--n", "4", "--trials", "5"]) == 0
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error_before_numpy_loads(self, threads):
+        import subprocess
+        import sys
+
+        import star_kge
+
+        env = dict(os.environ, PYTHONPATH=str(Path(star_kge.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        code = (
+            "import os, sys; from star_kge.cli import main; "
+            f"code = main(['verify', '--threads', '{threads}']); "
+            "print(code, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["2", "False", "None"]
+        assert out.stderr == f"error: --threads must be at least 1, got {threads}\n"
+
     def test_cli_import_leaves_numpy_unloaded(self):
         """numpy must load after --threads has pinned the BLAS pools."""
         import subprocess
@@ -554,3 +572,13 @@ class TestAnalyze:
             main(["analyze", "--train", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "r")])
             == 2
         )
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n"])
+    def test_empty_train_file_is_usage_error(self, tmp_path, capsys, text):
+        train = tmp_path / "train.tsv"
+        train.write_text(text, encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--train", str(train), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty" in err and "Traceback" not in err
+        assert not out.exists()

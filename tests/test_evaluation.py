@@ -170,6 +170,10 @@ class TestBlockedRanking:
         free_rng = np.random.default_rng(5)
         free = [filtered_rank(block, table, store.filter_index, "random", free_rng) for block, _ in calls]
         assert np.concatenate([r for _, r in calls]).tolist() == np.concatenate(free).tolist()
+        single_rng = np.random.default_rng(5)
+        queries = np.concatenate([block for block, _ in calls]).tolist()
+        singles = [filtered_rank(q, table, store.filter_index, "random", single_rng) for q in queries]
+        assert singles == np.concatenate(free).tolist()
         assert report.mrr == np.mean(1.0 / np.concatenate(free))
 
     def test_uncovered_query_in_block_is_named(self):

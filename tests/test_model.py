@@ -315,6 +315,44 @@ class TestInit:
             init_embeddings(5, 2, 7, seed=0)
 
 
+class TestEntityLayout:
+    """Entities live in one C-order (n+1, |E|) array whose last row is 1."""
+
+    @staticmethod
+    def assert_homogeneous(table):
+        rows = table._hom_rows
+        assert rows.shape == (table.n + 1, table.num_entities) and rows.flags.c_contiguous
+        assert np.shares_memory(table.entity_embeddings, rows)
+        assert (rows[-1] == 1.0).all()
+
+    def test_last_row_is_one_after_train_copy_load_and_assignment(self, toy_store, tmp_path, rng):
+        from star_kge.training import TrainConfig, train
+
+        table, _ = train(toy_store, TrainConfig(n=4, epochs=3, lr=0.5, eval_every=1))
+        self.assert_homogeneous(table)
+        self.assert_homogeneous(table.copy())
+        table.save_checkpoint(tmp_path / "model.bin")
+        self.assert_homogeneous(EmbeddingTable.load_checkpoint(tmp_path / "model.bin")[0])
+        table.entity_embeddings = rng.normal(size=table.entity_embeddings.shape)
+        self.assert_homogeneous(table)
+
+    def test_assignment_copies(self, rng):
+        table = init_embeddings(4100, 1, 2, seed=0)  # more rows than two copy blocks
+        source = rng.normal(size=(4100, 2))
+        held = source.copy()
+        table.entity_embeddings = source
+        source[:] = 0.0
+        np.testing.assert_array_equal(table.entity_embeddings, held)
+
+    def test_checkpoint_body_is_row_major_entities_then_relations(self, tmp_path, rng):
+        ents = np.asfortranarray(rng.normal(size=(7, 4)))
+        rel_c, rel_tau = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        path = tmp_path / "model.bin"
+        EmbeddingTable(ents, rel_c, rel_tau, 1).save_checkpoint(path)
+        body = np.ascontiguousarray(ents).tobytes() + rel_c.tobytes() + rel_tau.tobytes()
+        assert path.read_bytes()[-len(body) :] == body
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path, rng):
         table = init_embeddings(12, 3, 6, model_kind="TaR", init_scale=0.5, seed=5)
