@@ -81,6 +81,9 @@ def _run_single(run_cfg, store, seed, out_dir):
 def cmd_train(args) -> int:
     from .config import ConfigError, load_flat_config, run_config_from_dict
 
+    if args.repeats < 1:
+        print(f"error: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         run_cfg = run_config_from_dict(load_flat_config(args.config))
     except ConfigError as exc:
@@ -101,7 +104,7 @@ def cmd_train(args) -> int:
 
     from .training import DivergenceError
 
-    repeats = max(1, args.repeats)
+    repeats = args.repeats
     per_seed = []
     for k in range(repeats):
         seed = run_cfg.train.seed + k

@@ -9,6 +9,14 @@ train, then valid, then test, within a line the head before the tail.
 For every relation id ``r`` the reciprocal relation (tail-to-head
 direction) is addressed as ``r + num_relations``; reciprocal triples are
 enumerable but never written back to disk.
+
+Ingest works on bytes and makes no Python string per field. A file's bytes
+are tokenised with one numpy scan for tab and newline bytes
+(:func:`_tokenise`). Every field gets a 64-bit key from its length and its
+8-byte words, and one ``np.argsort`` of the keys interns the fields
+(:func:`_intern`); each field is then checked word for word against the
+first field of its key, so a key collision cannot merge two names. Only
+the first field of each id is decoded to a ``str``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from collections import defaultdict
 from itertools import repeat
 from pathlib import Path
 
@@ -43,7 +50,7 @@ class VocabularyError(KeyError):
 
 @dataclass
 class Vocab:
-    """Dense, 0-based name<->id maps for entities and original relations.
+    """Dense, 0-based ids of entity and original relation names.
 
     Built once from complete name lists: the id of a name is its position.
     """
@@ -54,19 +61,16 @@ class Vocab:
     def __post_init__(self):
         self.entity_names = list(self.entity_names)
         self.relation_names = list(self.relation_names)
-        self._ent_ids = dict(zip(self.entity_names, range(len(self.entity_names))))
-        self._rel_ids = dict(zip(self.relation_names, range(len(self.relation_names))))
-        if len(self._ent_ids) != len(self.entity_names):
+        if len(set(self.entity_names)) != len(self.entity_names):
             raise VocabularyError("duplicate entity names in vocabulary")
-        if len(self._rel_ids) != len(self.relation_names):
+        if len(set(self.relation_names)) != len(self.relation_names):
             raise VocabularyError("duplicate relation names in vocabulary")
 
     @classmethod
-    def _of_ids(cls, ent_ids: dict, rel_ids: dict) -> "Vocab":
-        """The vocabulary of name->id dicts whose ids count up in insertion order."""
+    def _distinct(cls, entity_names: list[str], relation_names: list[str]) -> "Vocab":
+        """The vocabulary of name lists known to hold no repeats, unchecked."""
         vocab = cls.__new__(cls)
-        vocab.entity_names, vocab.relation_names = list(ent_ids), list(rel_ids)
-        vocab._ent_ids, vocab._rel_ids = ent_ids, rel_ids
+        vocab.entity_names, vocab.relation_names = entity_names, relation_names
         return vocab
 
     @property
@@ -86,59 +90,165 @@ def _read_lines(path) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
-def _read_names(path) -> list[str]:
-    """Read one TSV triple file into the flat name list ``[h, r, t, ...]``.
+def _tokenise(path) -> tuple[bytes, np.ndarray]:
+    """The bytes of one TSV triple file, and the ``(k, 3, 2)`` start and
+    end offsets in them of the fields of its k triple lines.
 
-    Blank lines are skipped but still count toward the line numbers that
-    :class:`TripleParseError` reports.
+    One ``decode`` checks that the file is UTF-8, so bad input raises
+    UnicodeDecodeError as a text read would. ``\\r\\n`` and lone ``\\r``
+    become ``\\n``, as in universal newlines. Tab and newline bytes never
+    occur inside a multi-byte UTF-8 sequence, so one scan for them finds
+    every field end. Blank lines are skipped but still count toward the
+    line numbers that :class:`TripleParseError` reports.
     """
-    lines = _read_lines(path)
-    fields = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) + 1
-    for i in np.flatnonzero(fields != 3).tolist():
-        if lines[i]:
-            raise TripleParseError(
-                f"{path}:{i + 1}: expected 3 tab-separated fields, got {fields[i]}"
-            )
-    rows = list(filter(None, lines))
-    return "\t".join(rows).split("\t") if rows else []
+    data = Path(path).read_bytes()
+    data.decode("utf-8")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, np.uint8)
+    end = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
+    start = np.append(0, end[:-1] + 1)
+    eol = np.flatnonzero(buf[end] == ord("\n"))  # the last field of every line
+    tabs = np.diff(eol, prepend=-1) - 1
+    blank = (tabs == 0) & (start[eol] == end[eol])
+    bad = (tabs != 2) & ~blank
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TripleParseError(f"{path}:{i + 1}: expected 3 tab-separated fields, got {tabs[i] + 1}")
+    if blank.any():
+        keep = np.ones(len(end), dtype=bool)
+        keep[eol[blank]] = False
+        start, end = start[keep], end[keep]
+    return data, np.stack([start, end], axis=1).reshape(-1, 3, 2)
 
 
-def _encode(splits: list[list[str]], vocab: Vocab | None = None) -> tuple[Vocab, list[np.ndarray]]:
-    """Id triples of flat name lists, and the vocabulary that encoded them.
+#: ``_BYTE_MASKS[b]`` keeps the first ``b`` bytes of a little-endian word
+_BYTE_MASKS = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=np.uint64)
 
-    Each name is hashed once: entity names go through one dict, heads and
-    tails interleaved line by line, relation names through another. For a
-    given ``vocab`` these are its own dicts, so an unknown name raises
-    :class:`VocabularyError`. Otherwise they grow: each dict's missing-key
-    factory is its own ``__len__``, so a new name takes the next id in
-    order of first appearance over the splits.
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, in place: a bijection of uint64 that
+    spreads every bit."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of equal keys in order of first appearance, and the index
+    of the first item of every id, from one ``np.argsort``."""
+    order = np.argsort(key)
+    fresh = _fresh(key[order])
+    first = np.minimum.reduceat(order, np.flatnonzero(fresh))
+    rank = np.argsort(first)
+    id_of_run = np.empty_like(rank)
+    id_of_run[rank] = np.arange(len(rank))
+    ids = np.empty_like(order)
+    ids[order] = id_of_run[np.cumsum(fresh) - 1]
+    return ids, first[rank]
+
+
+def _intern(data: bytes, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the fields ``data[start:end]``, given as ``(start, end)``
+    rows, in order of first appearance, equal bytes sharing an id; and the
+    index of each id's first field.
+
+    A field's 64-bit key starts from its length and takes in its
+    little-endian 8-byte words one at a time through :func:`_mix`. The
+    words at byte ``at`` of every field longer than ``at`` (``alive``) are
+    one gather from an unaligned ``<u8`` view of ``data`` with a stride of
+    one byte, masked to the field's end; ``data`` must hold 8 more bytes
+    after the last field. Fields are grouped by key, and then every word of
+    every field is checked against the first field of its group. Should two
+    distinct fields share a key, every field is keyed by its bytes instead,
+    so ids are exact either way.
     """
+    start, end = fields.T
+    length = end - start
+    window = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    key, places, alive = length.astype(np.uint64), [], slice(None)
+    for at in range(0, int(length.max(initial=1)), 8):
+        if at:  # narrow the last place's fields, or at 8 all of them
+            alive = np.flatnonzero(length > at) if at == 8 else alive[length[alive] > at]
+        word = window[start[alive] + at] & _BYTE_MASKS[np.minimum(length[alive] - at, 8)]
+        key[alive] = _mix(key[alive] ^ word)
+        places.append((alive, word))
+    ids, first = _first_appearance(key)
+    rep = first[ids]
+    same = (length[rep] == length).all()
+    spread = np.empty(len(key), dtype=np.uint64)
+    for alive, word in places:
+        if not same:
+            break
+        spread[alive] = word
+        same = (spread[rep[alive]] == word).all()
+    if same:
+        return ids, first
+    seen = {}
+    exact = [seen.setdefault(data[s:e], len(seen)) for s, e in fields.tolist()]
+    return _first_appearance(np.array(exact, dtype=np.int64))
+
+
+def _decode(data: bytes, fields: np.ndarray) -> list[str]:
+    """The fields of triple files, as ``(start, end)`` rows, decoded to
+    strings at once: each field is gathered with the tab or newline that
+    ends it, and no field holds a newline."""
+    start, end = fields.T
+    length = end - start + 1
+    text = np.frombuffer(data, np.uint8)[_expand_runs(start, length)[1]]
+    text[np.cumsum(length) - 1] = ord("\n")
+    return text.tobytes().decode("utf-8").split("\n")[:-1]
+
+
+def _name_fields(names: list[str]) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of a vocabulary's names, back to back, and the
+    ``(start, end)`` offsets of every name."""
+    raw = [name.encode("utf-8", "surrogatepass") for name in names]
+    length = np.fromiter(map(len, raw), np.int64, len(raw))
+    end = np.cumsum(length)
+    return b"".join(raw), np.stack([end - length, end], axis=1)
+
+
+def _encode(paths, vocab: Vocab | None = None) -> tuple[Vocab, list[np.ndarray]]:
+    """Id triples of TSV triple files (``None`` for an absent split), and
+    the vocabulary that encoded them.
+
+    The files are joined into one byte buffer. Entities (heads and tails,
+    interleaved line by line over the files) and relations are interned
+    separately by :func:`_intern`. For a given ``vocab`` its names are
+    interned first, so they keep their ids, and a field with a later id is
+    unknown: :class:`VocabularyError` names a file's first unknown head,
+    else relation, else tail. Otherwise only the first field of every id
+    is decoded, into a new vocabulary.
+    """
+    files = [_tokenise(path) if path else (b"", np.empty((0, 3, 2), dtype=np.int64)) for path in paths]
+    given = [] if vocab is None else [_name_fields(vocab.entity_names), _name_fields(vocab.relation_names)]
+    data = b"".join([text for text, _ in given + files] + [bytes(8)])
+    at = np.cumsum([0] + [len(text) for text, _ in given + files]).tolist()
+    names = [span + a for (_, span), a in zip(given, at)]
+    spans = [span + a for (_, span), a in zip(files, at[len(given) :])]
+    ents = np.concatenate(names[:1] + [span[:, ::2].reshape(-1, 2) for span in spans])
+    rels = np.concatenate(names[1:] + [span[:, 1] for span in spans])
+    ent_ids, ent_first = _intern(data, ents)
+    rel_ids, rel_first = _intern(data, rels)
+    ne, nr = (vocab.num_entities, vocab.num_relations) if given else (0, 0)
+    lines = np.cumsum([len(span) for span in spans])[:-1]
+    pairs = zip(np.split(ent_ids[ne:], 2 * lines), np.split(rel_ids[nr:], lines))
+    out = [np.stack([e[::2], r, e[1::2]], axis=1) for e, r in pairs]
     if vocab is None:
-        ents, rels = defaultdict(), defaultdict()
-        ents.default_factory, rels.default_factory = ents.__len__, rels.__len__
-    else:
-        ents, rels = vocab._ent_ids, vocab._rel_ids
-    out = []
-    for names in splits:
-        ids = np.empty((len(names) // 3, 3), dtype=np.int64)
-        pairs = names[:]
-        del pairs[1::3]  # [h0, t0, h1, t1, ...]
-        try:
-            ids[:, ::2] = np.fromiter(map(ents.__getitem__, pairs), np.int64, len(pairs)).reshape(-1, 2)
-            ids[:, 1] = np.fromiter(map(rels.__getitem__, names[1::3]), np.int64, len(ids))
-        except KeyError:
-            # name the first unknown head, else relation, else tail
-            for col, kind, known in ((0, "entity", ents), (1, "relation", rels), (2, "entity", ents)):
-                name = next((n for n in names[col::3] if n not in known), None)
-                if name is not None:
-                    raise VocabularyError(f"unknown {kind} {name!r}") from None
-        out.append(ids)
-    if vocab is None:
-        # without a factory the dicts raise KeyError for unknown names, as a
-        # vocabulary's must, and no dict -> bound __len__ -> dict cycle
-        # keeps them alive until a gc pass
-        ents.default_factory = rels.default_factory = None
-        vocab = Vocab._of_ids(ents, rels)
+        return Vocab._distinct(_decode(data, ents[ent_first]), _decode(data, rels[rel_first])), out
+    for ids, span in zip(out, spans):
+        unknown = ids >= (ne, nr, ne)
+        if unknown.any():
+            col = int(np.argmax(unknown.any(axis=0)))
+            start, end = span[np.argmax(unknown[:, col]), col]
+            kind = "relation" if col == 1 else "entity"
+            raise VocabularyError(f"unknown {kind} {data[start:end].decode('utf-8')!r}")
     return vocab, out
 
 
@@ -323,8 +433,7 @@ class TripleStore:
         if manifest.get("format") != "star-kge-store-v1":
             raise ValueError(f"unrecognized store manifest in {directory}")
         vocab = Vocab(_read_lines(directory / "entities.txt"), _read_lines(directory / "relations.txt"))
-        splits = [_read_names(directory / f"{name}.tsv") for name in ("train", "valid", "test")]
-        vocab, ids = _encode(splits, vocab)
+        vocab, ids = _encode([directory / f"{name}.tsv" for name in ("train", "valid", "test")], vocab)
         return cls(vocab, *ids)
 
 
@@ -336,7 +445,7 @@ def load_triples(path, vocab: Vocab | None = None) -> TripleStore:
     dropped with a warning since they would bias the per-relation head/tail
     statistics.
     """
-    vocab, (train,) = _encode([_read_names(path)], vocab)
+    vocab, (train,) = _encode([path], vocab)
     return TripleStore(vocab, _dedupe(train, vocab, "train"))
 
 
@@ -346,8 +455,7 @@ def load_dataset(train_path, valid_path=None, test_path=None) -> TripleStore:
     The vocabulary covers the union of all splits so evaluation never meets
     an unknown entity; entities absent from train are flagged with a warning.
     """
-    names = [_read_names(path) if path else [] for path in (train_path, valid_path, test_path)]
-    vocab, splits = _encode(names)
+    vocab, splits = _encode([train_path, valid_path, test_path])
     return TripleStore(vocab, *map(_dedupe, splits, repeat(vocab), ("train", "valid", "test")))
 
 

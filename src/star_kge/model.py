@@ -38,6 +38,10 @@ _CKPT_MAGIC = b"STARCKPT"
 _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<8sIIQQB")
 
+#: entity rows per block when copying between the (|E|, n) view and row-major
+#: memory: one whole-table transposing copy is ~3x slower
+_COPY_ROWS = 2048
+
 
 def _check_vector(v, n=None, name="vector"):
     v = np.asarray(v, dtype=np.float64)
@@ -263,8 +267,8 @@ class EmbeddingTable:
     @entity_embeddings.setter
     def entity_embeddings(self, value) -> None:
         value = np.broadcast_to(value, (self.num_entities, self.n))
-        for lo in range(0, len(value), 2048):  # in blocks: one whole-table transposing copy is ~3x slower
-            self.entity_embeddings[lo : lo + 2048] = value[lo : lo + 2048]
+        for lo in range(0, len(value), _COPY_ROWS):
+            self.entity_embeddings[lo : lo + _COPY_ROWS] = value[lo : lo + _COPY_ROWS]
 
     @property
     def n(self) -> int:
@@ -336,7 +340,9 @@ class EmbeddingTable:
         try:
             with open(tmp, "wb") as fh:
                 fh.write(header)
-                fh.write(np.ascontiguousarray(self.entity_embeddings, dtype="<f8").tobytes())
+                ents = self.entity_embeddings
+                for lo in range(0, len(ents), _COPY_ROWS):
+                    fh.write(np.ascontiguousarray(ents[lo : lo + _COPY_ROWS], dtype="<f8").tobytes())
                 fh.write(np.ascontiguousarray(self.rel_c, dtype="<f8").tobytes())
                 fh.write(np.ascontiguousarray(self.rel_tau, dtype="<f8").tobytes())
             sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")

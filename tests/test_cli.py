@@ -157,6 +157,14 @@ class TestTrain:
         assert (out / "run_0" / "checkpoint.bin").exists()
         assert (out / "run_2" / "eval_test.json").exists()
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, repeats):
+        out = tmp_path / "runs"
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, epochs=1)
+        assert main(["train", "--config", str(cfg), "--repeats", repeats]) == 2
+        assert capsys.readouterr() == ("", f"error: --repeats must be at least 1, got {repeats}\n")
+        assert not out.exists()
+
     def test_invalid_model_kind_names_the_field(self, synth_dir, tmp_path, capsys):
         cfg = write_train_config(
             tmp_path / "train.cfg", synth_dir, tmp_path / "x", model_kind="RESCAL"
@@ -572,6 +580,15 @@ class TestAnalyze:
             main(["analyze", "--train", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "r")])
             == 2
         )
+
+    def test_invalid_utf8_is_usage_error(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_bytes(b"a\tr\tb\n\xc3\x28\tr\ta\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--train", str(train), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 'utf-8' codec can't decode byte 0xc3 in position 6: invalid continuation byte\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["", "\n\n\n"])
     def test_empty_train_file_is_usage_error(self, tmp_path, capsys, text):

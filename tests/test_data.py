@@ -1,6 +1,10 @@
+import hashlib
+import importlib.util
 import logging
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,9 +73,14 @@ class TestLoadTriples:
         assert len(load_triples(path).train) == 2
 
 
-#: names mix letters with characters that str.splitlines() would break at;
-#: lines are well-formed, malformed or blank, ended by LF, CRLF or a lone CR
-_NAME = st.text(alphabet="ab\x0b\x0c\x1c\x85\u2028\u2029", max_size=2)
+#: names run to about 20 characters: a prefix, one of them 8 UTF-8 bytes
+#: long so that names share their first word, then letters, NUL, multi-byte
+#: characters and characters that str.splitlines() would break at; lines are
+#: well-formed, malformed or blank, ended by LF, CRLF or a lone CR
+_NAME = st.tuples(
+    st.sampled_from(["", "a", "abcdefgh", "ab\u20ac\u20ac", "\x00" * 8]),
+    st.text(alphabet="ab\x00\x0b\x0c\x1c\x85\xe9\u2028\u2029\u20ac\U0001d11e", max_size=12),
+).map("".join)
 _LINE = st.one_of(
     st.tuples(_NAME, _NAME, _NAME).map("\t".join),
     st.lists(_NAME, min_size=1, max_size=5).map("\t".join),
@@ -118,6 +127,17 @@ class TestReaderMatchesLoop:
     @example(texts=("a\tr\tb\n", "b\tr\tc\nd\tr\ta\n", None))  # unknown tail, then head: the head is named
     @example(texts=("a\tr\tb\n", "a\tq\tc\n", None))  # unknown relation and tail: the relation is named
     def test_load_dataset_and_load_triples(self, texts):
+        self._check(texts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(_FILE, st.none() | _FILE, st.none() | _FILE))
+    @example(texts=("a\tr\tb\nb\tq\ta\n" * 2, "a\tr\tc\n", None))
+    def test_every_name_key_colliding_still_gives_exact_ids(self, texts):
+        # every field gets key 0, so the byte check must catch each distinct name
+        with mock.patch("star_kge.data._mix", np.zeros_like):
+            self._check(texts)
+
+    def _check(self, texts):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for name, text in zip(("train", "valid", "test"), texts):
@@ -173,8 +193,7 @@ class TestReaderMatchesLoop:
             store, warned = self._load(load_triples, path, vocab)
             np.testing.assert_array_equal(store.train, want[0])
             assert warned == ([f"dropped {want[1]} duplicate triples from train split"] if want[1] else [])
-        assert (vocab.entity_names, vocab.relation_names) == names
-        assert (len(vocab._ent_ids), len(vocab._rel_ids)) == (len(names[0]), len(names[1]))
+        assert vars(vocab) == {"entity_names": names[0], "relation_names": names[1]}
 
 
 @st.composite
@@ -288,6 +307,92 @@ class TestRoundTrip:
         vocab = Vocab(["a", "b"], ["r"])
         with pytest.raises(ValueError, match="entity ids"):
             TripleStore(vocab, np.array([[0, 0, 5]]))
+
+
+class TestReaderEdgeCases:
+    def test_invalid_utf8_raises_as_a_text_read_would(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"a\tr\tb\nc\tr\t\xff\n")
+        with pytest.raises(UnicodeDecodeError) as want:
+            path.read_text(encoding="utf-8")
+        for load in (load_triples, load_dataset):
+            with pytest.raises(UnicodeDecodeError) as err:
+                load(path)
+            assert str(err.value) == str(want.value)
+
+    def test_byte_order_mark_stays_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"\xef\xbb\xbfa\tr\tb\nb\tr\ta\n")
+        # as in a text read with encoding="utf-8": "\ufeffa" and "a" are two names
+        assert load_triples(path).vocab.entity_names == ["\ufeffa", "b", "a"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a\tr\tb\rb\tr\tc\r", "a\tr\tb\r\nb\tr\tc", "a\tr\tb\nb\tr\tc", "\ra\tr\tb\r\r\nb\tr\tc\n\n"],
+        ids=["cr-only", "crlf-no-final-newline", "no-final-newline", "blank-lines"],
+    )
+    def test_line_ends(self, tmp_path, text):
+        path = tmp_path / "train.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        store = load_triples(path)
+        assert store.vocab.entity_names == ["a", "b", "c"]
+        np.testing.assert_array_equal(store.train, [[0, 0, 1], [1, 0, 2]])
+
+    def test_cr_only_line_numbers(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"a\tr\tb\r\ra\tb")
+        with pytest.raises(TripleParseError, match=r":3: expected 3 tab-separated fields, got 2$"):
+            load_triples(path)
+
+    def test_empty_files(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_bytes(b"")
+        store = load_dataset(path, path, path)
+        assert store.vocab.entity_names == store.vocab.relation_names == []
+        for split in ("train", "valid", "test"):
+            assert store.split(split).shape == (0, 3)
+        frozen = load_triples(path, Vocab(["a"], ["r"]))
+        assert frozen.train.shape == (0, 3)
+
+    def test_save_load_round_trips_non_ascii_names(self, tmp_path):
+        names = ["caf\u00e9", "\u65e5\u672c\u8a9e", "\U0001d11e", "a\x00b", "ab\u20ac\u20acx", "ab\u20ac\u20acy"]
+        rows = [(names[i], "r\u00e9l\u00e0tion", names[(i + 1) % len(names)]) for i in range(len(names))]
+        write_tsv(tmp_path / "train.tsv", rows)
+        write_tsv(tmp_path / "test.tsv", [(names[5], "\u2192", names[0])])
+        store = load_dataset(tmp_path / "train.tsv", test_path=tmp_path / "test.tsv")
+        assert store.vocab.entity_names == names
+        assert store.vocab.relation_names == ["r\u00e9l\u00e0tion", "\u2192"]
+        store.save(tmp_path / "store")
+        reloaded = TripleStore.load(tmp_path / "store")
+        assert reloaded.vocab == store.vocab
+        for split in ("train", "valid", "test"):
+            np.testing.assert_array_equal(reloaded.split(split), store.split(split))
+
+    def test_given_vocabulary_names_the_unknown_non_ascii_name(self, tmp_path):
+        path = write_tsv(tmp_path / "train.tsv", [("caf\u00e9", "r", "ab\u20ac\u20acx")])
+        with pytest.raises(VocabularyError) as err:
+            load_triples(path, Vocab(["caf\u00e9", "ab\u20ac\u20acy"], ["r"]))
+        assert err.value.args == ("unknown entity 'ab\u20ac\u20acx'",)
+
+
+class TestRecordedIngest:
+    def test_wn18rr_shaped_graph_matches_recorded_sha256(self, tmp_path, monkeypatch):
+        # sha256 of what the dict-encoder ingest loaded for this graph
+        spec = importlib.util.spec_from_file_location(
+            "bench_graphs", Path(__file__).resolve().parents[1] / "bench" / "graphs.py"
+        )
+        graphs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, graphs)  # dataclasses look their module up
+        spec.loader.exec_module(graphs)
+        paths = graphs.write_tsv(graphs.generate(graphs.wn18rr_shape(0.01), 5), tmp_path)
+        store = load_dataset(paths["train"], paths["valid"], paths["test"])
+        digest = hashlib.sha256()
+        for names in (store.vocab.entity_names, store.vocab.relation_names):
+            digest.update("\n".join(names).encode("utf-8") + b"\0")
+        for split in ("train", "valid", "test"):
+            digest.update(np.ascontiguousarray(store.split(split), dtype="<i8").tobytes())
+        assert (store.num_entities, store.num_relations, len(store.train)) == (409, 11, 868)
+        assert digest.hexdigest() == "a2c6dd48484da9a5681506d9474dc0ff8c7afcb5010a1b27d7ead26c5401991c"
 
 
 class TestClassify:

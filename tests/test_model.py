@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,14 @@ class TestEntityLayout:
 
 
 class TestCheckpoint:
+    def test_bytes_match_recorded_sha256(self, tmp_path):
+        # sha256 of the file that one whole-table entity copy wrote; 5,000
+        # rows span three 2,048-row write blocks
+        path = tmp_path / "model.bin"
+        init_embeddings(5000, 3, 8, seed=4).save_checkpoint(path, epoch=3, config_hash="abc")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "b46d69480bd2baadb78cc277703439a82619ebaaf28f913c7ed1dd7957ce003c"
+
     def test_round_trip_is_bitwise(self, tmp_path, rng):
         table = init_embeddings(12, 3, 6, model_kind="TaR", init_scale=0.5, seed=5)
         path = tmp_path / "model.bin"
