@@ -23,15 +23,14 @@ _EXPORTS = {
     "apply_translation_matrix": "model",
     "batch_loss": "training",
     "classify_relations": "data",
-    "dura_penalty": "regularization",
     "entity_frequency": "data",
     "evaluate": "evaluation",
     "filtered_rank": "evaluation",
-    "fro_penalty": "regularization",
     "init_embeddings": "model",
     "load_dataset": "data",
     "load_triples": "data",
     "materialize_star_matrix": "model",
+    "penalty_terms_batch": "regularization",
     "score": "model",
     "score_batch": "model",
     "score_gradients": "model",

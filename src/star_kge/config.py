@@ -16,13 +16,16 @@ Recognized training keys::
     out_dir      output directory
 
 ``n``, ``batch_size``, ``epochs``, ``seed`` and ``eval_every`` must parse
-as integers: a float, bool or word is a :class:`ConfigError`.
+as integers: a float, bool or word is a :class:`ConfigError`. ``lr``,
+``w0``, ``init_scale``, ``reg.lambda`` and the synth-spec fractions must
+parse as finite numbers: a bool, word, nan or inf is one too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,20 +154,20 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
     try:
         reg = RegConfig(
             kind=str(cfg.get("reg.kind", "none")),
-            lam=float(cfg.get("reg.lambda", 0.0)),
+            lam=_number("reg.lambda", cfg.get("reg.lambda", 0.0)),
             dura_variant=str(cfg.get("reg.dura_variant", "literal")),
         )
         train = TrainConfig(
             n=_integer("n", cfg.get("n", 32)),
             epochs=_integer("epochs", cfg.get("epochs", 10)),
-            lr=float(cfg.get("lr", 0.1)),
+            lr=_number("lr", cfg.get("lr", 0.1)),
             batch_size=_integer("batch_size", cfg.get("batch_size", 100)),
-            w0=float(cfg.get("w0", 0.0)),
+            w0=_number("w0", cfg.get("w0", 0.0)),
             reg=reg,
             seed=_integer("seed", cfg.get("seed", 0)),
             optimizer=str(cfg.get("optimizer", "Adagrad")),
             eval_every=_integer("eval_every", cfg.get("eval_every", 0)),
-            init_scale=float(cfg.get("init_scale", 1e-3)),
+            init_scale=_number("init_scale", cfg.get("init_scale", 1e-3)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -183,6 +186,13 @@ def _integer(key: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(key: str, value) -> float:
+    """A parsed value that must be a finite number: no bool, word, nan or inf."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def synth_spec_from_dict(cfg: dict) -> SynthSpec:
@@ -244,8 +254,8 @@ def synth_spec_from_dict(cfg: dict) -> SynthSpec:
             relations=rules,
             compositions=comps,
             seed=_integer("seed", cfg.get("seed", 0)),
-            holdout_fraction=float(cfg.get("holdout_fraction", 0.0)),
-            paired_holdout_fraction=float(cfg.get("paired_holdout_fraction", 0.0)),
+            holdout_fraction=_number("holdout_fraction", cfg.get("holdout_fraction", 0.0)),
+            paired_holdout_fraction=_number("paired_holdout_fraction", cfg.get("paired_holdout_fraction", 0.0)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

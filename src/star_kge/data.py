@@ -7,8 +7,9 @@ newlines and split into lines at ``\\n`` only: ``\\x0b``, ``\\x85`` or
 relations receive dense 0-based ids in order of first appearance over
 train, then valid, then test, within a line the head before the tail.
 For every relation id ``r`` the reciprocal relation (tail-to-head
-direction) is addressed as ``r + num_relations``; reciprocal triples are
-enumerable but never written back to disk.
+direction) is addressed as ``r + num_relations``. Training, ranking and the
+filter index all take their queries from :func:`reciprocal_queries`;
+reciprocal triples are never written back to disk.
 
 Ingest works on bytes and makes no Python string per field. A file's bytes
 are tokenised with one numpy scan for tab and newline bytes
@@ -21,6 +22,7 @@ the first field of each id is decoded to a ``str``.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -270,6 +272,16 @@ def _dedupe(triples: np.ndarray, vocab: Vocab, label: str) -> np.ndarray:
     return triples[np.sort(first)]
 
 
+def reciprocal_queries(triples, num_relations: int) -> np.ndarray:
+    """The 2m ``(source, relation, answer)`` queries of m triples ``(h, r, t)``:
+    rows ``0..m-1`` are the tail queries ``(h, r, t)`` and rows ``m..2m-1``
+    the head queries ``(t, r + num_relations, h)``."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    queries = np.concatenate([triples, triples[:, ::-1]])
+    queries[len(triples) :, 1] += num_relations
+    return queries
+
+
 def _expand_runs(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand the index runs ``[lo[k], lo[k] + count[k])`` into parallel
     ``(row, at)``: ``at`` walks every run in turn and ``row`` holds the
@@ -332,24 +344,17 @@ class TripleStore:
     The :class:`FilterIndex` holds the known answers of every
     ``(head_id, relation_id)`` query over the union of all splits, covering
     reciprocal relation ids as well, so that every query seen during
-    evaluation can exclude the other known-true answers.
+    evaluation can exclude the other known-true answers. It is built on
+    first access, so a store that is never ranked never sorts its pairs.
     """
 
     def __init__(self, vocab: Vocab, train: np.ndarray, valid=None, test=None):
         self.vocab = vocab
         self.train = np.asarray(train, dtype=np.int64).reshape(-1, 3)
-        self.valid = (
-            np.asarray(valid, dtype=np.int64).reshape(-1, 3)
-            if valid is not None
-            else np.empty((0, 3), dtype=np.int64)
-        )
-        self.test = (
-            np.asarray(test, dtype=np.int64).reshape(-1, 3)
-            if test is not None
-            else np.empty((0, 3), dtype=np.int64)
+        self.valid, self.test = (
+            np.asarray(() if s is None else s, dtype=np.int64).reshape(-1, 3) for s in (valid, test)
         )
         self._check_ids()
-        self.filter_index = self._build_filter_index()
         self._flag_unseen_entities()
 
     @property
@@ -360,19 +365,15 @@ class TripleStore:
     def num_relations(self) -> int:
         return self.vocab.num_relations
 
+    @functools.cached_property
+    def filter_index(self) -> FilterIndex:
+        every = np.concatenate([self.train, self.valid, self.test])
+        return FilterIndex(*reciprocal_queries(every, self.num_relations).T, 2 * self.num_relations)
+
     def split(self, name: str) -> np.ndarray:
         if name not in ("train", "valid", "test"):
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    def reciprocal_triples(self, split="train") -> np.ndarray:
-        """Reciprocal view (t, r + |R|, h) of a split; never persisted."""
-        s = self.split(split)
-        out = np.empty_like(s)
-        out[:, 0] = s[:, 2]
-        out[:, 1] = s[:, 1] + self.num_relations
-        out[:, 2] = s[:, 0]
-        return out
 
     def _check_ids(self):
         ne, nr = self.num_entities, self.num_relations
@@ -384,15 +385,6 @@ class TripleStore:
                 raise ValueError(f"{name} split contains entity ids outside [0, {ne})")
             if s[:, 1].min() < 0 or s[:, 1].max() >= nr:
                 raise ValueError(f"{name} split contains relation ids outside [0, {nr})")
-
-    def _build_filter_index(self) -> FilterIndex:
-        h, r, t = np.concatenate([self.train, self.valid, self.test]).T
-        return FilterIndex(
-            np.concatenate([h, t]),
-            np.concatenate([r, r + self.num_relations]),
-            np.concatenate([t, h]),
-            2 * self.num_relations,
-        )
 
     def _flag_unseen_entities(self):
         seen = np.zeros(self.num_entities, dtype=bool)

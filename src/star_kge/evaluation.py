@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FilterIndex, RelationClass, TripleStore
+from .data import FilterIndex, RelationClass, TripleStore, reciprocal_queries
 from .model import EmbeddingTable, score_batch
 
 TIE_RULES = ("pessimistic", "random")
@@ -135,7 +135,8 @@ def evaluate(
     relation; per-class results group relations by their complexity class
     when ``classes`` is given.
     """
-    if direction not in ("tail", "head", "both"):
+    halves = {"tail": [0], "head": [1], "both": [0, 1]}.get(direction)
+    if halves is None:
         raise ValueError(f"direction must be tail, head or both, got {direction!r}")
     triples = store.split(split)
     if len(triples) == 0:
@@ -143,14 +144,9 @@ def evaluate(
     rng = np.random.default_rng(seed)
     nr = store.num_relations
 
-    h, r, t = triples.T
-    sides = []
-    if direction in ("tail", "both"):
-        sides.append(np.stack([h, r, t], axis=1))
-    if direction in ("head", "both"):
-        sides.append(np.stack([t, r + nr, h], axis=1))
-    queries = np.stack(sides, axis=1).reshape(-1, 3)
-    rels = np.repeat(r, len(sides))
+    # (tail, head) halves of reciprocal_queries, interleaved per triple
+    queries = reciprocal_queries(triples, nr).reshape(2, -1, 3)[halves].swapaxes(0, 1).reshape(-1, 3)
+    rels = np.repeat(triples[:, 1], len(halves))
 
     ne = table.num_entities
     height = min(len(queries), max(1, BLOCK_SCORES // ne))

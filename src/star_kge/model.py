@@ -210,11 +210,6 @@ def materialize_star_matrix(rel: RelationParams) -> np.ndarray:
     return m
 
 
-def score_via_matrix(h, rel: RelationParams, t) -> float:
-    """Score through the materialized matrix: [h^T, 1] M [t; 1]."""
-    return float(homogeneous(h) @ materialize_star_matrix(rel) @ homogeneous(t))
-
-
 def score_gradients(h, rel: RelationParams, t) -> ScoreGradient:
     """Exact partial derivatives of :func:`score` in all four parameter vectors."""
     h = _check_vector(h, name="h")

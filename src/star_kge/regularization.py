@@ -1,8 +1,10 @@
 """Frobenius and duality-based penalty terms with analytic gradients.
 
-Both penalties are per-triple: they touch only the head, tail and relation
-parameters participating in that triple. The duality penalty ("DURA")
-exists in two variants:
+Both penalties are per-query: they touch only the source, target and
+relation parameters of that query. :func:`penalty_terms_batch` is the one
+entry point; it takes stacked ``(k, n)`` query rows or single 1-D rows and
+returns the values and the gradients in all four parameter vectors. The
+duality penalty ("DURA") exists in two variants:
 
 * ``literal`` - ||h||^2 + ||t||^2 + ||h^T R + tau^T||^2 + ||R t||^2 + tau.t,
   the form this model family is usually trained with;
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelationParams, block_grad, block_rotate, block_rotate_t
+from .model import block_grad, block_rotate, block_rotate_t
 
 REG_KINDS = ("none", "Fro", "DURA")
 DURA_VARIANTS = ("literal", "exact")
@@ -39,7 +41,7 @@ class RegConfig:
     def __post_init__(self):
         if self.kind not in REG_KINDS:
             raise ValueError(f"reg.kind must be one of {REG_KINDS}, got {self.kind!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"reg.lambda must be >= 0, got {self.lam}")
         if self.dura_variant not in DURA_VARIANTS:
             raise ValueError(
@@ -99,52 +101,3 @@ def penalty_terms_batch(H, T, RC, TAU, config: RegConfig):
     if config.kind == "Fro":
         return fro_terms_batch(H, T, RC, TAU)
     return dura_terms_batch(H, T, RC, TAU, config.dura_variant)
-
-
-def fro_penalty(h, rel: RelationParams, t) -> float:
-    """Sum of squared norms of the four participating parameter vectors."""
-    values, *_ = fro_terms_batch(
-        np.asarray(h, dtype=np.float64),
-        np.asarray(t, dtype=np.float64),
-        rel.r_c,
-        rel.tau,
-    )
-    return float(values)
-
-
-def fro_gradients(h, rel: RelationParams, t):
-    _, d_h, d_t, d_rc, d_tau = fro_terms_batch(
-        np.asarray(h, dtype=np.float64), np.asarray(t, dtype=np.float64), rel.r_c, rel.tau
-    )
-    return d_h, d_t, d_rc, d_tau
-
-
-def dura_penalty(h, rel: RelationParams, t, variant: str = "literal") -> float:
-    values, *_ = dura_terms_batch(
-        np.asarray(h, dtype=np.float64),
-        np.asarray(t, dtype=np.float64),
-        rel.r_c,
-        rel.tau,
-        variant,
-    )
-    return float(values)
-
-
-def dura_gradients(h, rel: RelationParams, t, variant: str = "literal"):
-    _, d_h, d_t, d_rc, d_tau = dura_terms_batch(
-        np.asarray(h, dtype=np.float64),
-        np.asarray(t, dtype=np.float64),
-        rel.r_c,
-        rel.tau,
-        variant,
-    )
-    return d_h, d_t, d_rc, d_tau
-
-
-def penalty(h, rel: RelationParams, t, config: RegConfig) -> float:
-    """Unweighted penalty value for one triple under the given config."""
-    if config.kind == "none":
-        return 0.0
-    if config.kind == "Fro":
-        return fro_penalty(h, rel, t)
-    return dura_penalty(h, rel, t, config.dura_variant)

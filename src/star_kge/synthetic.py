@@ -307,39 +307,3 @@ def generate_full(spec: SynthSpec) -> SynthResult:
 def generate(spec: SynthSpec) -> TripleStore:
     """Generate just the triple store for a spec."""
     return generate_full(spec).store
-
-
-def grid_composition_spec(
-    side: int = 14,
-    offset: tuple[int, int] = (1, 0),
-    quarter_turns: int = 1,
-    seed: int = 0,
-    holdout_fraction: float = 0.2,
-    paired_holdout_fraction: float = 0.0,
-) -> SynthSpec:
-    """A lattice KG with one non-commuting relation pair and both composed orders.
-
-    ``turn`` rotates the lattice about its center, ``shift`` translates by
-    ``offset``; ``turn_then_shift`` and ``shift_then_turn`` are the two
-    composition orders, which land on different cells for every head (the
-    rotated offset differs from the offset). With a half turn
-    (``quarter_turns=2``) both composed relations are involutions, so their
-    edges come in mirror pairs and the paired-holdout knob controls how many
-    held-out facts keep a recoverable twin in train.
-    """
-    return SynthSpec(
-        num_entities=side * side,
-        relations=[
-            RelationRule("turn", "grid_rotation", quarter_turns=quarter_turns),
-            RelationRule("shift", "grid_translation", offset=offset),
-            RelationRule("turn_then_shift", "composed"),
-            RelationRule("shift_then_turn", "composed"),
-        ],
-        compositions=[
-            CompositionRule("turn", "shift", "turn_then_shift", commutes=False),
-            CompositionRule("shift", "turn", "shift_then_turn", commutes=False),
-        ],
-        seed=seed,
-        holdout_fraction=holdout_fraction,
-        paired_holdout_fraction=paired_holdout_fraction,
-    )

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TripleStore, entity_frequency
+from .data import TripleStore, entity_frequency, reciprocal_queries
 from .model import EmbeddingTable, block_grad, block_rotate, block_rotate_t, init_embeddings
 from .regularization import RegConfig, penalty_terms_batch
 
@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValueError(f"n must be positive and even, got {self.n}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.w0 <= 1.0:
@@ -82,7 +84,7 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 disables validation)")
-        if self.init_scale <= 0:
+        if not self.init_scale > 0:
             raise ValueError("init_scale must be positive")
 
 
@@ -137,15 +139,6 @@ def _row_blocks(array: np.ndarray) -> list[slice]:
     return [slice(lo, lo + height) for lo in range(0, len(array), height)]
 
 
-def _query_arrays(batch: np.ndarray, num_relations: int):
-    """Expand triples into the 2m query rows (tail queries then head queries)."""
-    h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
-    src = np.concatenate([h, t])
-    rel = np.concatenate([r, r + num_relations])
-    tgt = np.concatenate([t, h])
-    return src, rel, tgt
-
-
 def batch_loss(
     batch: np.ndarray,
     table: EmbeddingTable,
@@ -170,7 +163,7 @@ def batch_loss(
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     ents = table.entity_embeddings
-    src, rel, tgt = _query_arrays(batch, table.num_relations)
+    src, rel, tgt = reciprocal_queries(batch, table.num_relations).T
     nq = len(src)
 
     if tail_weights is None and head_weights is None:

@@ -4,7 +4,9 @@ Kept deliberately separate from the package: finite differences, a
 sort-based ranking oracle, a quadratic-time two-hop join, a line-by-line
 triple reader and encoder, a dict-of-sets filter index and a dict-of-sets
 synthetic-KG generator double-check the production paths without sharing
-code with them (the generator shares only the spec classes). The
+code with them (the generator shares only the spec classes). A score
+through the materialised relation matrix, and the lattice spec of
+acceptance criterion 6, live here too, since only tests use them. The
 whole-matrix training step is the exception: it shares the block kernels
 and the penalty terms with the package, because what it checks is the pass
 structure of the blocked step, not the kernels.
@@ -13,9 +15,23 @@ structure of the blocked step, not the kernels.
 import numpy as np
 
 from star_kge.data import TripleStore, Vocab
-from star_kge.model import block_grad, block_rotate, block_rotate_t
+from star_kge.model import (
+    RelationParams,
+    block_grad,
+    block_rotate,
+    block_rotate_t,
+    homogeneous,
+    materialize_star_matrix,
+)
 from star_kge.regularization import penalty_terms_batch
-from star_kge.synthetic import RelationRule, SynthResult, SynthSpec, SynthSpecError, _grid_side
+from star_kge.synthetic import (
+    CompositionRule,
+    RelationRule,
+    SynthResult,
+    SynthSpec,
+    SynthSpecError,
+    _grid_side,
+)
 from star_kge.training import ADAGRAD_EPS, BatchGradients, DivergenceError
 
 
@@ -31,6 +47,11 @@ def central_diff(f, x0, step=1e-5):
         fm = f(x)
         g.flat[i] = (fp - fm) / (2.0 * step)
     return g
+
+
+def score_via_matrix(h, rel: RelationParams, t) -> float:
+    """Score through the materialized matrix: [h^T, 1] M [t; 1]."""
+    return float(homogeneous(h) @ materialize_star_matrix(rel) @ homogeneous(t))
 
 
 def gradient_rel_error(analytic, fd):
@@ -234,6 +255,42 @@ def adagrad_update_whole(param, grad, accumulator, lr):
     """In-place Adagrad step over the whole table at once."""
     accumulator += grad * grad
     param -= lr * grad / np.sqrt(accumulator + ADAGRAD_EPS)
+
+
+def grid_composition_spec(
+    side: int = 14,
+    offset: tuple[int, int] = (1, 0),
+    quarter_turns: int = 1,
+    seed: int = 0,
+    holdout_fraction: float = 0.2,
+    paired_holdout_fraction: float = 0.0,
+) -> SynthSpec:
+    """A lattice KG with one non-commuting relation pair and both composed orders.
+
+    ``turn`` rotates the lattice about its center, ``shift`` translates by
+    ``offset``; ``turn_then_shift`` and ``shift_then_turn`` are the two
+    composition orders, which land on different cells for every head (the
+    rotated offset differs from the offset). With a half turn
+    (``quarter_turns=2``) both composed relations are involutions, so their
+    edges come in mirror pairs and the paired-holdout knob controls how many
+    held-out facts keep a recoverable twin in train.
+    """
+    return SynthSpec(
+        num_entities=side * side,
+        relations=[
+            RelationRule("turn", "grid_rotation", quarter_turns=quarter_turns),
+            RelationRule("shift", "grid_translation", offset=offset),
+            RelationRule("turn_then_shift", "composed"),
+            RelationRule("shift_then_turn", "composed"),
+        ],
+        compositions=[
+            CompositionRule("turn", "shift", "turn_then_shift", commutes=False),
+            CompositionRule("shift", "turn", "shift_then_turn", commutes=False),
+        ],
+        seed=seed,
+        holdout_fraction=holdout_fraction,
+        paired_holdout_fraction=paired_holdout_fraction,
+    )
 
 
 # reference synthetic-KG generator ---------------------------------------------

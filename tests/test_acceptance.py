@@ -23,22 +23,21 @@ from star_kge.model import (
     score_batch,
     score_gradients,
 )
-from star_kge.regularization import (
-    RegConfig,
-    dura_gradients,
-    dura_penalty,
-    fro_gradients,
-    fro_penalty,
-)
-from star_kge.synthetic import generate_full, grid_composition_spec
+from star_kge.regularization import RegConfig, penalty_terms_batch
+from star_kge.synthetic import generate_full
 from star_kge.training import TrainConfig, batch_loss, train
 from conftest import dataset_path, make_store
-from oracles import brute_force_two_paths, central_diff, gradient_rel_error, sort_rank
+from oracles import brute_force_two_paths, central_diff, gradient_rel_error, grid_composition_spec, sort_rank
 
 
 def report(criterion: int, ok: bool, detail: str):
     print(f"ACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def terms(h, rel, t, reg):
+    """``penalty_terms_batch`` on one 1-D query row: (value, d_h, d_t, d_rc, d_tau)."""
+    return penalty_terms_batch(h, t, rel.r_c, rel.tau, reg)
 
 
 def _stacked_matrix_scores(H, RC, TAU, T):
@@ -103,21 +102,14 @@ class TestCriterion2:
                 (g.d_r_c, central_diff(lambda x: score(h, RelationParams(x, rel.tau), t), rel.r_c)),
                 (g.d_tau, central_diff(lambda x: score(h, RelationParams(rel.r_c, x), t), rel.tau)),
             ]
-            fro = fro_gradients(h, rel, t)
-            pairs.append((fro[0], central_diff(lambda x: fro_penalty(x, rel, t), h)))
+            fro = RegConfig(kind="Fro")
+            pairs.append((terms(h, rel, t, fro)[1], central_diff(lambda x: terms(x, rel, t, fro)[0], h)))
             for variant in ("literal", "exact"):
-                dura = dura_gradients(h, rel, t, variant)
+                dura = RegConfig(kind="DURA", dura_variant=variant)
+                _, d_h, _, d_rc, _ = terms(h, rel, t, dura)
+                pairs.append((d_h, central_diff(lambda x: terms(x, rel, t, dura)[0], h)))
                 pairs.append(
-                    (dura[0], central_diff(lambda x: dura_penalty(x, rel, t, variant), h))
-                )
-                pairs.append(
-                    (
-                        dura[2],
-                        central_diff(
-                            lambda x: dura_penalty(h, RelationParams(x, rel.tau), t, variant),
-                            rel.r_c,
-                        ),
-                    )
+                    (d_rc, central_diff(lambda x: terms(h, RelationParams(x, rel.tau), t, dura)[0], rel.r_c))
                 )
 
             # full batch objective over every parameter simultaneously

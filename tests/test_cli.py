@@ -87,8 +87,9 @@ class TestSynth:
             ("relation.0.quarter_turns = 1", "relation.0.quarter_turns = 1.5"),
             ("relation.0.kind = grid_rotation", "relation.0.kind = symmetric\nrelation.0.num_pairs = -2"),
             ("relation.0.kind = grid_rotation", "relation.0.kind = fan_in\nrelation.0.heads_per_tail = -3"),
+            ("holdout_fraction = 0.2", "holdout_fraction = 0.2\npaired_holdout_fraction = true"),
         ],
-        ids=["offset-word", "turns-word", "turns-float", "negative-pairs", "negative-heads"],
+        ids=["offset-word", "turns-word", "turns-float", "negative-pairs", "negative-heads", "fraction-bool"],
     )
     def test_bad_rule_values_are_usage_errors(self, tmp_path, capsys, edit):
         spec = tmp_path / "bad.spec"
@@ -124,7 +125,7 @@ class TestSynth:
 
     def test_lattice_config_is_criterion_6_spec(self):
         from star_kge.config import load_flat_config, synth_spec_from_dict
-        from star_kge.synthetic import grid_composition_spec
+        from oracles import grid_composition_spec
 
         assert synth_spec_from_dict(load_flat_config(LATTICE_SPEC)) == grid_composition_spec(
             side=14, quarter_turns=2, seed=7, holdout_fraction=0.25, paired_holdout_fraction=0.2
@@ -188,6 +189,28 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be an integer, got ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("lr", "true", "lr must be a finite number, got True"),
+            ("lr", "-1", "lr must be positive, got -1.0"),
+            ("lr", "0", "lr must be positive, got 0.0"),
+            ("lr", "nan", "lr must be a finite number, got nan"),
+            ("lr", "fast", "lr must be a finite number, got 'fast'"),
+            ("w0", "false", "w0 must be a finite number, got False"),
+            ("init_scale", "nan", "init_scale must be a finite number, got nan"),
+            ("init_scale", "inf", "init_scale must be a finite number, got inf"),
+            ("reg.lambda", "nan", "reg.lambda must be a finite number, got nan"),
+            ("reg.lambda", "inf", "reg.lambda must be a finite number, got inf"),
+        ],
+    )
+    def test_bad_float_value_is_usage_error(self, synth_dir, tmp_path, capsys, key, value, message):
+        out = tmp_path / "x"
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_empty_train_split_is_usage_error(self, synth_dir, tmp_path, capsys):

@@ -23,6 +23,7 @@ from star_kge.data import (
     entity_frequency,
     load_dataset,
     load_triples,
+    reciprocal_queries,
 )
 from conftest import dataset_path, make_store
 from oracles import (
@@ -235,11 +236,18 @@ class TestFilterIndex:
     def test_covers_every_triple_in_both_directions(self, toy_store):
         nr = toy_store.num_relations
         for split in ("train", "valid", "test"):
-            for h, r, t in toy_store.split(split).tolist():
+            triples = toy_store.split(split).tolist()
+            for h, r, t in triples:
                 _, tails = toy_store.filter_index.known_answers([(h, r, t)])
                 _, heads = toy_store.filter_index.known_answers([(t, r + nr, h)])
                 assert t in tails
                 assert h in heads
+            # the builder: every tail query (h, r, t), then every head query (t, r + |R|, h)
+            queries = reciprocal_queries(toy_store.split(split), nr)
+            assert queries.dtype == np.int64 and queries.shape == (2 * len(triples), 3)
+            assert queries.tolist() == triples + [[t, r + nr, h] for h, r, t in triples]
+            row, answer = toy_store.filter_index.known_answers(queries)
+            assert {(i, q[2]) for i, q in enumerate(queries.tolist())} <= set(zip(row.tolist(), answer.tolist()))
 
     def test_array_layout(self):
         # (0, r0, 1) twice across splits, and its reciprocal answer twice
@@ -266,7 +274,7 @@ class TestFilterIndex:
         assert reloaded.train[:, 1].max() < toy_store.num_relations
 
     def test_reciprocal_enumeration(self, toy_store):
-        rec = toy_store.reciprocal_triples("train")
+        rec = reciprocal_queries(toy_store.train, toy_store.num_relations)[len(toy_store.train) :]
         np.testing.assert_array_equal(rec[:, 0], toy_store.train[:, 2])
         np.testing.assert_array_equal(rec[:, 2], toy_store.train[:, 0])
         np.testing.assert_array_equal(

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from star_kge.data import classify_relations
+from star_kge.analysis import count_two_paths
+from star_kge.data import classify_relations, load_triples, reciprocal_queries
 from star_kge.evaluation import evaluate, filtered_rank
 from star_kge.model import init_embeddings, score_batch
 from conftest import make_store
-from oracles import sort_rank
+from oracles import filter_sets, sort_rank
 
 
 def trained_toy(store, epochs=60, seed=0):
@@ -148,7 +149,7 @@ class TestBlockedRanking:
         store = make_store(triples, num_entities=9, num_relations=3)
         table = init_embeddings(9, 3, 6, init_scale=1.0, seed=6)
         table.entity_embeddings[::3] = 0.0  # a few exact ties
-        queries = np.concatenate([store.train, store.reciprocal_triples("train")])
+        queries = reciprocal_queries(store.train, store.num_relations)
         block = filtered_rank(queries, table, store.filter_index, tie_rule, np.random.default_rng(3))
         single_rng = np.random.default_rng(3)
         singles = [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in queries.tolist()]
@@ -240,13 +241,42 @@ class TestEvaluate:
         report = evaluate("train", table, toy_store, classes)
         assert set(report.per_class) == {c.label for c in classes}
 
-    def test_direction_splits(self, toy_store):
+    def test_direction_splits(self, toy_store, monkeypatch):
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
-        both = evaluate("train", table, toy_store, direction="both")
-        tail = evaluate("train", table, toy_store, direction="tail")
-        head = evaluate("train", table, toy_store, direction="head")
+        calls = TestBlockedRanking.spy_blocks(monkeypatch)
+        reports, queries = {}, {}
+        for direction in ("both", "tail", "head"):
+            calls.clear()
+            reports[direction] = evaluate("train", table, toy_store, direction=direction)
+            queries[direction] = np.concatenate([block for block, _ in calls]).tolist()
+        # tail queries (h, r, t), head queries (t, r + |R|, h); "both" takes
+        # each triple's tail query, then its head query
+        nr = toy_store.num_relations
+        tails = toy_store.train.tolist()
+        heads = [[t, r + nr, h] for h, r, t in tails]
+        assert queries["tail"] == tails
+        assert queries["head"] == heads
+        assert queries["both"] == [q for pair in zip(tails, heads) for q in pair]
+        both, tail, head = reports["both"], reports["tail"], reports["head"]
         assert both.num_queries == tail.num_queries + head.num_queries
         assert both.mrr == pytest.approx((tail.mrr + head.mrr) / 2)
+
+    def test_filter_index_is_built_on_first_evaluate(self, tmp_path, monkeypatch):
+        rows = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c"), ("c", "r", "a"), ("c", "s", "b"), ("b", "r", "b")]
+        path = tmp_path / "train.tsv"
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        store = load_triples(path)
+        count_two_paths(store)
+        assert "filter_index" not in vars(store)
+
+        table = init_embeddings(store.num_entities, store.num_relations, 4, init_scale=1.0, seed=2)
+        calls = TestBlockedRanking.spy_blocks(monkeypatch)
+        evaluate("train", table, store)
+        assert "filter_index" in vars(store)
+        known = filter_sets([store.train], store.num_relations)
+        queries = np.concatenate([block for block, _ in calls]).tolist()
+        want = [sort_rank(score_batch(table, s, r), a, known[(s, r)] - {a}) for s, r, a in queries]
+        assert np.concatenate([ranks for _, ranks in calls]).tolist() == want
 
     def test_empty_split_rejected(self):
         store = make_store([(0, 0, 1)])

@@ -18,11 +18,10 @@ from star_kge.model import (
     score,
     score_batch,
     score_gradients,
-    score_via_matrix,
     translation_matrix,
     transform_query,
 )
-from oracles import central_diff, gradient_rel_error
+from oracles import central_diff, gradient_rel_error, score_via_matrix
 
 
 def random_relation(rng, n):

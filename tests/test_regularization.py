@@ -2,20 +2,26 @@ import numpy as np
 import pytest
 
 from star_kge.model import RelationParams, materialize_star_matrix
-from star_kge.regularization import (
-    RegConfig,
-    dura_gradients,
-    dura_penalty,
-    fro_gradients,
-    fro_penalty,
-    penalty,
-)
+from star_kge.regularization import RegConfig, dura_terms_batch, penalty_terms_batch
 from oracles import central_diff, gradient_rel_error
 
 
 def random_relation(rng, n, tau_zero=False):
     tau = np.zeros(n) if tau_zero else rng.normal(size=n)
     return RelationParams(rng.normal(size=n), tau)
+
+
+def terms(h, rel, t, kind, variant="literal"):
+    """``penalty_terms_batch`` on one 1-D query row: (value, d_h, d_t, d_rc, d_tau)."""
+    return penalty_terms_batch(h, t, rel.r_c, rel.tau, RegConfig(kind=kind, dura_variant=variant))
+
+
+def fro_penalty(h, rel, t):
+    return terms(h, rel, t, "Fro")[0]
+
+
+def dura_penalty(h, rel, t, variant):
+    return terms(h, rel, t, "DURA", variant)[0]
 
 
 class TestFro:
@@ -31,7 +37,7 @@ class TestFro:
         n = 6
         rel = random_relation(rng, n)
         h, t = rng.normal(size=n), rng.normal(size=n)
-        d_h, d_t, d_rc, d_tau = fro_gradients(h, rel, t)
+        _, d_h, d_t, d_rc, d_tau = terms(h, rel, t, "Fro")
         np.testing.assert_allclose(d_h, 2 * h)
         np.testing.assert_allclose(d_t, 2 * t)
         np.testing.assert_allclose(d_rc, 2 * rel.r_c)
@@ -88,7 +94,7 @@ class TestDura:
     def test_unknown_variant_rejected(self, rng):
         rel = random_relation(rng, 4)
         with pytest.raises(ValueError, match="variant"):
-            dura_penalty(np.zeros(4), rel, np.zeros(4), "fancy")
+            dura_terms_batch(np.zeros(4), np.zeros(4), rel.r_c, rel.tau, "fancy")
 
     @pytest.mark.parametrize("variant", ["literal", "exact"])
     def test_gradients_against_finite_differences(self, variant, rng):
@@ -96,7 +102,7 @@ class TestDura:
         for _ in range(25):
             rel = random_relation(rng, n)
             h, t = rng.normal(size=n), rng.normal(size=n)
-            d_h, d_t, d_rc, d_tau = dura_gradients(h, rel, t, variant)
+            _, d_h, d_t, d_rc, d_tau = terms(h, rel, t, "DURA", variant)
             checks = [
                 (d_h, central_diff(lambda x: dura_penalty(x, rel, t, variant), h, step=1e-6)),
                 (d_t, central_diff(lambda x: dura_penalty(h, rel, x, variant), t, step=1e-6)),
@@ -140,7 +146,9 @@ class TestRegConfig:
     def test_none_kind_contributes_zero(self, rng):
         rel = random_relation(rng, 4)
         cfg = RegConfig(kind="none", lam=0.0)
-        assert penalty(rng.normal(size=4), rel, rng.normal(size=4), cfg) == 0.0
+        value, *grads = penalty_terms_batch(rng.normal(size=4), rng.normal(size=4), rel.r_c, rel.tau, cfg)
+        assert value == 0.0
+        assert all(not g.any() for g in grads)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

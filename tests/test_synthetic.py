@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DictOfSetsGenerator
+from oracles import DictOfSetsGenerator, grid_composition_spec
 
 from star_kge.data import CLASS_N_TO_ONE, classify_relations
 from star_kge.synthetic import (
@@ -15,7 +15,6 @@ from star_kge.synthetic import (
     SynthSpecError,
     generate,
     generate_full,
-    grid_composition_spec,
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import star_kge.training as training
-from star_kge.data import entity_frequency
+from star_kge.data import entity_frequency, reciprocal_queries
 from star_kge.model import MODEL_KINDS, block_rotate_t, init_embeddings
 from star_kge.regularization import RegConfig, penalty_terms_batch
 from star_kge.training import (
@@ -291,6 +291,13 @@ class TestTrain:
         for optimizer in ("Adam", "SGD"):
             with pytest.raises(ValueError, match="optimizer"):
                 tiny_config(optimizer=optimizer)
+        for lr in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="lr must be positive"):
+                tiny_config(lr=lr)
+        with pytest.raises(ValueError, match="init_scale"):
+            tiny_config(init_scale=math.nan)
+        with pytest.raises(ValueError, match="reg.lambda"):
+            RegConfig(kind="DURA", lam=math.nan)
 
 
 REGS = (
@@ -367,8 +374,8 @@ def _case_setup(case, epochs=1):
 
 def _query_terms(batch, table, cfg, tw, hw):
     """The per-query operands of ``batch_loss``: weights a = w / 2m, H, RC,
-    TAU and T, in the order of ``training._query_arrays``."""
-    src, rel, tgt = training._query_arrays(batch, table.num_relations)
+    TAU and T, in the order of ``data.reciprocal_queries``."""
+    src, rel, tgt = reciprocal_queries(batch, table.num_relations).T
     m = len(batch)
     w = np.ones(2 * m) if cfg.w0 == 0 else np.concatenate([tw[tgt[:m]], hw[tgt[m:]]])
     ents = table.entity_embeddings
@@ -455,7 +462,7 @@ class TestBlockedStep:
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
         _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, tw, hw)
         scores = (block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T
-        tgt = training._query_arrays(store.train, table.num_relations)[2]
+        tgt = reciprocal_queries(store.train, table.num_relations)[:, 2]
         is_tgt = np.arange(table.num_entities) == tgt[:, None]
         margins = scores[is_tgt] - np.where(is_tgt, -np.inf, scores).max(axis=1)
         assert margins.min() >= 30
