@@ -41,8 +41,8 @@ class RegConfig:
     def __post_init__(self):
         if self.kind not in REG_KINDS:
             raise ValueError(f"reg.kind must be one of {REG_KINDS}, got {self.kind!r}")
-        if not self.lam >= 0:
-            raise ValueError(f"reg.lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"reg.lambda must be {'finite' if self.lam >= 0 else '>= 0'}, got {self.lam}")
         if self.dura_variant not in DURA_VARIANTS:
             raise ValueError(
                 f"reg.dura_variant must be one of {DURA_VARIANTS}, got {self.dura_variant!r}"

@@ -12,22 +12,29 @@ and each query adds lambda times the regularization penalty of its own
 over the 2 * batch_size queries.
 
 A training step makes one pass over the 2 * batch_size x |E| score
-matrix S = Q E^T besides the GEMMs: the softmax walks it in row blocks of
-at most ``BLOCK_BYTES``, so each block stays in cache, and leaves
-Z = exp(S - max) in place. With a = w / (2 * batch_size) and
-c = a / rowsum(Z), the score gradient is dS = diag(c) Z - diag(a) onehot(tgt),
-and it is never formed:
+matrix besides the GEMMs: one in-place ``exp``. The table stores its
+entities as [E, 1]^T, so the forward GEMM [Q, -s_t] [E, 1]^T, with
+s_t = Q . E[tgt] from 2 * batch_size dot products, yields S - s_t: each
+query is shifted by its own target's score, not its max, and the target's
+exp(0) keeps every row sum from underflowing. This leaves
+Z = exp(S - s_t), and the cross-entropy is log(rowsum(Z)). A row in which a
+rival beats the target by more than ~709 overflows; it alone is recomputed
+shifted by its max. With a = w / (2 * batch_size) and c = a / rowsum(Z),
+the score gradient is dS = diag(c) Z - diag(a) onehot(tgt), and it is
+never formed:
 
     dS^T Q = Z^T (c * Q) - scatter_tgt(a * Q)
     dS E   = c * (Z E) - a * E[tgt]
 
-and only the 2 * batch_size x n operands are scaled. The GEMMs read the
-table's n x |E| entity rows and Z as stored; the entity gradient (c * Q)^T Z
-is written n x |E| and ``d_entities`` is its transpose. :func:`train` reuses
-the score and entity-gradient buffers for every batch. The softmax and
-:func:`adagrad_update` give every row the same ufunc sequence as a
-whole-array pass, so the loss and the optimiser step are bitwise those of
-one; the folded gradients differ from the whole-matrix ones by rounding.
+and only the 2 * batch_size x n operands are scaled. The backward GEMM
+Z [E, 1] gives Z E and, in its last column, the row sums, so no pass sums
+Z. The GEMMs read the table's (n+1) x |E| rows and Z as stored; the entity
+gradient (c * Q)^T Z is written n x |E| and ``d_entities`` is its
+transpose. :func:`train` reuses the score and entity-gradient buffers for
+every batch. :func:`adagrad_update` gives every row block the same ufunc
+sequence as a whole-array pass, so the optimiser step is bitwise that of
+one; the loss and the folded gradients differ from a whole-matrix
+max-shifted step by rounding.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ logger = logging.getLogger(__name__)
 OPTIMIZERS = ("Adagrad",)
 ADAGRAD_EPS = 1e-10
 
-#: bytes of one row block in the blocked passes (1 MB, about the L2 cache)
+#: bytes of one row block in the Adagrad pass (1 MB, about the L2 cache)
 BLOCK_BYTES = 2**20
 
 
@@ -74,8 +81,8 @@ class TrainConfig:
             raise ValueError(f"n must be positive and even, got {self.n}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be {'finite' if self.lr > 0 else 'positive'}, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.w0 <= 1.0:
@@ -84,8 +91,10 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 disables validation)")
-        if not self.init_scale > 0:
-            raise ValueError("init_scale must be positive")
+        if not 0 < self.init_scale < np.inf:
+            raise ValueError(
+                f"init_scale must be {'finite' if self.init_scale > 0 else 'positive'}, got {self.init_scale}"
+            )
 
 
 @dataclass
@@ -158,6 +167,14 @@ def batch_loss(
     private float64 work buffers that :func:`train` reuses across batches;
     each one not given is allocated. The returned ``d_entities`` is the
     ``(|E|, n)`` transpose of ``_grad_t``.
+
+    The softmax is one ``exp`` pass: the forward GEMM multiplies
+    ``[Q, -s_t]`` by the table's ``[E, 1]^T`` rows, so each query's scores
+    arrive shifted by its target's score, and the backward GEMM
+    ``Z @ [E, 1]`` yields the row sums in its last column. A row whose sum
+    overflows (a rival beats the target by more than ~709) is recomputed
+    alone, shifted by its max. max |score| is computed only for the
+    :class:`DivergenceError` message.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     if len(batch) == 0:
@@ -179,27 +196,32 @@ def batch_loss(
     TAU = table.rel_tau[rel]
     T = ents[tgt]
 
-    # the +1 score constant shifts every candidate equally, so the softmax
-    # never sees it; the score matrix is large, so it is rewritten in place
+    # [Q, -s_t] @ [E, 1]^T is S - s_t, so the target's own exp(0) keeps
+    # every row sum >= ~1 and no max pass is needed
     Q = block_rotate_t(RC, H) + TAU
+    Qh = np.concatenate([Q, -np.einsum("ij,ij->i", Q, T)[:, None]], axis=1)
     scores = np.empty((nq, len(ents))) if _scores is None else _scores[:nq]
-    np.matmul(Q, ents.T, out=scores)
-    tgt_scores = scores[np.arange(nq), tgt]
-    smax = np.empty(nq)
-    row_sums = np.empty(nq)
-    for b in _row_blocks(scores):
-        block = scores[b]
-        smax[b] = block.max(axis=1)
-        block -= smax[b, None]
-        np.exp(block, out=block)
-        row_sums[b] = block.sum(axis=1)
-    max_abs_score = float(np.abs(smax).max())
-    ce = smax + np.log(row_sums) - tgt_scores
+    np.matmul(Qh, table._hom_rows, out=scores)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(scores, out=scores)
+        # Z @ [E, 1]: Z E, and in the last column the row sums
+        ZE = scores @ table._hom_rows.T
+    ce = np.log(ZE[:, -1])
+    for i in np.flatnonzero(~np.isfinite(ZE).all(axis=1)):
+        # a rival beat the target by more than ~709, so exp, the row sum or
+        # Z E overflowed: redo this row shifted by its own max
+        row = np.matmul(Qh[i], table._hom_rows, out=scores[i])
+        smax = row.max()
+        row -= smax
+        np.exp(row, out=row)
+        ZE[i] = row @ table._hom_rows.T
+        ce[i] = smax + np.log(ZE[i, -1])
 
     reg_vals, reg_dH, reg_dT, reg_dRC, reg_dTAU = penalty_terms_batch(H, T, RC, TAU, config.reg)
     lam = config.reg.lam if config.reg.kind != "none" else 0.0
     loss = float((w @ ce + lam * reg_vals.sum()) / nq)
     if not np.isfinite(loss):
+        max_abs_score = np.abs(np.matmul(Q, ents.T, out=scores), out=scores).max()
         raise DivergenceError(
             f"non-finite batch loss (max |score| = {max_abs_score:.3e}); "
             "lower the learning rate or raise the regularization weight"
@@ -208,9 +230,9 @@ def batch_loss(
     # d loss / d scores is diag(c) Z - diag(a) onehot(tgt); the backward
     # GEMMs read Z as it is and the small operands carry c and a
     a = (w / nq)[:, None]
-    c = a / row_sums[:, None]
+    c = a / ZE[:, -1:]
     d_entities = np.matmul((c * Q).T, scores, out=_grad_t).T
-    V = c * (scores @ ents) - a * T
+    V = c * ZE[:, :-1] - a * T
     d_src = block_rotate(RC, V)
     d_RC = block_grad(H, V)
     d_TAU = V

@@ -72,8 +72,18 @@ class TestBatchLoss:
         store = make_store([(0, 0, 1)], num_entities=3)
         table = init_embeddings(3, 1, 4, seed=0)
         table.entity_embeddings[0, 0] = np.nan
-        with pytest.raises(DivergenceError, match="score"):
+        with pytest.raises(DivergenceError, match="score") as exc:
             batch_loss(store.train, table, tiny_config())
+        assert "max |score| = nan" in str(exc.value)
+        # finite scores and an overflowing penalty: the message gives the
+        # largest |score| of the batch, recomputed after the loss failed
+        table = init_embeddings(3, 1, 4, init_scale=0.5, seed=0)
+        cfg = tiny_config(reg=RegConfig("Fro", lam=1e308))
+        _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, None, None)
+        want = np.abs((block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T).max()
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="score") as exc:
+            batch_loss(store.train, table, cfg)
+        assert f"max |score| = {want:.3e})" in str(exc.value)
 
     def test_empty_batch_rejected(self):
         table = init_embeddings(3, 1, 4, seed=0)
@@ -299,6 +309,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="reg.lambda"):
             RegConfig(kind="DURA", lam=math.nan)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tiny_config(lr=math.inf),
+            lambda: tiny_config(init_scale=math.inf),
+            lambda: RegConfig("DURA", lam=math.inf),
+        ],
+        ids=["lr", "init_scale", "reg.lambda"],
+    )
+    def test_infinite_value_rejected(self, make):
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            make()
+
 
 REGS = (
     RegConfig("none"),
@@ -314,7 +337,8 @@ ACCUMULATORS = ("acc_entities", "acc_rel_c", "acc_rel_tau")
 @st.composite
 def step_cases(draw):
     """A random small store and step config, with ``BLOCK_BYTES`` set so
-    that a score block holds ``height`` rows; a batch of m triples has 2m."""
+    that an Adagrad block of the (n, |E|) entity transpose holds ``height``
+    rows."""
     ne = draw(st.integers(1, 40))
     num_train = draw(st.integers(1, 25))
     batch_size = draw(st.integers(1, num_train + 5))  # a ragged last batch, or more than |train|
@@ -333,9 +357,8 @@ def step_cases(draw):
     }
 
 
-#: 9 triples in batches of 4 (ragged 4/4/1); 3 score rows per block cut the
-#: 8-row batches mid-batch; 888 bytes is 27 entity rows at n=4, and 37 is no
-#: multiple of 27
+#: 9 triples in batches of 4 (ragged 4/4/1); 3 rows per Adagrad block cut
+#: the 4-row entity transpose mid-table
 CUT_MID_BATCH = {
     "ne": 37, "nr": 2, "n": 4, "num_train": 9, "batch_size": 4, "block_bytes": 3 * 8 * 37,
     "kind": "STaR", "reg": REGS[2], "w0": 0.1, "seed": 7,
@@ -352,6 +375,13 @@ ONE_ENTITY = {
 SATURATED = {
     "ne": 3, "nr": 1, "n": 6, "num_train": 2, "batch_size": 2, "block_bytes": 8 * 3,
     "kind": "STaR", "reg": REGS[0], "w0": 0.0, "seed": 55, "init_scale": 4.0,
+}
+
+#: one query's best rival outscores its target by about 1,224, beyond exp's
+#: range of ~709, so its row takes the max-shift fallback; the others do not
+RIVAL_BEYOND_EXP = {
+    "ne": 5, "nr": 1, "n": 4, "num_train": 3, "batch_size": 3, "block_bytes": 8 * 5,
+    "kind": "STaR", "reg": REGS[1], "w0": 0.0, "seed": 3, "init_scale": 5.0,
 }
 
 
@@ -414,8 +444,72 @@ def fold_atol(batch, table, cfg, tw, hw):
     return 2 * (k * u / (1 - k * u)) * M
 
 
+def loss_atol(batch, table, cfg, tw, hw):
+    """A bound on |loss - oracle loss| for one batch.
+
+    Derived like :func:`fold_atol`, to first order in u = eps / 2, with
+    gamma_K = K u / (1 - K u). numpy's float64 ``exp`` and ``log`` are taken
+    to be within 2 ulps (a relative 4u; measured within 1 ulp of libm). Per
+    query i let A_i = max_j sum_k |Q_ik E_jk|, which bounds every |S_ij| and
+    |s_t|, and L = log |E|; then 0 <= ce_i <= C_i = 2 A_i + L. The two
+    cross-entropies differ by at most:
+    - the shifted argument S_ij - s_t: s_t rounds n times and the GEMM
+      n + 1 more over sum_k |Q_ik E_jk| + |s_t|, 3 gamma_{n+2} A_i; its
+      max-shift fallback subtracts a row max of at most 2 A_i and adds it
+      back, 6 u A_i and u L more;
+    - the oracle's S_ij, 2 gamma_n A_i (a rival and the target), and its
+      S_ij - smax, of size at most 2 A_i (1 + gamma_n), 3 u A_i;
+    - exp, the row sum over |E| positive terms and log, in each step:
+      4u + gamma_|E| + 4u C_i;
+    - the oracle's smax + log(row sum) - s_t cancellation, u (A_i + L)
+      and u C_i.
+    The weighted sum over 2m queries, the penalty sum added to it and the
+    division by 2m round both losses by gamma_{2m+2} of the sum of their
+    terms' magnitudes.
+    """
+    a, H, RC, TAU, T = _query_terms(batch, table, cfg, tw, hw)
+    nq = len(a)
+    Q = block_rotate_t(RC, H) + TAU
+    ents = table.entity_embeddings
+    u = np.finfo(np.float64).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    n, ne = table.n, table.num_entities
+    A = (np.abs(Q) @ np.abs(ents).T).max(axis=1)
+    L = np.log(ne)
+    C = 2 * A + L
+    per_query = (
+        (3 * gamma(n + 2) + 6 * u) * A + u * L  # the shifted argument and its fallback
+        + 2 * gamma(n) * A + 3 * u * A  # the oracle's scores and S - smax
+        + 2 * (4 * u + gamma(ne)) + 4 * u * (C + L)  # exp, row sum and log, both sides
+        + u * (A + L) + u * C  # the oracle's smax + log - s_t
+    )
+    w = a * nq
+    reg_mass = 0.0
+    if cfg.reg.kind != "none":
+        reg_mass = cfg.reg.lam * np.abs(penalty_terms_batch(H, T, RC, TAU, cfg.reg)[0]).sum()
+    return (w @ per_query + 2 * gamma(nq + 2) * (w @ (C + per_query) + reg_mass)) / nq
+
+
+def _assert_near_oracle(loss, grads, batch, table, cfg, tw=None, hw=None):
+    """The step's loss and gradients against the whole-matrix oracle's;
+    returns the oracle's gradients."""
+    want_loss, want = batch_loss_whole(batch, table, cfg, tw, hw)
+    # the step shifts each row by s_t inside the GEMM where the oracle
+    # subtracts its max: the same loss, rounded another way
+    assert abs(loss - want_loss) <= loss_atol(batch, table, cfg, tw, hw)
+    # the fold scales the small GEMM operands instead of dS and moves the
+    # one-hot term out of the GEMMs: the same gradient, rounded in another order
+    atol = fold_atol(batch, table, cfg, tw, hw)
+    for name in GRADS:
+        np.testing.assert_allclose(getattr(grads, name), getattr(want, name), rtol=1e-12, atol=atol, err_msg=name)
+    return want
+
+
 class TestBlockedStep:
-    """The row-blocked step against the whole-matrix oracle of tests/oracles.py."""
+    """The training step against the whole-matrix, max-shifted oracle of tests/oracles.py."""
 
     @settings(max_examples=80, deadline=None)
     @given(step_cases())
@@ -423,6 +517,7 @@ class TestBlockedStep:
     @example(BATCH_OVER_TRAIN)
     @example(ONE_ENTITY)
     @example(SATURATED)
+    @example(RIVAL_BEYOND_EXP)
     def test_matches_whole_matrix_oracle(self, case):
         store, cfg, (tw, hw) = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
@@ -435,16 +530,7 @@ class TestBlockedStep:
             for start in range(0, len(store.train), cfg.batch_size):
                 batch = store.train[start : start + cfg.batch_size]
                 loss, grads = batch_loss(batch, table, cfg, tw, hw, _scores=scores)
-                want_loss, want = batch_loss_whole(batch, want_table, cfg, tw, hw)
-                assert loss == want_loss
-                # the fold scales the small GEMM operands instead of dS and
-                # moves the one-hot term out of the GEMMs: the same gradient,
-                # rounded in another order
-                atol = fold_atol(batch, table, cfg, tw, hw)
-                for name in GRADS:
-                    np.testing.assert_allclose(
-                        getattr(grads, name), getattr(want, name), rtol=1e-12, atol=atol, err_msg=name
-                    )
+                want = _assert_near_oracle(loss, grads, batch, want_table, cfg, tw, hw)
                 # both optimisers step on the oracle's gradient, so the tables stay comparable
                 for name, grad, acc in zip(TABLES, GRADS, ACCUMULATORS):
                     adagrad_update(getattr(table, name), getattr(want, grad), getattr(state, acc), cfg.lr)
@@ -466,6 +552,32 @@ class TestBlockedStep:
         is_tgt = np.arange(table.num_entities) == tgt[:, None]
         margins = scores[is_tgt] - np.where(is_tgt, -np.inf, scores).max(axis=1)
         assert margins.min() >= 30
+
+    def test_rival_beyond_exp_example_overflows(self):
+        case = RIVAL_BEYOND_EXP
+        store, cfg, (tw, hw) = _case_setup(case)
+        table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+        _, H, RC, TAU, T = _query_terms(store.train, table, cfg, tw, hw)
+        Q = block_rotate_t(RC, H) + TAU
+        gaps = (Q @ table.entity_embeddings.T).max(axis=1) - np.sum(Q * T, axis=1)
+        assert gaps.max() > 1000 and np.sum(gaps < 700) == len(gaps) - 1
+
+    def test_scores_far_below_zero(self, rng):
+        """Every score is about -1,000, so exp of an unshifted score is 0;
+        each row is shifted by its own target's score and stays finite."""
+        store = make_store([(0, 0, 1), (2, 1, 3), (4, 0, 5)], num_entities=6, num_relations=2)
+        table = init_embeddings(6, 2, 4, seed=0)
+        table.entity_embeddings = 1 + 0.01 * rng.normal(size=(6, 4))
+        table.rel_c[:] = 0.0
+        table.rel_tau[:] = -250 + rng.normal(size=table.rel_tau.shape)
+        cfg = tiny_config(reg=RegConfig("DURA", lam=0.1))
+        _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, None, None)
+        scores = (block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T
+        assert np.all((-1100 < scores) & (scores < -900))
+        assert np.all(np.exp(scores).sum(axis=1) == 0)
+        loss, grads = batch_loss(store.train, table, cfg)
+        assert np.isfinite(loss)
+        _assert_near_oracle(loss, grads, store.train, table, cfg)
 
     @settings(max_examples=30, deadline=None)
     @given(step_cases())
