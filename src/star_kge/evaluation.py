@@ -6,21 +6,27 @@ relation row, so a model is never transposed. All other known-true
 answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
-Queries are ranked in blocks: one matrix product in homogeneous
-coordinates, ``[q, 1] @ [E, 1]^T`` with the table's stored ``[E, 1]^T``,
-scores a block of queries against every entity with the score's ``+ 1``
-inside the product; the known answers of each row (from the array
-:class:`~star_kge.data.FilterIndex`) are masked by scattering ``-inf``, and
-rivals are counted row-wise. :func:`evaluate` builds one workspace per call,
-a score block and a bool mask block, and every block writes into a prefix.
+Queries are ranked in blocks of up to ``BLOCK_ROWS``, and each block in
+entity tiles: one matrix product in homogeneous coordinates,
+``[q, 1] @ [E, 1]^T`` with a column slice of the table's stored
+``[E, 1]^T``, scores the block against ``BLOCK_SCORES // rows`` entities
+with the score's ``+ 1`` inside the product. The known answers in the tile
+(from the array :class:`~star_kge.data.FilterIndex`) are masked by
+scattering ``-inf``, and rivals are counted row-wise while the tile is still
+in cache, so the table is read once per block and no score block larger
+than a tile is ever written. :func:`evaluate` builds one workspace per
+call, a tile, a bool mask of the same shape and the per-coordinate bound
+``max_e |[E, 1]_ke|``, and every tile writes into a prefix of it.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
-than chance) or uniformly at random. A tie is exact only up to the GEMM's
-rounding: BLAS may give identical entity rows scores that differ in the
-last bit, depending on the block height, so on a model with duplicate
-entity vectors pessimistic ranks can move by a few places with the block
-height.
+than chance) or uniformly at random. BLAS may give identical entity rows
+scores that differ in the last bits, depending on the kernel and the tile
+shape, so a tie is decided up to the GEMM's rounding bound: a rival counts
+as tied with the target when its score is within ``2 b_i`` of it, where
+``b_i`` bounds the rounding error of any one score of query i (see
+:func:`filtered_rank`). Ranks of exact duplicates therefore do not depend
+on the block height or the tile width.
 """
 
 from __future__ import annotations
@@ -31,14 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FilterIndex, RelationClass, TripleStore, reciprocal_queries
-from .model import EmbeddingTable, score_batch
+from .model import EmbeddingTable, homogeneous, score_batch, transform_query
 
 TIE_RULES = ("pessimistic", "random")
 HITS_AT = (1, 3, 10)
 
-#: float64 scores held by one ranking block (16 MB); a block ranks
-#: ``max(1, BLOCK_SCORES // |E|)`` queries, 51 at WN18RR's 40,943 entities
-BLOCK_SCORES = 2**21
+#: queries ranked per block: the whole entity table is read once per block
+BLOCK_ROWS = 153
+#: float64 scores held by one tile (8 MB, inside the cache where the score
+#: fill still runs at full speed); a block of k queries is scored against
+#: ``BLOCK_SCORES // k`` entities at a time, 6,853 at 153 queries
+BLOCK_SCORES = 2**20
 
 
 @dataclass
@@ -71,8 +80,21 @@ class EvalReport:
 
 def _count_rows(mask) -> np.ndarray:
     """Row-wise ``count_nonzero``; one call per row is about twice as fast as
-    ``axis=1`` on rows as wide as an entity table."""
+    ``axis=1`` on rows thousands of entities wide."""
     return np.fromiter(map(np.count_nonzero, mask), dtype=np.int64, count=len(mask))
+
+
+def _workspace_for(table: EmbeddingTable, rows: int):
+    """``(scores, mask, column bound)`` for blocks of up to ``rows`` queries.
+
+    The tiles are ``rows`` high and ``BLOCK_SCORES // rows`` entities wide
+    (at most |E|); the bound is ``max_e |[E, 1]_ke|`` per coordinate k, taken
+    without an |E|-wide temporary.
+    """
+    width = min(table.num_entities, max(1, BLOCK_SCORES // max(rows, 1)))
+    hom = table._hom_rows
+    col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
+    return np.empty((rows, width)), np.empty((rows, width), dtype=bool), col_max
 
 
 def filtered_rank(
@@ -82,37 +104,64 @@ def filtered_rank(
     tie_rule: str = "pessimistic",
     rng: np.random.Generator | None = None,
     *,
-    _workspace: tuple[np.ndarray, np.ndarray] | None = None,
+    _workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
     """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
     ``query`` is one triple, which gives an ``int``, or a ``(k, 3)`` block,
-    which gives an array of k ranks scored by one matrix product. ``rel``
-    may be a reciprocal relation id for head prediction. Every query triple
-    must be present in the filter index, otherwise the store and the query
-    disagree and a ValueError naming the query is raised. ``_workspace`` is
-    private: :func:`evaluate` passes ``(scores, mask)``, both at least k rows
-    high, to be reused across blocks.
+    which gives an array of k ranks. ``rel`` may be a reciprocal relation id
+    for head prediction. Every query triple must be present in the filter
+    index, otherwise the store and the query disagree and a ValueError naming
+    the query is raised.
+
+    The block is scored in entity tiles of ``BLOCK_SCORES // k`` columns
+    (the workspace's width when one is passed), one
+    :func:`~star_kge.model.score_batch` call each, and every tile is
+    masked and counted while it is still in cache. The target score ``s_t``
+    is the row-wise dot product of ``[q, 1]`` with the target's stored
+    column. Ties are decided up to the GEMM's rounding bound
+    ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``: two scores whose
+    exact values are equal differ by at most ``2 b_i``, so the pessimistic
+    rank is ``1 + #(s_e >= s_t - 2 b_i)`` and the random rule's strictly
+    better rivals are ``#(s_e > s_t + 2 b_i)``. ``_workspace`` is private:
+    :func:`evaluate` passes ``(scores, mask, column bound)`` from
+    :func:`_workspace_for`, at least k rows high, to be reused across blocks;
+    without it one is made for this call.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     query = np.asarray(query, dtype=np.int64)
     block = query.reshape(-1, 3)
     row, answer = filter_index.known_answers(block)
-    k = len(block)
-    scores = mask = None
-    if _workspace is not None:
-        scores, mask = _workspace[0][:k], _workspace[1][:k]
-    scores = score_batch(table, block[:, 0], block[:, 1], _out=scores)
-    s_true = scores[np.arange(k), block[:, 2]][:, None]
-    scores[row, answer] = -np.inf  # the true answer too: it never outranks itself
-    at_least = _count_rows(np.greater_equal(scores, s_true, out=mask))
+    k, ne = len(block), table.num_entities
+    tiles, masks, col_max = _workspace if _workspace is not None else _workspace_for(table, k)
+    tiles, masks, width = tiles.reshape(-1), masks.reshape(-1), tiles.shape[1]
+
+    heads, rels, targets = block.T
+    q = homogeneous(transform_query(table.entity_embeddings[heads], table.rel_c[rels], table.rel_tau[rels]))
+    # row sums of C-order (k, n+1) products: the same rounding at any k
+    s_true = (q * table._hom_rows.T[targets]).sum(axis=1)
+    nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
+    slack = 2 * nu / (1 - nu) * (np.abs(q) * col_max).sum(axis=1)  # 2 b_i
+    low = (s_true - slack)[:, None]
+    high = (s_true + slack)[:, None]
+
+    at_least = np.zeros(k, dtype=np.int64)
+    greater = np.zeros(k, dtype=np.int64)
+    for lo in range(0, ne, width):
+        w = min(width, ne - lo)
+        tile = score_batch(table, heads, rels, _out=tiles[: k * w].reshape(k, w), _cols=slice(lo, lo + w))
+        inside = (answer >= lo) & (answer < lo + w)
+        tile[row[inside], answer[inside] - lo] = -np.inf  # the true answer too: it never outranks itself
+        mask = masks[: k * w].reshape(k, w)
+        at_least += _count_rows(np.greater_equal(tile, low, out=mask))
+        if tie_rule == "random":
+            greater += _count_rows(np.greater(tile, high, out=mask))
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        greater = _count_rows(np.greater(scores, s_true, out=mask))
         ranks = 1 + greater + rng.integers(0, at_least - greater + 1)
     return int(ranks[0]) if query.ndim == 1 else ranks
 
@@ -128,9 +177,9 @@ def evaluate(
 ) -> EvalReport:
     """Rank every triple of a split in the requested direction(s).
 
-    Queries go to :func:`filtered_rank` in blocks of
-    ``max(1, BLOCK_SCORES // |E|)`` rows, in the order tail query then head
-    query of each triple, all in one workspace allocated per call.
+    Queries go to :func:`filtered_rank` in blocks of up to ``BLOCK_ROWS``
+    rows, in the order tail query then head query of each triple, all in one
+    workspace allocated per call.
     Per-relation results merge the head and tail queries of each original
     relation; per-class results group relations by their complexity class
     when ``classes`` is given.
@@ -148,10 +197,9 @@ def evaluate(
     queries = reciprocal_queries(triples, nr).reshape(2, -1, 3)[halves].swapaxes(0, 1).reshape(-1, 3)
     rels = np.repeat(triples[:, 1], len(halves))
 
-    ne = table.num_entities
-    height = min(len(queries), max(1, BLOCK_SCORES // ne))
+    height = min(len(queries), BLOCK_ROWS)
     start = time.perf_counter()
-    workspace = np.empty((height, ne)), np.empty((height, ne), dtype=bool)
+    workspace = _workspace_for(table, height)
     ranks = np.concatenate(
         [
             filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)

@@ -146,7 +146,7 @@ def homogeneous(x) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None) -> np.ndarray:
+def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None, _cols=slice(None)) -> np.ndarray:
     """Score (head, relation) queries against every entity.
 
     With scalar ids, entry j equals ``score(head, rel, entity_j)``. With
@@ -154,9 +154,11 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None) -> np.nd
     scores query i. The scores come from one matrix product in homogeneous
     coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
     against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
-    costs no second pass. ``_out`` (a ``(k, |E|)`` float64 block to write
-    into) is private: ``evaluate()`` passes the workspace it reuses across
-    blocks. Without it the call returns a fresh array.
+    costs no second pass. ``_out`` and ``_cols`` are private:
+    ``filtered_rank`` scores a block one entity tile at a time, passing the
+    tile's column slice as ``_cols`` and a ``(k, width)`` float64 view of its
+    reused workspace as ``_out``. Without ``_out`` the call returns a fresh
+    array; the tile's columns equal those of the full call up to rounding.
     """
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
@@ -165,7 +167,7 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None) -> np.nd
     _check_range(rels, table.num_relation_rows, "relation")
     h, r = np.atleast_1d(heads), np.atleast_1d(rels)
     q = transform_query(table.entity_embeddings[h], table.rel_c[r], table.rel_tau[r])
-    scores = np.matmul(homogeneous(q), table._hom_rows, out=_out)
+    scores = np.matmul(homogeneous(q), table._hom_rows[:, _cols], out=_out)
     return scores[0] if heads.ndim == 0 else scores
 
 

@@ -1,7 +1,7 @@
 """Independent oracles used by the tests.
 
 Kept deliberately separate from the package: finite differences, a
-sort-based ranking oracle, a quadratic-time two-hop join, a line-by-line
+sort-based ranking oracle, exact rational scores, a quadratic-time two-hop join, a line-by-line
 triple reader and encoder, a dict-of-sets filter index and a dict-of-sets
 synthetic-KG generator double-check the production paths without sharing
 code with them (the generator shares only the spec classes). A score
@@ -11,6 +11,8 @@ whole-matrix training step is the exception: it shares the block kernels
 and the penalty terms with the package, because what it checks is the pass
 structure of the blocked step, not the kernels.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,6 +54,18 @@ def central_diff(f, x0, step=1e-5):
 def score_via_matrix(h, rel: RelationParams, t) -> float:
     """Score through the materialized matrix: [h^T, 1] M [t; 1]."""
     return float(homogeneous(h) @ materialize_star_matrix(rel) @ homogeneous(t))
+
+
+def exact_scores(table, src, rel) -> list[Fraction]:
+    """Exact score of ``(src, rel, e)`` for every entity e: ``[h, 1] M [e, 1]^T``
+    through the materialised matrix, in ``fractions.Fraction`` arithmetic on
+    the stored float64 values, once per distinct entity vector."""
+    m = materialize_star_matrix(table.relation(rel))
+    h = [Fraction(x) for x in homogeneous(table.entity_embeddings[src]).tolist()]
+    hm = [sum(h[i] * Fraction(m[i, j]) for i in range(len(h))) for j in range(len(h))]
+    rows, inverse = np.unique(table.entity_embeddings, axis=0, return_inverse=True)
+    distinct = [sum(a * Fraction(x) for a, x in zip(hm, homogeneous(row).tolist())) for row in rows]
+    return [distinct[i] for i in inverse.ravel().tolist()]
 
 
 def gradient_rel_error(analytic, fd):

@@ -3,10 +3,10 @@ import pytest
 
 from star_kge.analysis import count_two_paths
 from star_kge.data import classify_relations, load_triples, reciprocal_queries
-from star_kge.evaluation import evaluate, filtered_rank
+from star_kge.evaluation import TIE_RULES, evaluate, filtered_rank
 from star_kge.model import init_embeddings, score_batch
 from conftest import make_store
-from oracles import filter_sets, sort_rank
+from oracles import exact_scores, filter_sets, sort_rank
 
 
 def trained_toy(store, epochs=60, seed=0):
@@ -118,7 +118,8 @@ class TestBlockedRanking:
         table = init_embeddings(7, 2, 6, init_scale=1.0, seed=4)
         if constant:
             table.entity_embeddings[:] = 0.0  # every candidate ties
-        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 3 * store.num_entities)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 3)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 6)  # 2-entity tiles
         calls = self.spy_blocks(monkeypatch)
         report = evaluate("train", table, store)
 
@@ -163,7 +164,8 @@ class TestBlockedRanking:
         store = make_store(triples, num_entities=8, num_relations=2)
         table = init_embeddings(8, 2, 6, init_scale=1.0, seed=8)
         table.entity_embeddings[::3] = 0.0  # exact ties for the random rule to break
-        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 3 * store.num_entities)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 3)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 6)  # 2-entity tiles
         calls = self.spy_blocks(monkeypatch)
         report = evaluate("train", table, store, tie_rule="random", seed=5)
 
@@ -191,6 +193,79 @@ class TestBlockedRanking:
         report = evaluate("train", table, toy_store)
         assert report.ranking_s > 0.0
         assert report.to_dict()["ranking_s"] == report.ranking_s
+
+
+class TestTiles:
+    @staticmethod
+    def duplicate_vector_case(ne=301, n=8, seed=0):
+        """A store whose entity rows are copies of 3 random (non-dyadic)
+        vectors, so every score is rounded and many rivals tie exactly."""
+        rng = np.random.default_rng(seed)
+        triples = list(dict.fromkeys(map(tuple, rng.integers(0, ne, size=(ne // 2, 3)).tolist())))
+        triples = [(h, r % 3, t) for h, r, t in triples]
+        store = make_store(triples, num_entities=ne, num_relations=3)
+        table = init_embeddings(ne, 3, n, init_scale=1.0, seed=seed + 1)
+        table.entity_embeddings = rng.normal(size=(3, n))[rng.integers(0, 3, ne)]
+        return store, table
+
+    @pytest.mark.parametrize("small_tiles", [True, False])
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_exact_ties_rank_alike_in_blocks_and_alone(self, monkeypatch, tie_rule, small_tiles):
+        store, table = self.duplicate_vector_case()
+        if small_tiles:
+            monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 3)
+            monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 6)  # 2-entity tiles
+        calls = TestBlockedRanking.spy_blocks(monkeypatch)
+        evaluate("train", table, store, tie_rule=tie_rule, seed=5)
+        queries = np.concatenate([block for block, _ in calls]).tolist()
+        ranks = np.concatenate([r for _, r in calls]).tolist()
+        if small_tiles:
+            assert all(len(block) == 3 for block, _ in calls[:-1])
+
+        single_rng = np.random.default_rng(5)
+        assert ranks == [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in queries]
+        for (src, rel, answer), rank in zip(queries, ranks):
+            scores = exact_scores(table, src, rel)
+            _, known = store.filter_index.known_answers([(src, rel, answer)])
+            rivals = [scores[e] for e in sorted(set(range(store.num_entities)) - set(known.tolist()))]
+            at_least = sum(s >= scores[answer] for s in rivals)
+            if tie_rule == "pessimistic":
+                assert rank == 1 + at_least
+            else:
+                assert 1 + sum(s > scores[answer] for s in rivals) <= rank <= 1 + at_least
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_ranks_do_not_depend_on_tile_width(self, monkeypatch, tie_rule):
+        ne = 7
+        triples = [(1, 0, 0), (2, 0, 6), (3, 1, 0), (0, 1, 6), (6, 0, 3), (4, 1, 5), (5, 0, 2), (2, 1, 1)]
+        store = make_store(triples, num_entities=ne, num_relations=2)
+        table = init_embeddings(ne, 2, 6, init_scale=1.0, seed=9)
+        queries = reciprocal_queries(store.train, store.num_relations)
+        # targets in the first tile and in the ragged last one of widths 2 and 3
+        assert {0, ne - 1} <= set(queries[:, 2].tolist())
+        ranks = {}
+        for width in (1, 2, 3, ne):
+            monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", width * len(queries))
+            got = filtered_rank(queries, table, store.filter_index, tie_rule, np.random.default_rng(2))
+            ranks[width] = got.tolist()
+        assert ranks[1] == ranks[2] == ranks[3] == ranks[ne]
+
+    def test_column_slice_equals_full_columns(self):
+        ne = 7
+        table = init_embeddings(ne, 2, 6, seed=0)
+        rng = np.random.default_rng(4)
+        # small integers: every product and sum is exact, so tiles must agree bitwise
+        table.entity_embeddings = rng.integers(-4, 5, size=(ne, 6)).astype(float)
+        table.rel_c[:] = rng.integers(-3, 4, size=table.rel_c.shape)
+        table.rel_tau[:] = rng.integers(-3, 4, size=table.rel_tau.shape)
+        heads, rels = np.array([0, 3, 6, 2]), np.array([0, 1, 2, 3])
+        full = score_batch(table, heads, rels)
+        for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
+            tile = score_batch(table, heads, rels, _cols=slice(lo, hi))
+            assert tile.tobytes() == full[:, lo:hi].tobytes()
+        out = np.empty((4, 3))
+        assert score_batch(table, heads, rels, _out=out, _cols=slice(4, 7)) is out
+        assert out.tobytes() == full[:, 4:].tobytes()
 
 
 class TestEvaluate:
