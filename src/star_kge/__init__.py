@@ -20,7 +20,6 @@ _EXPORTS = {
     "TripleStore": "data",
     "Vocab": "data",
     "adagrad_update": "training",
-    "apply_translation_matrix": "model",
     "batch_loss": "training",
     "classify_relations": "data",
     "entity_frequency": "data",

@@ -62,8 +62,11 @@ def _run_single(run_cfg, store, seed, out_dir):
             fh.write(json.dumps(row) + "\n")
             fh.flush()
 
-        table, _ = train_model(store, cfg, run_cfg.model_kind, on_epoch=write_record)
-    table.save_checkpoint(out_dir / "checkpoint.bin", epoch=cfg.epochs, config_hash=run_cfg.config_hash())
+        table, log = train_model(store, cfg, run_cfg.model_kind, on_epoch=write_record)
+    # train() returns the first best-validation table, or the last one when validation never ran
+    validated = [i for i, row in enumerate(log) if row["valid_mrr"] is not None]
+    epoch = max(validated, key=lambda i: log[i]["valid_mrr"]) + 1 if validated else cfg.epochs
+    table.save_checkpoint(out_dir / "checkpoint.bin", epoch, run_cfg.config_hash(), epochs_run=len(log))
     classes = classify_relations(store)
     metrics = {}
     for split in ("valid", "test"):

@@ -6,17 +6,14 @@ relation row, so a model is never transposed. All other known-true
 answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
-Queries are ranked in blocks of up to ``BLOCK_ROWS``, and each block in
-entity tiles: one matrix product in homogeneous coordinates,
-``[q, 1] @ [E, 1]^T`` with a column slice of the table's stored
-``[E, 1]^T``, scores the block against ``BLOCK_SCORES // rows`` entities
-with the score's ``+ 1`` inside the product. The known answers in the tile
-(from the array :class:`~star_kge.data.FilterIndex`) are masked by
-scattering ``-inf``, and rivals are counted row-wise while the tile is still
-in cache, so the table is read once per block and no score block larger
-than a tile is ever written. :func:`evaluate` builds one workspace per
-call, a tile, a bool mask of the same shape and the per-coordinate bound
-``max_e |[E, 1]_ke|``, and every tile writes into a prefix of it.
+Queries are ranked in blocks of up to ``BLOCK_ROWS``. A block's ``[q, 1]``
+rows are built once, and each entity tile is one product with a column
+slice of the table's stored ``[E, 1]^T``, the score's ``+ 1`` inside it.
+The known answers in the tile (from the array
+:class:`~star_kge.data.FilterIndex`) are masked by scattering ``-inf``, and
+rivals are counted by a uint16 row sum of the mask while the tile is in
+cache, so the table is read once per block and no score block larger than
+a tile is written. :func:`evaluate` allocates one workspace per call.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FilterIndex, RelationClass, TripleStore, reciprocal_queries
-from .model import EmbeddingTable, homogeneous, score_batch, transform_query
+from .model import EmbeddingTable, _check_range, score_batch, transform_query
 
 TIE_RULES = ("pessimistic", "random")
 HITS_AT = (1, 3, 10)
@@ -48,6 +45,9 @@ BLOCK_ROWS = 153
 #: fill still runs at full speed); a block of k queries is scored against
 #: ``BLOCK_SCORES // k`` entities at a time, 6,853 at 153 queries
 BLOCK_SCORES = 2**20
+#: widest tile, so that a row's count of rivals in one tile fits a uint16;
+#: it binds only on short blocks of wide tables, such as a single query
+TILE_WIDTH_MAX = 2**16 - 1
 
 
 @dataclass
@@ -78,23 +78,37 @@ class EvalReport:
         }
 
 
-def _count_rows(mask) -> np.ndarray:
-    """Row-wise ``count_nonzero``; one call per row is about twice as fast as
-    ``axis=1`` on rows thousands of entities wide."""
-    return np.fromiter(map(np.count_nonzero, mask), dtype=np.int64, count=len(mask))
+class _Workspace:
+    """Private buffers of the ranking pass for blocks of up to ``rows`` queries.
 
-
-def _workspace_for(table: EmbeddingTable, rows: int):
-    """``(scores, mask, column bound)`` for blocks of up to ``rows`` queries.
-
-    The tiles are ``rows`` high and ``BLOCK_SCORES // rows`` entities wide
-    (at most |E|); the bound is ``max_e |[E, 1]_ke|`` per coordinate k, taken
-    without an |E|-wide temporary.
+    ``scores`` and ``mask`` hold one tile, ``rows`` high and ``width``
+    entities wide, ``query`` a block's ``[q, 1]`` rows, and ``col_max`` the
+    bound ``max_e |[E, 1]_ke|`` per coordinate k.
     """
-    width = min(table.num_entities, max(1, BLOCK_SCORES // max(rows, 1)))
-    hom = table._hom_rows
-    col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
-    return np.empty((rows, width)), np.empty((rows, width), dtype=bool), col_max
+
+    def __init__(self, table: EmbeddingTable, rows: int):
+        rows = max(rows, 1)
+        self.width = min(table.num_entities, max(1, BLOCK_SCORES // rows), TILE_WIDTH_MAX)
+        self.scores = np.empty(rows * self.width)
+        self.mask = np.empty(rows * self.width, dtype=bool)
+        self.query = np.ones((rows, table.n + 1))
+        hom = table._hom_rows
+        self.col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
+
+    def block_query(self, table: EmbeddingTable, heads, rels) -> np.ndarray:
+        """Range-check a block's ids and build its ``[q, 1]`` rows; returns
+        the ``(k, n+1)`` prefix of ``query`` that holds them."""
+        _check_range(heads, table.num_entities, "head")
+        _check_range(rels, table.num_relation_rows, "relation")
+        q = self.query[: len(heads)]
+        q[:, :-1] = transform_query(table.entity_embeddings[heads], table.rel_c[rels], table.rel_tau[rels])
+        return q
+
+    def count(self, compare, tile, bound) -> np.ndarray:
+        """Row-wise count of ``compare(tile, bound)``: one uint16 sum of the
+        mask's bytes, exact while the tile is at most ``TILE_WIDTH_MAX`` wide."""
+        mask = self.mask[: tile.size].reshape(tile.shape)
+        return np.add.reduce(compare(tile, bound, out=mask).view(np.uint8), axis=1, dtype=np.uint16)
 
 
 def filtered_rank(
@@ -104,7 +118,7 @@ def filtered_rank(
     tie_rule: str = "pessimistic",
     rng: np.random.Generator | None = None,
     *,
-    _workspace: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    _workspace: _Workspace | None = None,
 ):
     """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
@@ -112,21 +126,22 @@ def filtered_rank(
     which gives an array of k ranks. ``rel`` may be a reciprocal relation id
     for head prediction. Every query triple must be present in the filter
     index, otherwise the store and the query disagree and a ValueError naming
-    the query is raised.
+    the query is raised; a head or relation id outside the table raises
+    IndexError.
 
-    The block is scored in entity tiles of ``BLOCK_SCORES // k`` columns
-    (the workspace's width when one is passed), one
-    :func:`~star_kge.model.score_batch` call each, and every tile is
-    masked and counted while it is still in cache. The target score ``s_t``
-    is the row-wise dot product of ``[q, 1]`` with the target's stored
-    column. Ties are decided up to the GEMM's rounding bound
-    ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``: two scores whose
-    exact values are equal differ by at most ``2 b_i``, so the pessimistic
-    rank is ``1 + #(s_e >= s_t - 2 b_i)`` and the random rule's strictly
-    better rivals are ``#(s_e > s_t + 2 b_i)``. ``_workspace`` is private:
-    :func:`evaluate` passes ``(scores, mask, column bound)`` from
-    :func:`_workspace_for`, at least k rows high, to be reused across blocks;
-    without it one is made for this call.
+    The ids are checked and the ``[q, 1]`` rows built once per block. The
+    block is scored in entity tiles of ``min(BLOCK_SCORES // k,
+    TILE_WIDTH_MAX)`` columns, one :func:`~star_kge.model.score_batch` call
+    each that is only the GEMM, and every tile is masked and counted (a
+    uint16 sum per row, which the width cap keeps exact) while it is still
+    in cache. The target score ``s_t`` is the row-wise dot product of
+    ``[q, 1]`` with the target's stored column. Ties are decided up to the
+    GEMM's rounding bound ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``:
+    two scores whose exact values are equal differ by at most ``2 b_i``, so
+    the pessimistic rank is ``1 + #(s_e >= s_t - 2 b_i)`` and the random
+    rule's strictly better rivals are ``#(s_e > s_t + 2 b_i)``.
+    ``_workspace`` is private: :func:`evaluate` passes one at least k rows
+    high, to be reused across blocks; without it one is made for this call.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
@@ -134,29 +149,27 @@ def filtered_rank(
     block = query.reshape(-1, 3)
     row, answer = filter_index.known_answers(block)
     k, ne = len(block), table.num_entities
-    tiles, masks, col_max = _workspace if _workspace is not None else _workspace_for(table, k)
-    tiles, masks, width = tiles.reshape(-1), masks.reshape(-1), tiles.shape[1]
+    ws = _workspace if _workspace is not None else _Workspace(table, k)
 
     heads, rels, targets = block.T
-    q = homogeneous(transform_query(table.entity_embeddings[heads], table.rel_c[rels], table.rel_tau[rels]))
+    q = ws.block_query(table, heads, rels)
     # row sums of C-order (k, n+1) products: the same rounding at any k
     s_true = (q * table._hom_rows.T[targets]).sum(axis=1)
     nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
-    slack = 2 * nu / (1 - nu) * (np.abs(q) * col_max).sum(axis=1)  # 2 b_i
+    slack = 2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1)  # 2 b_i
     low = (s_true - slack)[:, None]
     high = (s_true + slack)[:, None]
 
     at_least = np.zeros(k, dtype=np.int64)
     greater = np.zeros(k, dtype=np.int64)
-    for lo in range(0, ne, width):
-        w = min(width, ne - lo)
-        tile = score_batch(table, heads, rels, _out=tiles[: k * w].reshape(k, w), _cols=slice(lo, lo + w))
+    for lo in range(0, ne, ws.width):
+        w = min(ws.width, ne - lo)
+        tile = score_batch(table, heads, rels, _tile=(q, slice(lo, lo + w), ws.scores[: k * w].reshape(k, w)))
         inside = (answer >= lo) & (answer < lo + w)
         tile[row[inside], answer[inside] - lo] = -np.inf  # the true answer too: it never outranks itself
-        mask = masks[: k * w].reshape(k, w)
-        at_least += _count_rows(np.greater_equal(tile, low, out=mask))
+        at_least += ws.count(np.greater_equal, tile, low)
         if tie_rule == "random":
-            greater += _count_rows(np.greater(tile, high, out=mask))
+            greater += ws.count(np.greater, tile, high)
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
     else:
@@ -199,7 +212,7 @@ def evaluate(
 
     height = min(len(queries), BLOCK_ROWS)
     start = time.perf_counter()
-    workspace = _workspace_for(table, height)
+    workspace = _Workspace(table, height)
     ranks = np.concatenate(
         [
             filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)

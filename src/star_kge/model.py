@@ -146,7 +146,7 @@ def homogeneous(x) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None, _cols=slice(None)) -> np.ndarray:
+def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.ndarray:
     """Score (head, relation) queries against every entity.
 
     With scalar ids, entry j equals ``score(head, rel, entity_j)``. With
@@ -154,12 +154,15 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None, _cols=sl
     scores query i. The scores come from one matrix product in homogeneous
     coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
     against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
-    costs no second pass. ``_out`` and ``_cols`` are private:
-    ``filtered_rank`` scores a block one entity tile at a time, passing the
-    tile's column slice as ``_cols`` and a ``(k, width)`` float64 view of its
-    reused workspace as ``_out``. Without ``_out`` the call returns a fresh
-    array; the tile's columns equal those of the full call up to rounding.
+    costs no second pass. ``_tile`` is private: ``filtered_rank`` passes
+    ``(query, cols, out)``, its block's ``[q, 1]`` rows, built and
+    range-checked once per block, an entity tile's column slice and the
+    tile's view of its workspace (or None for a fresh array). The call is
+    then only that GEMM, and the ids are not read.
     """
+    if _tile is not None:
+        query, cols, out = _tile
+        return np.matmul(query, table._hom_rows[:, cols], out=out)
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
         raise ValueError(f"head ids {heads.shape} and relation ids {rels.shape} must be matching scalars or 1-D")
@@ -167,30 +170,8 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _out=None, _cols=sl
     _check_range(rels, table.num_relation_rows, "relation")
     h, r = np.atleast_1d(heads), np.atleast_1d(rels)
     q = transform_query(table.entity_embeddings[h], table.rel_c[r], table.rel_tau[r])
-    scores = np.matmul(homogeneous(q), table._hom_rows[:, _cols], out=_out)
+    scores = homogeneous(q) @ table._hom_rows
     return scores[0] if heads.ndim == 0 else scores
-
-
-def translation_matrix(tau) -> np.ndarray:
-    """Homogeneous-coordinate matrix [[I, tau], [0, 1]] adding tau to a point."""
-    tau = np.asarray(tau, dtype=np.float64)
-    n = tau.shape[0]
-    m = np.eye(n + 1)
-    m[:n, n] = tau
-    return m
-
-
-def apply_translation_matrix(x, tau) -> np.ndarray:
-    """Translate x by tau through the homogeneous matrix product.
-
-    Equivalent to ``x + tau``; exists to exercise the matrix route. The
-    trailing homogeneous coordinate stays exactly 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if x.shape != tau.shape:
-        raise ValueError("x and tau must have equal length")
-    return (translation_matrix(tau) @ homogeneous(x))[:-1]
 
 
 def materialize_star_matrix(rel: RelationParams) -> np.ndarray:
@@ -305,8 +286,11 @@ class EmbeddingTable:
 
     # checkpoint io ---------------------------------------------------------
 
-    def save_checkpoint(self, path, epoch: int = 0, config_hash: str = "") -> None:
+    def save_checkpoint(self, path, epoch: int = 0, config_hash: str = "", epochs_run: int | None = None) -> None:
         """Write the binary checkpoint plus its JSON sidecar.
+
+        The sidecar's ``epoch`` is how many epochs the saved table trained,
+        and ``epochs_run`` how many the saving run made (default ``epoch``).
 
         Layout: fixed little-endian header (magic, version, n, |E|, relation
         rows, model kind code) followed by the row-major float64 entity,
@@ -328,6 +312,7 @@ class EmbeddingTable:
         sidecar = {
             "config_hash": config_hash,
             "epoch": int(epoch),
+            "epochs_run": int(epoch if epochs_run is None else epochs_run),
             "model_kind": self.model_kind,
             "n": self.n,
             "num_entities": self.num_entities,

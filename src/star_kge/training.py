@@ -31,7 +31,7 @@ Z [E, 1] gives Z E and, in its last column, the row sums, so no pass sums
 Z. The GEMMs read the table's (n+1) x |E| rows and Z as stored; the entity
 gradient (c * Q)^T Z is written n x |E| and ``d_entities`` is its
 transpose. :func:`train` reuses the score and entity-gradient buffers for
-every batch. :func:`adagrad_update` gives every row block the same ufunc
+every batch. :func:`adagrad_update` gives every flat chunk the same ufunc
 sequence as a whole-array pass, so the optimiser step is bitwise that of
 one; the loss and the folded gradients differ from a whole-matrix
 max-shifted step by rounding.
@@ -55,8 +55,8 @@ logger = logging.getLogger(__name__)
 OPTIMIZERS = ("Adagrad",)
 ADAGRAD_EPS = 1e-10
 
-#: bytes of one row block in the Adagrad pass (1 MB, about the L2 cache)
-BLOCK_BYTES = 2**20
+#: bytes of one flat chunk per array in the Adagrad pass (128 KB: with its temporaries, inside L2)
+BLOCK_BYTES = 2**17
 
 
 class DivergenceError(RuntimeError):
@@ -127,8 +127,7 @@ def tail_weight(entity_id, counts: np.ndarray, w0: float):
     """Frequency weight w0 * count / max_count + (1 - w0).
 
     ``counts`` comes from :func:`star_kge.data.entity_frequency` (tail counts
-    for tail queries, head counts for head queries). Accepts scalar or array
-    entity ids.
+    for tail queries, head counts for head queries).
     """
     counts = np.asarray(counts)
     if counts.size == 0:
@@ -136,16 +135,17 @@ def tail_weight(entity_id, counts: np.ndarray, w0: float):
     max_count = counts.max()
     if max_count < 1:
         raise ValueError("entity counts must contain at least one appearance")
-    w = w0 * (counts[entity_id] / max_count) + (1.0 - w0)
-    if np.isscalar(entity_id) or np.ndim(entity_id) == 0:
-        return float(w)
-    return w
+    return w0 * (counts[entity_id] / max_count) + (1.0 - w0)
 
 
-def _row_blocks(array: np.ndarray) -> list[slice]:
-    """Consecutive row slices of ``array``, each at most ``BLOCK_BYTES`` (and at least one row)."""
-    height = max(1, BLOCK_BYTES // max(1, array[:1].nbytes))
-    return [slice(lo, lo + height) for lo in range(0, len(array), height)]
+def _chunks(*arrays: np.ndarray) -> list:
+    """Matching flat chunks of at most ``BLOCK_BYTES`` (and at least one
+    element) of C-contiguous arrays, or the whole arrays when one is not."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        return [arrays]
+    flat = [a.reshape(-1) for a in arrays]
+    step = max(1, BLOCK_BYTES // flat[0].itemsize)
+    return [[f[lo : lo + step] for f in flat] for lo in range(0, flat[0].size, step)]
 
 
 def batch_loss(
@@ -248,11 +248,10 @@ def batch_loss(
 
 
 def adagrad_update(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray, lr: float):
-    """In-place Adagrad step: acc += g^2; param -= lr * g / sqrt(acc + eps), in row blocks."""
+    """In-place Adagrad step: acc += g^2; param -= lr * g / sqrt(acc + eps), in flat chunks."""
     if param.shape != grad.shape or param.shape != accumulator.shape:
         raise ValueError("param, grad and accumulator shapes must match")
-    for b in _row_blocks(param):
-        p, g, acc = param[b], grad[b], accumulator[b]
+    for p, g, acc in _chunks(param, grad, accumulator):
         acc += g * g
         p -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
 

@@ -5,11 +5,11 @@ sort-based ranking oracle, exact rational scores, a quadratic-time two-hop join,
 triple reader and encoder, a dict-of-sets filter index and a dict-of-sets
 synthetic-KG generator double-check the production paths without sharing
 code with them (the generator shares only the spec classes). A score
-through the materialised relation matrix, and the lattice spec of
-acceptance criterion 6, live here too, since only tests use them. The
-whole-matrix training step is the exception: it shares the block kernels
-and the penalty terms with the package, because what it checks is the pass
-structure of the blocked step, not the kernels.
+through the materialised relation matrix, the homogeneous translation
+matrix and the lattice spec of acceptance criterion 6 live here too, since
+only tests use them. The whole-matrix training step is the exception: it
+shares the block kernels and the penalty terms with the package, because
+what it checks is the pass structure of the blocked step, not the kernels.
 """
 
 from fractions import Fraction
@@ -54,6 +54,25 @@ def central_diff(f, x0, step=1e-5):
 def score_via_matrix(h, rel: RelationParams, t) -> float:
     """Score through the materialized matrix: [h^T, 1] M [t; 1]."""
     return float(homogeneous(h) @ materialize_star_matrix(rel) @ homogeneous(t))
+
+
+def translation_matrix(tau) -> np.ndarray:
+    """Homogeneous-coordinate matrix [[I, tau], [0, 1]] adding tau to a point."""
+    tau = np.asarray(tau, dtype=np.float64)
+    n = tau.shape[0]
+    m = np.eye(n + 1)
+    m[:n, n] = tau
+    return m
+
+
+def apply_translation_matrix(x, tau) -> np.ndarray:
+    """Translate x by tau through the homogeneous matrix product: ``x + tau``
+    by the matrix route. The trailing homogeneous coordinate stays exactly 1."""
+    x = np.asarray(x, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    if x.shape != tau.shape:
+        raise ValueError("x and tau must have equal length")
+    return (translation_matrix(tau) @ homogeneous(x))[:-1]
 
 
 def exact_scores(table, src, rel) -> list[Fraction]:

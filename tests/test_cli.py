@@ -246,6 +246,37 @@ class TestTrain:
         assert [row["epoch"] for row in rows] == [0, 1]
         assert not (out / "checkpoint.bin").exists()
 
+    def test_sidecar_records_the_epochs_of_the_saved_table(self, synth_dir, tmp_path, monkeypatch):
+        """Validation peaks before the last epoch, so the checkpoint is the
+        best-validation table and its sidecar says how long that one trained."""
+        import dataclasses
+
+        import star_kge.evaluation as evaluation
+
+        real = evaluation.evaluate
+        # validation MRR per epoch; the first maximum is after epoch 2
+        scripted = [0.2, 0.5, 0.3, 0.5]
+
+        def scripted_validation(split, *args, **kwargs):
+            report = real(split, *args, **kwargs)
+            return dataclasses.replace(report, mrr=scripted.pop(0)) if scripted else report
+
+        monkeypatch.setattr(evaluation, "evaluate", scripted_validation)
+        out = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, epochs=4, eval_every=1)
+        assert main(["train", "--config", str(cfg), "--threads", "1"]) == 0
+        assert not scripted
+        sidecar = json.loads((out / "checkpoint.bin.json").read_text())
+        assert (sidecar["epoch"], sidecar["epochs_run"]) == (2, 4)
+        # validation draws nothing from the training RNG, so the saved table
+        # is that of a 2-epoch run without validation
+        short = tmp_path / "short"
+        cfg = write_train_config(tmp_path / "short.cfg", synth_dir, short, epochs=2, eval_every=0)
+        assert main(["train", "--config", str(cfg), "--threads", "1"]) == 0
+        assert (out / "checkpoint.bin").read_bytes() == (short / "checkpoint.bin").read_bytes()
+        sidecar = json.loads((short / "checkpoint.bin.json").read_text())
+        assert (sidecar["epoch"], sidecar["epochs_run"]) == (2, 2)
+
     def test_determinism_bitwise_checkpoints(self, synth_dir, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -3,7 +3,7 @@ import pytest
 
 from star_kge.analysis import count_two_paths
 from star_kge.data import classify_relations, load_triples, reciprocal_queries
-from star_kge.evaluation import TIE_RULES, evaluate, filtered_rank
+from star_kge.evaluation import TIE_RULES, _Workspace, evaluate, filtered_rank
 from star_kge.model import init_embeddings, score_batch
 from conftest import make_store
 from oracles import exact_scores, filter_sets, sort_rank
@@ -188,6 +188,15 @@ class TestBlockedRanking:
         with pytest.raises(ValueError, match=r"query \(3, 0, 0\)"):
             filtered_rank([(0, 0, 1), (3, 0, 0)], table, store.filter_index)
 
+    def test_ids_outside_the_table_are_index_errors(self):
+        """A store wider than the table: its ids are checked once per block."""
+        store = make_store([(0, 0, 1), (3, 0, 2)], num_entities=4, num_relations=2)
+        table = init_embeddings(3, 1, 4, seed=0)
+        with pytest.raises(IndexError, match="head id 3"):
+            filtered_rank([(0, 0, 1), (3, 0, 2)], table, store.filter_index)
+        with pytest.raises(IndexError, match="relation id 2"):
+            filtered_rank((1, 2, 0), table, store.filter_index)
+
     def test_report_states_ranking_time(self, toy_store):
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
         report = evaluate("train", table, toy_store)
@@ -250,6 +259,49 @@ class TestTiles:
             ranks[width] = got.tolist()
         assert ranks[1] == ranks[2] == ranks[3] == ranks[ne]
 
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_single_query_wider_than_a_uint16_count(self, tie_rule):
+        """All |E| - 1 > 65,535 rivals outrank the target. One tile that wide
+        would wrap its uint16 row count; the capped width keeps it exact."""
+        ne = 2**16 + 2  # 65,537 rivals: a uint16 count of them all would read 1
+        store = make_store([(0, 0, 1)], num_entities=ne)
+        table = init_embeddings(ne, 1, 2, seed=0)
+        table.entity_embeddings = np.array([1.0, 0.0])
+        table.entity_embeddings[1] = 0.0
+        table.rel_c[:] = [1.0, 0.0]  # identity blocks
+        table.rel_tau[:] = 0.0  # so the target scores 1 and every rival 2
+        rank = filtered_rank((0, 0, 1), table, store.filter_index, tie_rule, np.random.default_rng(0))
+        oracle = sort_rank(score_batch(table, 0, 0), 1, set(), tie_rule, np.random.default_rng(0))
+        assert rank == oracle == ne
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_capped_tile_width_equals_sort_oracle(self, monkeypatch, rng, tie_rule):
+        import star_kge.evaluation as evaluation
+
+        ne = 9
+        triples = list(dict.fromkeys(map(tuple, rng.integers(0, ne, size=(20, 3)).tolist())))
+        triples = [(h, r % 3, t) for h, r, t in triples]
+        store = make_store(triples, num_entities=ne, num_relations=3)
+        table = init_embeddings(ne, 3, 6, init_scale=1.0, seed=6)  # no exact ties: both rules rank alike
+        monkeypatch.setattr(evaluation, "TILE_WIDTH_MAX", 2)
+        widths = []
+        real_score_batch = evaluation.score_batch
+
+        def spy(*args, _tile, **kwargs):
+            widths.append(_tile[1].stop - _tile[1].start)
+            return real_score_batch(*args, _tile=_tile, **kwargs)
+
+        monkeypatch.setattr(evaluation, "score_batch", spy)
+        calls = TestBlockedRanking.spy_blocks(monkeypatch)
+        evaluate("train", table, store, tie_rule=tie_rule, seed=5)
+        assert len(calls) == 1 and widths == [2, 2, 2, 2, 1]
+        block, ranks = calls[0]
+        expected = []
+        for src, rel, answer in block.tolist():
+            _, known = store.filter_index.known_answers([(src, rel, answer)])
+            expected.append(sort_rank(score_batch(table, src, rel), answer, set(known.tolist()) - {answer}))
+        assert ranks.tolist() == expected
+
     def test_column_slice_equals_full_columns(self):
         ne = 7
         table = init_embeddings(ne, 2, 6, seed=0)
@@ -260,11 +312,13 @@ class TestTiles:
         table.rel_tau[:] = rng.integers(-3, 4, size=table.rel_tau.shape)
         heads, rels = np.array([0, 3, 6, 2]), np.array([0, 1, 2, 3])
         full = score_batch(table, heads, rels)
+        # the block's [q, 1] rows as filtered_rank builds them, once for every tile
+        q = _Workspace(table, len(heads)).block_query(table, heads, rels)
         for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
-            tile = score_batch(table, heads, rels, _cols=slice(lo, hi))
+            tile = score_batch(table, heads, rels, _tile=(q, slice(lo, hi), None))
             assert tile.tobytes() == full[:, lo:hi].tobytes()
         out = np.empty((4, 3))
-        assert score_batch(table, heads, rels, _out=out, _cols=slice(4, 7)) is out
+        assert score_batch(table, heads, rels, _tile=(q, slice(4, 7), out)) is out
         assert out.tobytes() == full[:, 4:].tobytes()
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from star_kge.model import (
     EmbeddingTable,
     RelationParams,
-    apply_translation_matrix,
     block_grad,
     block_rotate,
     block_rotate_t,
@@ -18,10 +17,9 @@ from star_kge.model import (
     score,
     score_batch,
     score_gradients,
-    translation_matrix,
     transform_query,
 )
-from oracles import central_diff, gradient_rel_error, score_via_matrix
+from oracles import apply_translation_matrix, central_diff, gradient_rel_error, score_via_matrix, translation_matrix
 
 
 def random_relation(rng, n):

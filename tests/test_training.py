@@ -208,6 +208,30 @@ class TestAdagrad:
             assert np.all(acc >= prev)
             prev = acc.copy()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 9)),
+        chunk=st.integers(1, 70),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_chunked_step_is_bitwise_the_whole_array_step(self, shape, chunk, fortran, seed):
+        """Flat chunks of ``chunk`` elements, which cut rows anywhere, on C-order
+        arrays; a Fortran-order parameter is stepped whole, still in place."""
+        rng = np.random.default_rng(seed)
+        param, grad, acc = rng.normal(size=(3,) + shape)
+        acc = acc * acc
+        if fortran:
+            param = np.asfortranarray(param)
+        want = [param.copy(), grad, acc.copy()]
+        with mock.patch.object(training, "BLOCK_BYTES", 8 * chunk):
+            if not fortran:
+                assert len(training._chunks(param, grad, acc)) == -(-param.size // chunk)
+            adagrad_update(param, grad, acc, lr=0.3)
+        adagrad_update_whole(*want, lr=0.3)
+        np.testing.assert_array_equal(param, want[0])
+        np.testing.assert_array_equal(acc, want[2])
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialized_table(self, toy_store):
@@ -337,8 +361,8 @@ ACCUMULATORS = ("acc_entities", "acc_rel_c", "acc_rel_tau")
 @st.composite
 def step_cases(draw):
     """A random small store and step config, with ``BLOCK_BYTES`` set so
-    that an Adagrad block of the (n, |E|) entity transpose holds ``height``
-    rows."""
+    that an Adagrad chunk of the (n, |E|) entity transpose holds ``height``
+    rows and part of the next."""
     ne = draw(st.integers(1, 40))
     num_train = draw(st.integers(1, 25))
     batch_size = draw(st.integers(1, num_train + 5))  # a ragged last batch, or more than |train|
@@ -430,18 +454,39 @@ def fold_atol(batch, table, cfg, tw, hw):
     - the entity-gradient GEMM and its one-hot term, a_i (p_ij + 1) |Q_i|,
       at most 2 a_i max|Q_i| per entry;
     - the penalty gradients, times lam / 2m, in the same scatter-adds.
+
+    The two softmax rows are not rounded from the same exact values: the
+    step exponentiates S_ij - s_t and the oracle S_ij - smax. A shift common
+    to a row cancels in p_i, so only each entry's own argument error
+    counts. With A_i = max_j sum_k |Q_ik E_jk| as in :func:`loss_atol`, the
+    step's GEMM over n + 1 terms (and its max-shift fallback) errs by at
+    most 3 gamma_{n+2} A_i per entry, and so do the oracle's S_ij and
+    S_ij - smax. exp turns that into a relative error of each Z_ij, and
+    normalising at most doubles it, so the two sides' p_ij differ by at
+    most s_i p_ij with s_i = 2 expm1(6 gamma_{n+2} A_i). Carried through
+    V_i, whose p_i E term moves by at most s_i a_i e, the block products and
+    the entity-gradient GEMM, whose a_i p_ij Q_i moves by at most
+    s_i a_i max|Q_i|, that adds sum_i s_i a_i (e F_i + max|Q_i|) to the
+    bound, where F_i = 1 + 2 max|RC_i| + 2 max|H_i| is V_i's fan-out above.
     """
     a, H, RC, TAU, T = _query_terms(batch, table, cfg, tw, hw)
     Q = block_rotate_t(RC, H) + TAU
-    vmax = 2 * a * np.abs(table.entity_embeddings).max()
-    M = np.sum(vmax * (1 + 2 * np.abs(RC).max(axis=1) + 2 * np.abs(H).max(axis=1)))
-    M += np.sum(2 * a * np.abs(Q).max(axis=1))
+    ents = table.entity_embeddings
+    e = np.abs(ents).max()
+    fan = 1 + 2 * np.abs(RC).max(axis=1) + 2 * np.abs(H).max(axis=1)
+    qmax = np.abs(Q).max(axis=1)
+    M = np.sum(2 * a * e * fan) + np.sum(2 * a * qmax)
     if cfg.reg.kind != "none":
         reg_grads = penalty_terms_batch(H, T, RC, TAU, cfg.reg)[1:]
         M += cfg.reg.lam / len(a) * sum(np.abs(g).sum() for g in reg_grads)
     u = np.finfo(np.float64).eps / 2
-    k = table.num_entities + 4 * len(a) + 8
-    return 2 * (k * u / (1 - k * u)) * M
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    A = (np.abs(Q) @ np.abs(ents).T).max(axis=1)
+    softmax = 2 * np.expm1(6 * gamma(table.n + 2) * A)
+    return 2 * gamma(table.num_entities + 4 * len(a) + 8) * M + np.sum(softmax * a * (e * fan + qmax))
 
 
 def loss_atol(batch, table, cfg, tw, hw):
@@ -533,7 +578,11 @@ class TestBlockedStep:
                 want = _assert_near_oracle(loss, grads, batch, want_table, cfg, tw, hw)
                 # both optimisers step on the oracle's gradient, so the tables stay comparable
                 for name, grad, acc in zip(TABLES, GRADS, ACCUMULATORS):
-                    adagrad_update(getattr(table, name), getattr(want, grad), getattr(state, acc), cfg.lr)
+                    param, g, a = getattr(table, name), getattr(want, grad), getattr(state, acc)
+                    if name == "entity_embeddings":
+                        # the contiguous (n, |E|) transposes that train() steps in chunks
+                        param, g, a = param.T, np.ascontiguousarray(g.T), a.T
+                    adagrad_update(param, g, a, cfg.lr)
                     adagrad_update_whole(
                         getattr(want_table, name), getattr(want, grad), getattr(want_state, acc), cfg.lr
                     )
