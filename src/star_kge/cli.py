@@ -117,29 +117,26 @@ def cmd_train(args) -> int:
         except DivergenceError as exc:
             print(f"error: training diverged ({exc})", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        per_seed.append({split: report for split, report in metrics.items()})
+        per_seed.append(metrics)
         shown = {split: f"{report.mrr:.4f}" for split, report in metrics.items()}
         print(f"seed {seed}: MRR {shown}")
 
     if repeats > 1:
         import numpy as np
 
+        from .evaluation import HITS_AT
+
         summary = {"repeats": repeats, "metrics": {}}
         for split in ("valid", "test"):
             rows = [m[split] for m in per_seed if split in m]
             if not rows:
                 continue
-            entry = {}
-            for metric in ("mrr", "hits1", "hits3", "hits10"):
-                if metric == "mrr":
-                    vals = [r.mrr for r in rows]
-                else:
-                    vals = [r.hits[int(metric[4:])] for r in rows]
-                entry[metric] = {
-                    "mean": float(np.mean(vals)),
-                    "std": float(np.std(vals)),
-                }
-            summary["metrics"][split] = entry
+            columns = {"mrr": [r.mrr for r in rows]}
+            columns.update({f"hits{k}": [r.hits[k] for r in rows] for k in HITS_AT})
+            summary["metrics"][split] = {
+                metric: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+                for metric, vals in columns.items()
+            }
         _write_json(out_dir / "summary.json", summary)
         print(json.dumps(summary["metrics"], indent=2))
     return EXIT_OK
@@ -161,20 +158,11 @@ def cmd_eval(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if table.num_entities != store.num_entities:
-        print(
-            f"error: checkpoint has {table.num_entities} entities, "
-            f"dataset has {store.num_entities}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if table.num_relations != store.num_relations:
-        print(
-            f"error: checkpoint has {table.num_relations} relations, "
-            f"dataset has {store.num_relations}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    for what in ("entities", "relations"):
+        have, want = getattr(table, f"num_{what}"), getattr(store, f"num_{what}")
+        if have != want:
+            print(f"error: checkpoint has {have} {what}, dataset has {want}", file=sys.stderr)
+            return EXIT_USAGE
 
     classes = classify_relations(store)
     try:
@@ -208,12 +196,9 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .analysis import count_two_paths, dataset_imbalance, export_arc_data
-    from .data import load_triples
 
     try:
-        store = load_triples(args.train)
-        if len(store.train) == 0:
-            raise ValueError(f"train split {args.train} is empty")
+        store = _load_store(args.train)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

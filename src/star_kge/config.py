@@ -5,20 +5,11 @@ line, section nesting is spelled with dots (``reg.lambda = 0.05``) and list
 entries with numeric segments (``relation.0.kind = grid_rotation``).
 Values parse as bool, int, float or (optionally quoted) string.
 
-Recognized training keys::
-
-    model_kind   STaR | TaR | ComplEx | DistMult
-    n, lr, batch_size, epochs, w0, seed, optimizer, eval_every, init_scale
-    reg.kind     none | Fro | DURA
-    reg.lambda   penalty weight
-    reg.dura_variant  literal | exact
-    data.train, data.valid, data.test   TSV paths
-    out_dir      output directory
-
-``n``, ``batch_size``, ``epochs``, ``seed`` and ``eval_every`` must parse
-as integers: a float, bool or word is a :class:`ConfigError`. ``lr``,
-``w0``, ``init_scale``, ``reg.lambda`` and the synth-spec fractions must
-parse as finite numbers: a bool, word, nan or inf is one too.
+The training keys, their meanings and defaults are tabled in the README
+("Configuration dialect"); ``_KEYS`` below declares each one once, with the
+field that holds it and its parser. The parsers reject a float, bool or
+word for an integer key and a bool, word, nan or inf for a number key with
+a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -26,9 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .model import MODEL_KINDS
 from .regularization import RegConfig
 from .synthetic import CompositionRule, RelationRule, SynthSpec
 from .training import TrainConfig
@@ -78,27 +70,6 @@ def load_flat_config(path) -> dict:
     return parse_flat_config(Path(path).read_text(encoding="utf-8"))
 
 
-_TRAIN_KEYS = {
-    "model_kind",
-    "n",
-    "lr",
-    "batch_size",
-    "epochs",
-    "w0",
-    "seed",
-    "optimizer",
-    "eval_every",
-    "init_scale",
-    "reg.kind",
-    "reg.lambda",
-    "reg.dura_variant",
-    "data.train",
-    "data.valid",
-    "data.test",
-    "out_dir",
-}
-
-
 @dataclass
 class RunConfig:
     """Everything one training run needs, resolvable to a reproducibility manifest."""
@@ -111,74 +82,20 @@ class RunConfig:
     train: TrainConfig = field(default_factory=lambda: TrainConfig(n=32, epochs=10))
 
     def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "data": {
-                "train": self.train_path,
-                "valid": self.valid_path,
-                "test": self.test_path,
-            },
-            "out_dir": self.out_dir,
-            "n": self.train.n,
-            "lr": self.train.lr,
-            "batch_size": self.train.batch_size,
-            "epochs": self.train.epochs,
-            "w0": self.train.w0,
-            "seed": self.train.seed,
-            "optimizer": self.train.optimizer,
-            "eval_every": self.train.eval_every,
-            "init_scale": self.train.init_scale,
-            "reg": {
-                "kind": self.train.reg.kind,
-                "lambda": self.train.reg.lam,
-                "dura_variant": self.train.reg.dura_variant,
-            },
-        }
+        """The manifest: every key of ``_KEYS``, nested at its dots."""
+        holders = {RunConfig: self, TrainConfig: self.train, RegConfig: self.train.reg}
+        out: dict = {}
+        for key, (holder, name, _) in _KEYS.items():
+            *sections, leaf = key.split(".")
+            node = out
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = getattr(holders[holder], name)
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def run_config_from_dict(cfg: dict) -> RunConfig:
-    unknown = sorted(set(cfg) - _TRAIN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "data.train" not in cfg:
-        raise ConfigError("missing required key data.train")
-    model_kind = str(cfg.get("model_kind", "STaR"))
-    from .model import MODEL_KINDS
-
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
-    try:
-        reg = RegConfig(
-            kind=str(cfg.get("reg.kind", "none")),
-            lam=_number("reg.lambda", cfg.get("reg.lambda", 0.0)),
-            dura_variant=str(cfg.get("reg.dura_variant", "literal")),
-        )
-        train = TrainConfig(
-            n=_integer("n", cfg.get("n", 32)),
-            epochs=_integer("epochs", cfg.get("epochs", 10)),
-            lr=_number("lr", cfg.get("lr", 0.1)),
-            batch_size=_integer("batch_size", cfg.get("batch_size", 100)),
-            w0=_number("w0", cfg.get("w0", 0.0)),
-            reg=reg,
-            seed=_integer("seed", cfg.get("seed", 0)),
-            optimizer=str(cfg.get("optimizer", "Adagrad")),
-            eval_every=_integer("eval_every", cfg.get("eval_every", 0)),
-            init_scale=_number("init_scale", cfg.get("init_scale", 1e-3)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(
-        train_path=str(cfg["data.train"]),
-        model_kind=model_kind,
-        valid_path=str(cfg["data.valid"]) if "data.valid" in cfg else None,
-        test_path=str(cfg["data.test"]) if "data.test" in cfg else None,
-        out_dir=str(cfg.get("out_dir", "run")),
-        train=train,
-    )
 
 
 def _integer(key: str, value) -> int:
@@ -195,19 +112,89 @@ def _number(key: str, value) -> float:
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
+def _text(key: str, value) -> str:
+    return str(value)
+
+
+def _model_kind(key: str, value) -> str:
+    kind = str(value)
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"{key} must be one of {MODEL_KINDS}, got {kind!r}")
+    return kind
+
+
+#: every training key: the dataclass that holds it, its field there and its
+#: parser; the defaults are those of the dataclasses
+_KEYS = {
+    "model_kind": (RunConfig, "model_kind", _model_kind),
+    "data.train": (RunConfig, "train_path", _text),
+    "data.valid": (RunConfig, "valid_path", _text),
+    "data.test": (RunConfig, "test_path", _text),
+    "out_dir": (RunConfig, "out_dir", _text),
+    "n": (TrainConfig, "n", _integer),
+    "lr": (TrainConfig, "lr", _number),
+    "batch_size": (TrainConfig, "batch_size", _integer),
+    "epochs": (TrainConfig, "epochs", _integer),
+    "w0": (TrainConfig, "w0", _number),
+    "seed": (TrainConfig, "seed", _integer),
+    "optimizer": (TrainConfig, "optimizer", _text),
+    "eval_every": (TrainConfig, "eval_every", _integer),
+    "init_scale": (TrainConfig, "init_scale", _number),
+    "reg.kind": (RegConfig, "kind", _text),
+    "reg.lambda": (RegConfig, "lam", _number),
+    "reg.dura_variant": (RegConfig, "dura_variant", _text),
+}
+
+
+def run_config_from_dict(cfg: dict) -> RunConfig:
+    unknown = sorted(set(cfg) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    if "data.train" not in cfg:
+        raise ConfigError("missing required key data.train")
+    given: dict = {RunConfig: {}, TrainConfig: {}, RegConfig: {}}
+    for key, (holder, name, parse) in _KEYS.items():
+        if key in cfg:
+            given[holder][name] = parse(key, cfg[key])
+    try:
+        run = RunConfig(**given[RunConfig])
+        reg = replace(run.train.reg, **given[RegConfig])
+        run.train = replace(run.train, reg=reg, **given[TrainConfig])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return run
+
+
+def _offset(key: str, value) -> tuple[int, int]:
+    parts = str(value).split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"{key} must be 'di,dj'")
+    return tuple(_integer(key, _parse_value(p)) for p in parts)
+
+
+#: parsers of the top-level synth-spec keys and of the fields of a ``relation.<k>`` group
+_SPEC_KEYS = {
+    "num_entities": _integer,
+    "seed": _integer,
+    "holdout_fraction": _number,
+    "paired_holdout_fraction": _number,
+}
+_RELATION_FIELDS = {"name": _text, "kind": _text, "of": _text, "offset": _offset}
+_RELATION_FIELDS |= dict.fromkeys(("quarter_turns", "num_tails", "heads_per_tail", "num_pairs"), _integer)
+
+
 def synth_spec_from_dict(cfg: dict) -> SynthSpec:
     """Assemble a synthetic-KG spec from indexed flat keys.
 
     Relations are spelled ``relation.<k>.<field>``; compositions as
     ``compose.<k> = first, second, composed, commuting|noncommuting``.
     """
-    scalar_keys = {"num_entities", "seed", "holdout_fraction", "paired_holdout_fraction"}
     relations: dict[int, dict] = {}
     compositions: dict[int, str] = {}
     for key, value in cfg.items():
-        parts = key.split(".")
-        if key in scalar_keys:
+        if key in _SPEC_KEYS:
             continue
+        parts = key.split(".")
         if parts[0] == "relation" and len(parts) == 3 and parts[1].isdigit():
             relations.setdefault(int(parts[1]), {})[parts[2]] = value
         elif parts[0] == "compose" and len(parts) == 2 and parts[1].isdigit():
@@ -221,23 +208,13 @@ def synth_spec_from_dict(cfg: dict) -> SynthSpec:
 
     rules = []
     for k in sorted(relations):
-        fields = dict(relations[k])
+        fields = relations[k]
         if "name" not in fields or "kind" not in fields:
             raise ConfigError(f"relation.{k} needs both name and kind")
-        kwargs = {"name": str(fields.pop("name")), "kind": str(fields.pop("kind"))}
-        if "offset" in fields:
-            parts = str(fields.pop("offset")).split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"relation.{k}.offset must be 'di,dj'")
-            kwargs["offset"] = tuple(_integer(f"relation.{k}.offset", _parse_value(p)) for p in parts)
-        for name in ("quarter_turns", "num_tails", "heads_per_tail", "num_pairs"):
-            if name in fields:
-                kwargs[name] = _integer(f"relation.{k}.{name}", fields.pop(name))
-        if "of" in fields:
-            kwargs["of"] = str(fields.pop("of"))
-        if fields:
-            raise ConfigError(f"relation.{k}: unknown fields {sorted(fields)}")
-        rules.append(RelationRule(**kwargs))
+        unknown = sorted(set(fields) - set(_RELATION_FIELDS))
+        if unknown:
+            raise ConfigError(f"relation.{k}: unknown fields {unknown}")
+        rules.append(RelationRule(**{f: _RELATION_FIELDS[f](f"relation.{k}.{f}", v) for f, v in fields.items()}))
 
     comps = []
     for k in sorted(compositions):
@@ -248,14 +225,8 @@ def synth_spec_from_dict(cfg: dict) -> SynthSpec:
             )
         comps.append(CompositionRule(parts[0], parts[1], parts[2], parts[3] == "commuting"))
 
+    scalars = {key: parse(key, cfg[key]) for key, parse in _SPEC_KEYS.items() if key in cfg}
     try:
-        return SynthSpec(
-            num_entities=_integer("num_entities", cfg["num_entities"]),
-            relations=rules,
-            compositions=comps,
-            seed=_integer("seed", cfg.get("seed", 0)),
-            holdout_fraction=_number("holdout_fraction", cfg.get("holdout_fraction", 0.0)),
-            paired_holdout_fraction=_number("paired_holdout_fraction", cfg.get("paired_holdout_fraction", 0.0)),
-        )
+        return SynthSpec(relations=rules, compositions=comps, **scalars)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -218,7 +218,7 @@ def batch_loss(
         ce[i] = smax + np.log(ZE[i, -1])
 
     reg_vals, reg_dH, reg_dT, reg_dRC, reg_dTAU = penalty_terms_batch(H, T, RC, TAU, config.reg)
-    lam = config.reg.lam if config.reg.kind != "none" else 0.0
+    lam = config.reg.lam
     loss = float((w @ ce + lam * reg_vals.sum()) / nq)
     if not np.isfinite(loss):
         max_abs_score = np.abs(np.matmul(Q, ents.T, out=scores), out=scores).max()

@@ -136,6 +136,17 @@ class TestBatchLoss:
         )
         assert gradient_rel_error(analytic, fd) < 1e-4
 
+    def test_weight_of_no_penalty_leaves_loss_and_gradients_bitwise(self, rng):
+        # 'none' penalties are exact zeros, so lambda times them adds nothing
+        store = make_store(rng.integers(0, [6, 3, 6], size=(8, 3)).tolist(), num_entities=6, num_relations=3)
+        table = init_embeddings(6, 3, 4, init_scale=0.5, seed=3)
+        table.rel_tau[:] = rng.normal(size=table.rel_tau.shape)
+        got = [batch_loss(store.train, table, tiny_config(reg=RegConfig("none", lam=lam))) for lam in (0.1, 0.0)]
+        (loss, grads), (want_loss, want_grads) = got
+        assert loss == want_loss
+        for name in ("d_entities", "d_rel_c", "d_rel_tau"):
+            assert getattr(grads, name).tobytes() == getattr(want_grads, name).tobytes()
+
     def test_loss_nonnegative_without_regularization(self, rng):
         for seed in range(10):
             store = make_store(
