@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TripleStore, _expand_runs
+from .data import TripleStore, _expand_runs, _fresh
 
 
 @dataclass
@@ -90,10 +90,14 @@ def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> Pai
     distinct, for sensitivity analysis. A chain has e1 = e2 or e2 = e3
     exactly when one of its hops is a self-loop, so self-loop triples are
     dropped before counting; the e1 = e3 returns left over are then
-    subtracted, found by joining every edge (h, r, t) with every edge
-    (t, r2, h). Reciprocal relations never participate. All products stay
-    in float64 where every intermediate value is an exact integer, then
-    cast back.
+    subtracted. They pair each edge between two entities with each edge
+    between the same two in the other direction. One sort of the codes
+    ``((min(h, t) * |E| + max(h, t)) * 2 + [h > t]) * |R| + r`` puts every
+    entity pair's edges in one run, its upward edges (h < t) before its
+    downward ones; M[r, r2] counts the (upward r, downward r2) edge pairs
+    of the runs, from two CSR run expansions, and the returns are M + M^T.
+    Reciprocal relations never participate. All products stay in float64
+    where every intermediate value is an exact integer, then cast back.
     """
     tr = store.train
     ne, nr = store.num_entities, store.num_relations
@@ -104,14 +108,26 @@ def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> Pai
     out = np.rint(in_mat.T @ out_mat).astype(np.int64)
 
     if exclude_degenerate:
-        # join each edge (h, r, t) with every edge (t, r2, h): both sides are
-        # sorted keys (h * |E| + t) * |R| + r, the needles reversed to (t, h)
         h, r, t = tr.T
-        pair, rel = np.divmod(np.sort((h * ne + t) * nr + r), nr)
-        back, back_rel = np.divmod(np.sort((t * ne + h) * nr + r), nr)
-        lo = np.searchsorted(pair, back)
-        row, at = _expand_runs(lo, np.searchsorted(pair, back, side="right") - lo)
-        out -= np.bincount(back_rel[row] * nr + rel[at], minlength=nr * nr).reshape(nr, nr)
+        key = np.minimum(h, t) * ne
+        key += np.maximum(h, t)
+        key *= 2
+        key += h > t
+        key *= nr
+        key += r
+        key.sort()
+        side, rel = np.divmod(key, nr)
+        # blocks of one entity pair and direction; a downward block whose
+        # pair also has an upward block comes right after it
+        starts = np.flatnonzero(_fresh(side))
+        block = side[starts]
+        down = np.flatnonzero((np.diff(block) == 1) & (block[1:] % 2 == 1)) + 1
+        lo, mid = starts[down - 1], starts[down]
+        hi = np.append(starts, len(key))[down + 1]
+        pair, up = _expand_runs(lo, mid - lo)
+        row, at = _expand_runs(mid[pair], (hi - mid)[pair])
+        m = np.bincount(rel[up[row]] * nr + rel[at], minlength=nr * nr).reshape(nr, nr)
+        out -= m + m.T
 
     if (out < 0).any():
         raise AssertionError("negative path count, exclusion bookkeeping is wrong")

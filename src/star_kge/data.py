@@ -14,10 +14,11 @@ reciprocal triples are never written back to disk.
 Ingest works on bytes and makes no Python string per field. A file's bytes
 are tokenised with one numpy scan for tab and newline bytes
 (:func:`_tokenise`). Every field gets a 64-bit key from its length and its
-8-byte words, and one ``np.argsort`` of the keys interns the fields
-(:func:`_intern`); each field is then checked word for word against the
-first field of its key, so a key collision cannot merge two names. Only
-the first field of each id is decoded to a ``str``.
+8-byte words, and one ``np.sort`` of one word per field, the key's top
+bits above the field's index, interns the fields (:func:`_intern`); each
+field is then checked word for word against the first field of its key,
+so a key collision cannot merge two names. Only the first field of each
+id is decoded to a ``str``.
 """
 
 from __future__ import annotations
@@ -142,17 +143,52 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of equal keys in order of first appearance, and the index
-    of the first item of every id, from one ``np.argsort``."""
-    order = np.argsort(key)
-    fresh = _fresh(key[order])
-    first = np.minimum.reduceat(order, np.flatnonzero(fresh))
-    rank = np.argsort(first)
-    id_of_run = np.empty_like(rank)
-    id_of_run[rank] = np.arange(len(rank))
-    ids = np.empty_like(order)
-    ids[order] = id_of_run[np.cumsum(fresh) - 1]
-    return ids, first[rank]
+    """Dense ids of equal 64-bit keys in order of first appearance, and the
+    index of the first item of every id, from one ``np.sort``.
+
+    Each of the n items becomes one uint64 word: its key's top ``64 - b``
+    bits above its own index, ``b`` the bit length of ``n - 1``. Keys are
+    first shifted left past their common leading zero bits, so that small
+    keys reach the top bits too. Among the sorted words, a run of equal top
+    bits holds its indices ascending, so the run's first item is its first
+    appearance. A run whose full keys differ (they differ only in the low
+    ``b`` bits) is sorted again by its full keys, stably, which splits it
+    exactly. Each first appearance's id is the count of first appearances
+    before it.
+    """
+    n = len(key)
+    b = np.uint64(max(n - 1, 0).bit_length())
+    key = np.asarray(key).view(np.uint64)
+    lead = 64 - max(int(key.max(initial=0)).bit_length(), 1)
+    if lead:
+        key = key << np.uint64(lead)
+    low = (np.uint64(1) << b) - np.uint64(1)
+    at = np.arange(n, dtype=np.int64)
+    word = key & ~low
+    word |= at.view(np.uint64)
+    word.sort()
+    np.bitwise_and(word, low, out=at.view(np.uint64))  # the index of every sorted item
+    word ^= at.view(np.uint64)  # its top bits
+    fresh = _fresh(word)
+    full = np.take(key, at, out=word, mode="clip")  # "clip" writes to out unbuffered
+    change = full[1:] != full[:-1]
+    if np.count_nonzero(change) > np.count_nonzero(fresh[1:]):
+        run = np.cumsum(fresh)
+        split = np.flatnonzero(change) + 1
+        mixed = np.flatnonzero(np.isin(run, run[split[~fresh[split]]]))
+        again = np.argsort(full[mixed], kind="stable")
+        at[mixed], full[mixed] = at[mixed][again], full[mixed][again]
+        fresh = _fresh(full)
+    starts = np.flatnonzero(fresh)
+    head = at[starts]
+    mark = np.zeros(n, dtype=bool)
+    mark[head] = True
+    first = np.flatnonzero(mark)
+    rank = full.view(np.int64)
+    rank[first] = np.arange(len(first))
+    ids = np.empty(n, dtype=np.int64)
+    ids[at] = np.repeat(rank[head], np.diff(starts, append=n))
+    return ids, first
 
 
 def _intern(data: bytes, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,10 +201,11 @@ def _intern(data: bytes, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words at byte ``at`` of every field longer than ``at`` (``alive``) are
     one gather from an unaligned ``<u8`` view of ``data`` with a stride of
     one byte, masked to the field's end; ``data`` must hold 8 more bytes
-    after the last field. Fields are grouped by key, and then every word of
-    every field is checked against the first field of its group. Should two
-    distinct fields share a key, every field is keyed by its bytes instead,
-    so ids are exact either way.
+    after the last field. Fields are grouped by key with
+    :func:`_first_appearance`, and then every word of every field is
+    checked against the first field of its group. Should two distinct
+    fields share all 64 bits of their key, every field is keyed by its
+    bytes instead, so ids are exact either way.
     """
     start, end = fields.T
     length = end - start

@@ -164,6 +164,24 @@ def read_triples_loop(path):
     return rows
 
 
+def first_appearance_argsort(key):
+    """Dense ids of equal keys in order of first appearance, and the index
+    of the first item of every id, from an ``np.argsort`` of the keys and
+    one of the runs' first indices."""
+    key = np.asarray(key)
+    order = np.argsort(key)
+    ordered = key[order]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(fresh))
+    rank = np.argsort(first)
+    id_of_run = np.empty_like(rank)
+    id_of_run[rank] = np.arange(len(rank))
+    ids = np.empty_like(order)
+    ids[order] = id_of_run[np.cumsum(fresh) - 1]
+    return ids, first[rank]
+
+
 def encode_loop(splits):
     """Grow a vocabulary name by name over the splits, then dedupe each split.
 

@@ -63,14 +63,21 @@ class TestCountTwoPaths:
 
     @pytest.mark.parametrize("exclude", [False, True])
     def test_matches_quadratic_join(self, exclude, rng):
-        for k in range(50):
-            store = random_store(
+        # entities 0 and 1 linked by r0 and r1 in each direction, a self-loop
+        # on 0 and the one-way pair 1 -> 2
+        fixed = [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0), (0, 2, 0), (1, 2, 2)]
+        stores = [make_store(fixed, num_entities=3, num_relations=3)]
+        stores += [
+            random_store(
                 rng,
                 num_entities=int(rng.integers(3, 10)),
                 num_relations=int(rng.integers(1, 5)),
                 num_triples=int(rng.integers(5, 60)),
                 messy=k % 2 == 1,
             )
+            for k in range(50)
+        ]
+        for store in stores:
             fast = count_two_paths(store, exclude_degenerate=exclude)
             slow = brute_force_two_paths(
                 store.train, store.num_relations, exclude_degenerate=exclude

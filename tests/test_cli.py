@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -145,7 +146,8 @@ class TestTrain:
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 5
         row = json.loads(log_lines[0])
-        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms"}
+        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms", "queries_per_s"}
+        assert 0 < row["queries_per_s"] < math.inf
 
     def test_repeats_emit_mean_and_std(self, synth_dir, tmp_path):
         out = tmp_path / "runs"
@@ -527,6 +529,29 @@ class TestVerify:
         code = "import sys, star_kge.cli; print('numpy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_python_m_star_kge_runs_the_cli_with_numpy_unloaded_until_pinned(self):
+        """``python -m star_kge`` works from a source checkout, and numpy is
+        still unloaded when ``--threads`` pins the BLAS pools."""
+        import subprocess
+        import sys
+
+        import star_kge
+
+        env = dict(os.environ, PYTHONPATH=str(Path(star_kge.__file__).parents[1]))
+        argv = ["verify", "--n", "4", "--trials", "2"]
+        out = subprocess.run([sys.executable, "-m", "star_kge", *argv], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "PASS" in out.stdout
+        code = (
+            "import runpy, sys; import star_kge.cli as cli; pin = cli._pin_threads; "
+            "cli._pin_threads = lambda n: (print('numpy' in sys.modules, n), pin(n)); "
+            f"sys.argv = ['star_kge', *{argv!r}, '--threads', '1']; "
+            "runpy.run_module('star_kge', run_name='__main__', alter_sys=True)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == "False 1"
 
     def test_odd_dimension_is_usage_error(self, capsys):
         assert main(["verify", "--n", "7"]) == 2

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from star_kge.config import _KEYS, _parse_value, load_flat_config, run_config_from_dict
+from star_kge.config import _KEYS, _integer, _number, _parse_value, load_flat_config, run_config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +29,15 @@ def readme_key_rows() -> list:
         assert re.fullmatch(r"`[\w.]+`", key), f"one key per row, got {key}"
         rows.append((key.strip("`"), default))
     return rows
+
+
+def readme_typed_keys() -> tuple[list, list]:
+    """The keys that the README's sentence under the training-key table
+    names as integers, and those it names as finite numbers."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(text.split("## Configuration dialect", 1)[1].split("\n\n")[3].split())
+    integers, numbers = re.fullmatch(r"(.*) must be integers; (.*?) must be finite numbers\b.*", paragraph).groups()
+    return re.findall(r"`([\w.]+)`", integers), re.findall(r"`([\w.]+)`", numbers)
 
 
 class TestManifest:
@@ -65,3 +74,8 @@ class TestReadmeTable:
                 assert key == "data.train" or key not in defaults, key
             else:
                 assert _parse_value(cell) == defaults[key], key
+
+    def test_typed_key_sentence_matches_the_parsers(self):
+        integers, numbers = readme_typed_keys()
+        assert sorted(integers) == sorted(key for key, (_, _, parse) in _KEYS.items() if parse is _integer)
+        assert sorted(numbers) == sorted(key for key, (_, _, parse) in _KEYS.items() if parse is _number)

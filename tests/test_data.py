@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from star_kge import data
 from star_kge.data import (
     CLASS_N_TO_ONE,
     CLASS_ONE_TO_ONE,
@@ -31,6 +32,7 @@ from oracles import (
     encode_frozen_loop,
     encode_loop,
     filter_sets,
+    first_appearance_argsort,
     read_triples_loop,
 )
 
@@ -195,6 +197,54 @@ class TestReaderMatchesLoop:
             np.testing.assert_array_equal(store.train, want[0])
             assert warned == ([f"dropped {want[1]} duplicate triples from train split"] if want[1] else [])
         assert vars(vocab) == {"entity_names": names[0], "relation_names": names[1]}
+
+
+#: keys as the interning sees them: uint64 hashes with heavy repeats, small
+#: int64 keys as the byte-keyed fallback passes, and uint64 keys that share
+#: their top bits and differ only in the low 8
+_KEY_ARRAYS = st.one_of(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
+    .flatmap(lambda values: st.lists(st.sampled_from(values), max_size=80))
+    .map(lambda keys: np.array(keys, dtype=np.uint64)),
+    st.lists(st.integers(0, 20), max_size=80).map(lambda keys: np.array(keys, dtype=np.int64)),
+    st.lists(st.integers(0, 255), max_size=300).map(
+        lambda keys: np.array(keys, dtype=np.uint64) | np.uint64(0xFFFF_FFFF_FFFF_FF00)
+    ),
+)
+
+
+class TestFirstAppearance:
+    @settings(max_examples=300, deadline=None)
+    @given(_KEY_ARRAYS)
+    @example(key=np.array([], dtype=np.uint64))
+    @example(key=np.array([], dtype=np.int64))
+    @example(key=np.array([2**64 - 1], dtype=np.uint64))
+    @example(key=np.array([0], dtype=np.int64))
+    @example(key=np.zeros(5, dtype=np.uint64))
+    def test_matches_argsort_oracle(self, key):
+        ids, first = data._first_appearance(key)
+        want_ids, want_first = first_appearance_argsort(key)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(first, want_first)
+
+    def test_keys_sharing_their_top_bits_split_without_the_byte_fallback(self, tmp_path):
+        # a one-byte name's key is then (1 ^ byte) | 0xFF..00: distinct names
+        # keep distinct keys, and at 200 lines every key shares the top bits
+        # above the 8 or 9 index bits, so each side is one run to split
+        names = [chr(c) for c in range(ord("!"), ord("~") + 1)]
+        rows = [(names[i % 94], names[(7 * i) % 11], names[(31 * i + 5) % 94]) for i in range(200)]
+        path = write_tsv(tmp_path / "train.tsv", rows)
+        spy = mock.Mock(wraps=data._first_appearance)
+        with (
+            mock.patch("star_kge.data._mix", lambda z: z | np.uint64(0xFFFF_FFFF_FFFF_FF00)),
+            mock.patch("star_kge.data._first_appearance", spy),
+        ):
+            store = load_triples(path)
+        ents, rels, (encoded,), _ = encode_loop([read_triples_loop(path)])
+        assert (store.vocab.entity_names, store.vocab.relation_names) == (ents, rels)
+        np.testing.assert_array_equal(store.train, encoded)
+        # one call per side on the 64-bit keys, and none on byte keys
+        assert [call.args[0].dtype for call in spy.call_args_list] == [np.uint64, np.uint64]
 
 
 @st.composite
