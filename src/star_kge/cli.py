@@ -13,11 +13,25 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+
+class _UsageError(Exception):
+    """Bad input: :func:`main` prints it as one ``error:`` line and exits 2."""
+
+
+@contextmanager
+def _bad_input(*types):
+    """Re-raise the given exception types as :class:`_UsageError`."""
+    try:
+        yield
+    except types as exc:
+        raise _UsageError(exc) from exc
 
 
 def _pin_threads(threads):
@@ -85,13 +99,9 @@ def cmd_train(args) -> int:
     from .config import ConfigError, load_flat_config, run_config_from_dict
 
     if args.repeats < 1:
-        print(f"error: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
+    with _bad_input(ConfigError):
         run_cfg = run_config_from_dict(load_flat_config(args.config))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.out:
         run_cfg.out_dir = args.out
     out_dir = Path(run_cfg.out_dir)
@@ -99,11 +109,8 @@ def cmd_train(args) -> int:
     # reproducibility manifest goes out before any training work starts
     _write_json(out_dir / "config.json", run_cfg.to_dict())
 
-    try:
+    with _bad_input(Exception):
         store = _load_store(run_cfg.train_path, run_cfg.valid_path, run_cfg.test_path)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     from .training import DivergenceError
 
@@ -152,24 +159,17 @@ def cmd_eval(args) -> int:
     from .evaluation import evaluate
     from .model import EmbeddingTable
 
-    try:
+    with _bad_input(Exception):
         store = _load_store(args.train, args.valid, args.test)
         table, _ = EmbeddingTable.load_checkpoint(args.checkpoint)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     for what in ("entities", "relations"):
         have, want = getattr(table, f"num_{what}"), getattr(store, f"num_{what}")
         if have != want:
-            print(f"error: checkpoint has {have} {what}, dataset has {want}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"checkpoint has {have} {what}, dataset has {want}")
 
     classes = classify_relations(store)
-    try:
+    with _bad_input(ValueError):
         report = evaluate(args.split, table, store, classes, tie_rule=args.tie_rule)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     payload = report.to_dict()
     shown = ("mrr", "hits", "num_queries", "tie_rule", "ranking_s")
     print(json.dumps({k: payload[k] for k in shown}, indent=2))
@@ -197,17 +197,11 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     from .analysis import count_two_paths, dataset_imbalance, export_arc_data
 
-    try:
+    with _bad_input(Exception):
         store = _load_store(args.train)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     counts = count_two_paths(store, exclude_degenerate=args.exclude_degenerate)
-    try:
+    with _bad_input(ValueError):
         report = dataset_imbalance(counts, include_diagonal=not args.exclude_diagonal)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     report.relation_names = store.vocab.relation_names
     _write_json(args.out, report.to_dict())
     print(f"Psi = {report.Psi:.4f} over {len(report.psi)} relation pairs")
@@ -224,23 +218,15 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     from .patterns import run_verify_suite
 
-    try:
+    with _bad_input(ValueError):  # n odd or not positive, trials < 1
         rows = run_verify_suite(n=args.n, trials=args.trials, seed=args.seed)
-    except ValueError as exc:  # n odd or not positive, trials < 1
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     width = max(len(r.pattern) for r in rows)
-    failures = 0
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
-        if not row.applicable:
-            status = "N/A "
-        if not row.passed:
-            failures += 1
         print(f"{row.pattern:<{width}}  {status}  residual={row.residual:.3e}  {row.detail}")
     if args.json:
         _write_json(args.json, [r.to_dict() for r in rows])
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    return EXIT_OK if all(r.passed for r in rows) else EXIT_CHECK_FAILED
 
 
 # synth -------------------------------------------------------------------------
@@ -250,12 +236,9 @@ def cmd_synth(args) -> int:
     from .config import ConfigError, load_flat_config, synth_spec_from_dict
     from .synthetic import SynthSpecError, generate_full
 
-    try:
+    with _bad_input(ConfigError, SynthSpecError):
         spec = synth_spec_from_dict(load_flat_config(args.spec))
         result = generate_full(spec)
-    except (ConfigError, SynthSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     out_dir = Path(args.out)
     result.store.save(out_dir)
     manifest = dict(result.manifest)
@@ -326,14 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # argparse reads every spelling of --threads (N, =N, abbreviations)
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return EXIT_USAGE
-    _pin_threads(args.threads)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
+        if args.threads is not None and args.threads < 1:
+            raise _UsageError(f"--threads must be at least 1, got {args.threads}")
+        _pin_threads(args.threads)
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
         return args.func(args)
-    except OSError as exc:  # unreadable input or unwritable output path
+    except (_UsageError, OSError) as exc:  # OSError: unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -147,21 +147,16 @@ def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index of the first item of every id, from one ``np.sort``.
 
     Each of the n items becomes one uint64 word: its key's top ``64 - b``
-    bits above its own index, ``b`` the bit length of ``n - 1``. Keys are
-    first shifted left past their common leading zero bits, so that small
-    keys reach the top bits too. Among the sorted words, a run of equal top
-    bits holds its indices ascending, so the run's first item is its first
-    appearance. A run whose full keys differ (they differ only in the low
-    ``b`` bits) is sorted again by its full keys, stably, which splits it
-    exactly. Each first appearance's id is the count of first appearances
-    before it.
+    bits above its own index, ``b`` the bit length of ``n - 1``. Among the
+    sorted words, a run of equal top bits holds its indices ascending, so
+    the run's first item is its first appearance. A run whose full keys
+    differ (they differ only in the low ``b`` bits) is sorted again by its
+    full keys, stably, which splits it exactly. Each first appearance's id
+    is the count of first appearances before it.
     """
     n = len(key)
     b = np.uint64(max(n - 1, 0).bit_length())
     key = np.asarray(key).view(np.uint64)
-    lead = 64 - max(int(key.max(initial=0)).bit_length(), 1)
-    if lead:
-        key = key << np.uint64(lead)
     low = (np.uint64(1) << b) - np.uint64(1)
     at = np.arange(n, dtype=np.int64)
     word = key & ~low
@@ -229,8 +224,8 @@ def _intern(data: bytes, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if same:
         return ids, first
     seen = {}
-    exact = [seen.setdefault(data[s:e], len(seen)) for s, e in fields.tolist()]
-    return _first_appearance(np.array(exact, dtype=np.int64))
+    exact = np.array([seen.setdefault(data[s:e], len(seen)) for s, e in fields.tolist()], dtype=np.int64)
+    return exact, np.unique(exact, return_index=True)[1]
 
 
 def _decode(data: bytes, fields: np.ndarray) -> list[str]:
@@ -462,7 +457,13 @@ class TripleStore:
         if manifest.get("format") != "star-kge-store-v1":
             raise ValueError(f"unrecognized store manifest in {directory}")
         vocab = Vocab(_read_lines(directory / "entities.txt"), _read_lines(directory / "relations.txt"))
-        vocab, ids = _encode([directory / f"{name}.tsv" for name in ("train", "valid", "test")], vocab)
+        names = ("train", "valid", "test")
+        vocab, ids = _encode([directory / f"{name}.tsv" for name in names], vocab)
+        found = {"num_entities": vocab.num_entities, "num_relations": vocab.num_relations}
+        found["splits"] = {name: len(split) for name, split in zip(names, ids)}
+        for key, value in found.items():
+            if manifest.get(key) != value:
+                raise ValueError(f"{directory}: manifest records {key} {manifest.get(key)}, found {value}")
         return cls(vocab, *ids)
 
 

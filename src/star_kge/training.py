@@ -183,13 +183,13 @@ def batch_loss(
     src, rel, tgt = reciprocal_queries(batch, table.num_relations).T
     nq = len(src)
 
-    if tail_weights is None and head_weights is None:
-        w = np.ones(nq)
-    else:
-        tw = np.ones(table.num_entities) if tail_weights is None else tail_weights
-        hw = np.ones(table.num_entities) if head_weights is None else head_weights
-        m = len(batch)
-        w = np.concatenate([tw[tgt[:m]], hw[tgt[m:]]])
+    m = len(batch)
+    w = np.concatenate(
+        [
+            np.ones(m) if tail_weights is None else tail_weights[tgt[:m]],
+            np.ones(m) if head_weights is None else head_weights[tgt[m:]],
+        ]
+    )
 
     H = ents[src]
     RC = table.rel_c[rel]
@@ -281,7 +281,8 @@ def train(
     ``on_epoch``, when given, is called with each record as soon as its
     epoch ends.
     """
-    from .evaluation import evaluate  # local import to avoid a module cycle
+    # looked up at call time, so that a patched star_kge.evaluation.evaluate takes effect
+    from .evaluation import evaluate
 
     if len(store.train) == 0:
         raise ValueError("train split is empty")
@@ -291,13 +292,11 @@ def train(
     )
     state = OptimizerState.for_table(table)
 
-    if config.w0 > 0.0:
-        tail_counts, _ = entity_frequency(store, "tail")
-        head_counts, _ = entity_frequency(store, "head")
-        tail_w = tail_weight(np.arange(store.num_entities), tail_counts, config.w0)
-        head_w = tail_weight(np.arange(store.num_entities), head_counts, config.w0)
-    else:
-        tail_w = head_w = None
+    # at w0 = 0 every weight is exactly 1.0
+    tail_w, head_w = (
+        tail_weight(np.arange(store.num_entities), entity_frequency(store, side)[0], config.w0)
+        for side in ("tail", "head")
+    )
 
     scores = np.empty((2 * min(config.batch_size, len(store.train)), store.num_entities))
     grad_t = np.empty((config.n, store.num_entities))

@@ -73,13 +73,6 @@ class TestSynth:
         assert manifest["discriminating_test_queries"] >= 1
         assert (synth_dir / "train.tsv").exists()
 
-    def test_bad_spec_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "bad.spec"
-        spec.write_text("num_entities = 10\nrelation.0.name = x\n", encoding="utf-8")
-        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-        assert "kind" in capsys.readouterr().err
-
-
     @pytest.mark.parametrize(
         "edit",
         [
@@ -174,12 +167,6 @@ class TestTrain:
         )
         assert main(["train", "--config", str(cfg)]) == 2
         assert "model_kind" in capsys.readouterr().err
-
-    def test_unknown_key_is_usage_error(self, synth_dir, tmp_path, capsys):
-        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, tmp_path / "x")
-        cfg.write_text(cfg.read_text() + "momentum = 0.9\n", encoding="utf-8")
-        assert main(["train", "--config", str(cfg)]) == 2
-        assert "momentum" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -462,33 +449,13 @@ class TestEval:
         assert "empty" in err
         assert "Traceback" not in err
 
-    def test_dimension_mismatch_is_usage_error(self, synth_dir, tmp_path, capsys):
-        from star_kge.model import init_embeddings
-
-        table = init_embeddings(7, 4, 4, seed=0)  # wrong entity count
-        ckpt = tmp_path / "bad.bin"
-        table.save_checkpoint(ckpt)
-        code = main(
-            [
-                "eval",
-                "--checkpoint",
-                str(ckpt),
-                "--train",
-                str(synth_dir / "train.tsv"),
-                "--test",
-                str(synth_dir / "test.tsv"),
-            ]
-        )
-        assert code == 2
-        assert "entities" in capsys.readouterr().err
-
 
 class TestVerify:
     def test_default_run_passes(self, capsys, tmp_path):
         json_path = tmp_path / "checks.json"
         assert main(["verify", "--n", "8", "--trials", "20", "--json", str(json_path)]) == 0
         out = capsys.readouterr().out
-        assert "Composition" in out and "PASS" in out and "FAIL" not in out
+        assert "Composition" in out and "PASS" in out and "FAIL" not in out and "N/A" not in out
         rows = json.loads(json_path.read_text())
         assert all(r["passed"] for r in rows)
 
@@ -552,10 +519,6 @@ class TestVerify:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[0] == "False 1"
-
-    def test_odd_dimension_is_usage_error(self, capsys):
-        assert main(["verify", "--n", "7"]) == 2
-        assert "even" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_usage_error_not_a_pass(self, capsys, trials):
@@ -654,12 +617,6 @@ class TestAnalyze:
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert written == recorded
 
-    def test_missing_file_is_usage_error(self, tmp_path, capsys):
-        assert (
-            main(["analyze", "--train", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "r")])
-            == 2
-        )
-
     def test_invalid_utf8_is_usage_error(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
         train.write_bytes(b"a\tr\tb\n\xc3\x28\tr\ta\n")
@@ -678,3 +635,101 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "empty" in err and "Traceback" not in err
         assert not out.exists()
+
+
+#: every usage error the CLI reports, as (argv, the one error message), with
+#: {d} for the directory of the files that ``bad_input_dir`` writes
+BAD_INPUT = {
+    "train-unknown-key": (["train", "--config", "{d}/unknown.cfg"], "unknown config keys: momentum"),
+    "train-missing-config": (
+        ["train", "--config", "{d}/nope.cfg"],
+        "[Errno 2] No such file or directory: '{d}/nope.cfg'",
+    ),
+    "train-repeats-0": (["train", "--config", "{d}/ok.cfg", "--repeats", "0"], "--repeats must be at least 1, got 0"),
+    "train-threads-0": (["train", "--config", "{d}/ok.cfg", "--threads", "0"], "--threads must be at least 1, got 0"),
+    "eval-empty-split": (
+        ["eval", "--checkpoint", "{d}/ok.bin", "--train", "{d}/train.tsv", "--split", "test"],
+        "split 'test' is empty",
+    ),
+    "eval-entity-mismatch": (
+        ["eval", "--checkpoint", "{d}/seven.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "checkpoint has 7 entities, dataset has 3",
+    ),
+    "eval-missing-checkpoint": (
+        ["eval", "--checkpoint", "{d}/nope.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "[Errno 2] No such file or directory: '{d}/nope.bin'",
+    ),
+    "eval-truncated-checkpoint": (
+        ["eval", "--checkpoint", "{d}/short.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/short.bin: size 128 != expected 257",
+    ),
+    "eval-empty-train": (
+        ["eval", "--checkpoint", "{d}/ok.bin", "--train", "{d}/empty.tsv"],
+        "train split {d}/empty.tsv is empty",
+    ),
+    "analyze-empty": (
+        ["analyze", "--train", "{d}/empty.tsv", "--out", "{d}/r.json"],
+        "train split {d}/empty.tsv is empty",
+    ),
+    "analyze-two-fields": (
+        ["analyze", "--train", "{d}/two.tsv", "--out", "{d}/r.json"],
+        "{d}/two.tsv:1: expected 3 tab-separated fields, got 2",
+    ),
+    "analyze-not-utf8": (
+        ["analyze", "--train", "{d}/bad.tsv", "--out", "{d}/r.json"],
+        "'utf-8' codec can't decode byte 0xc3 in position 6: invalid continuation byte",
+    ),
+    "analyze-missing": (
+        ["analyze", "--train", "{d}/nope.tsv", "--out", "{d}/r.json"],
+        "[Errno 2] No such file or directory: '{d}/nope.tsv'",
+    ),
+    "analyze-chainless": (
+        ["analyze", "--train", "{d}/chainless.tsv", "--out", "{d}/r.json"],
+        "no two-hop chains at all, imbalance ratio is undefined",
+    ),
+    "analyze-unwritable-out": (
+        ["analyze", "--train", "{d}/train.tsv", "--out", "{d}/blocker/r.json"],
+        "[Errno 17] File exists: '{d}/blocker'",
+    ),
+    "verify-odd-n": (["verify", "--n", "7"], "n must be positive and even, got 7"),
+    "verify-no-trials": (["verify", "--trials", "0"], "trials must be at least 1, got 0"),
+    "verify-unwritable-json": (
+        ["verify", "--n", "4", "--trials", "2", "--json", "{d}/blocker/c.json"],
+        "[Errno 17] File exists: '{d}/blocker'",
+    ),
+    "synth-no-kind": (["synth", "--spec", "{d}/nokind.spec", "--out", "{d}/kg"], "relation.0 needs both name and kind"),
+    "synth-missing-spec": (
+        ["synth", "--spec", "{d}/nope.spec", "--out", "{d}/kg"],
+        "[Errno 2] No such file or directory: '{d}/nope.spec'",
+    ),
+}
+
+
+@pytest.fixture
+def bad_input_dir(tmp_path):
+    from star_kge.model import init_embeddings
+
+    d = tmp_path
+    (d / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+    (d / "chainless.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+    (d / "empty.tsv").write_text("", encoding="utf-8")
+    (d / "two.tsv").write_text("a\tr\n", encoding="utf-8")
+    (d / "bad.tsv").write_bytes(b"a\tr\tb\n\xc3\x28\tr\ta\n")
+    (d / "blocker").write_text("", encoding="utf-8")  # a regular file where a directory is wanted
+    (d / "nokind.spec").write_text("num_entities = 10\nrelation.0.name = x\n", encoding="utf-8")
+    (d / "ok.cfg").write_text(f"data.train = {d / 'train.tsv'}\nout_dir = {d / 'run'}\n", encoding="utf-8")
+    (d / "unknown.cfg").write_text((d / "ok.cfg").read_text(encoding="utf-8") + "momentum = 0.9\n", encoding="utf-8")
+    init_embeddings(3, 1, 4, seed=0).save_checkpoint(d / "ok.bin")
+    init_embeddings(7, 1, 4, seed=0).save_checkpoint(d / "seven.bin")
+    (d / "short.bin").write_bytes((d / "ok.bin").read_bytes()[:128])
+    return d
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_is_one_error_line(case, bad_input_dir, capsys):
+    argv, message = BAD_INPUT[case]
+    assert main([arg.format(d=bad_input_dir) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {message.format(d=bad_input_dir)}"
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err

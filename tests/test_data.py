@@ -199,9 +199,9 @@ class TestReaderMatchesLoop:
         assert vars(vocab) == {"entity_names": names[0], "relation_names": names[1]}
 
 
-#: keys as the interning sees them: uint64 hashes with heavy repeats, small
-#: int64 keys as the byte-keyed fallback passes, and uint64 keys that share
-#: their top bits and differ only in the low 8
+#: uint64 hashes with heavy repeats as the interning sees them, small int64
+#: keys that all share their zero top bits, and uint64 keys that share their
+#: top bits and differ only in the low 8
 _KEY_ARRAYS = st.one_of(
     st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
     .flatmap(lambda values: st.lists(st.sampled_from(values), max_size=80))
@@ -340,6 +340,22 @@ class TestRoundTrip:
         assert reloaded.vocab.relation_names == toy_store.vocab.relation_names
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(reloaded.split(split), toy_store.split(split))
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("train.tsv", lambda lines: lines[:-2], "splits .*'train': 6.*found .*'train': 4"),
+            ("test.tsv", lambda lines: [], "splits .*'test': 2.*found .*'test': 0"),
+            ("entities.txt", lambda lines: lines + ["extra\n"], "num_entities 5, found 6"),
+        ],
+        ids=["truncated-split", "emptied-split", "extra-vocabulary-line"],
+    )
+    def test_load_rejects_files_that_disagree_with_the_manifest(self, toy_store, tmp_path, name, edit, message):
+        toy_store.save(tmp_path / "store")
+        path = tmp_path / "store" / name
+        path.write_text("".join(edit(path.read_text(encoding="utf-8").splitlines(keepends=True))), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"manifest records {message}"):
+            TripleStore.load(tmp_path / "store")
 
     def test_names_with_unicode_line_breaks_survive(self, tmp_path):
         names = ["a\u2028b", "c\x85d", "e\x0bf", "g\x1ch"]
