@@ -94,7 +94,11 @@ class RunConfig:
         return out
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+        """The hash of the manifest less its paths (``data.*`` and
+        ``out_dir``): runs of equal settings share it wherever their files are."""
+        settings = self.to_dict()
+        del settings["data"], settings["out_dir"]
+        blob = json.dumps(settings, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -11,9 +11,11 @@ direction) is addressed as ``r + num_relations``. Training, ranking and the
 filter index all take their queries from :func:`reciprocal_queries`;
 reciprocal triples are never written back to disk.
 
-Ingest works on bytes and makes no Python string per field. A file's bytes
-are tokenised with one numpy scan for tab and newline bytes
-(:func:`_tokenise`). Every field gets a 64-bit key from its length and its
+Ingest works on bytes and makes no Python string per field. A file that
+passes ``bytes.isascii()`` is UTF-8 without a decode. Its bytes are
+tokenised with one numpy scan for tab and newline bytes (:func:`_tokenise`)
+and joined with the other files' into one buffer, the only copy kept
+(:func:`_encode`). Every field gets a 64-bit key from its length and its
 8-byte words, and one ``np.sort`` of one word per field, the key's top
 bits above the field's index, interns the fields (:func:`_intern`); each
 field is then checked word for word against the first field of its key,
@@ -97,34 +99,41 @@ def _tokenise(path) -> tuple[bytes, np.ndarray]:
     """The bytes of one TSV triple file, and the ``(k, 3, 2)`` start and
     end offsets in them of the fields of its k triple lines.
 
-    One ``decode`` checks that the file is UTF-8, so bad input raises
-    UnicodeDecodeError as a text read would. ``\\r\\n`` and lone ``\\r``
-    become ``\\n``, as in universal newlines. Tab and newline bytes never
-    occur inside a multi-byte UTF-8 sequence, so one scan for them finds
-    every field end. Blank lines are skipped but still count toward the
-    line numbers that :class:`TripleParseError` reports.
+    ASCII bytes are UTF-8; any other file is checked with one ``decode``,
+    so bad input raises UnicodeDecodeError as a text read would. ``\\r\\n``
+    and lone ``\\r`` become ``\\n``, as in universal newlines. Tab and
+    newline bytes never occur inside a multi-byte UTF-8 sequence, so one
+    scan for them finds every field end. Blank lines are skipped but still
+    count toward the line numbers that :class:`TripleParseError` reports.
     """
     data = Path(path).read_bytes()
-    data.decode("utf-8")
+    if not data.isascii():
+        data.decode("utf-8")
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, np.uint8)
-    end = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
-    start = np.append(0, end[:-1] + 1)
-    eol = np.flatnonzero(buf[end] == ord("\n"))  # the last field of every line
+    sep = buf - np.uint8(ord("\t"))  # tab and newline wrap to 0 and 1, in place below
+    end = np.flatnonzero(np.less(sep, 2, out=sep.view(bool)))
+    del sep
+    fields = np.empty((len(end), 2), dtype=np.int64)
+    fields[0, 0] = 0
+    np.add(end[:-1], 1, out=fields[1:, 0])
+    fields[:, 1] = end
+    del end
+    eol = np.flatnonzero(buf[fields[:, 1]] == ord("\n"))  # the last field of every line
     tabs = np.diff(eol, prepend=-1) - 1
-    blank = (tabs == 0) & (start[eol] == end[eol])
+    blank = (tabs == 0) & (fields[eol, 0] == fields[eol, 1])
     bad = (tabs != 2) & ~blank
     if bad.any():
         i = int(np.argmax(bad))
         raise TripleParseError(f"{path}:{i + 1}: expected 3 tab-separated fields, got {tabs[i] + 1}")
     if blank.any():
-        keep = np.ones(len(end), dtype=bool)
+        keep = np.ones(len(fields), dtype=bool)
         keep[eol[blank]] = False
-        start, end = start[keep], end[keep]
-    return data, np.stack([start, end], axis=1).reshape(-1, 3, 2)
+        fields = fields[keep]
+    return data, fields.reshape(-1, 3, 2)
 
 
 #: ``_BYTE_MASKS[b]`` keeps the first ``b`` bytes of a little-endian word
@@ -234,7 +243,7 @@ def _decode(data: bytes, fields: np.ndarray) -> list[str]:
     ends it, and no field holds a newline."""
     start, end = fields.T
     length = end - start + 1
-    text = np.frombuffer(data, np.uint8)[_expand_runs(start, length)[1]]
+    text = np.frombuffer(data, np.uint8)[_run_index(start, length)]
     text[np.cumsum(length) - 1] = ord("\n")
     return text.tobytes().decode("utf-8").split("\n")[:-1]
 
@@ -262,16 +271,22 @@ def _encode(paths, vocab: Vocab | None = None) -> tuple[Vocab, list[np.ndarray]]
     """
     files = [_tokenise(path) if path else (b"", np.empty((0, 3, 2), dtype=np.int64)) for path in paths]
     given = [] if vocab is None else [_name_fields(vocab.entity_names), _name_fields(vocab.relation_names)]
-    data = b"".join([text for text, _ in given + files] + [bytes(8)])
-    at = np.cumsum([0] + [len(text) for text, _ in given + files]).tolist()
-    names = [span + a for (_, span), a in zip(given, at)]
-    spans = [span + a for (_, span), a in zip(files, at[len(given) :])]
-    ents = np.concatenate(names[:1] + [span[:, ::2].reshape(-1, 2) for span in spans])
-    rels = np.concatenate(names[1:] + [span[:, 1] for span in spans])
+    texts, spans = zip(*given, *files)
+    del files, given
+    data = b"".join(texts + (bytes(8),))
+    for span, at in zip(spans, np.cumsum([0, *map(len, texts)]).tolist()):
+        span += at
+    del texts  # the joined bytes are now the only copy
+    names, spans = spans[: -len(paths)], spans[-len(paths) :]
+    # axis=None flattens each (k, 2, 2) head-and-tail view straight into the one copy
+    ents = np.concatenate(names[:1] + tuple(span[:, ::2] for span in spans), axis=None).reshape(-1, 2)
+    rels = np.concatenate(names[1:] + tuple(span[:, 1] for span in spans))
+    lines = np.cumsum([len(span) for span in spans])[:-1]
+    if vocab is None:
+        del names, spans  # only an unknown name's message reads them again
     ent_ids, ent_first = _intern(data, ents)
     rel_ids, rel_first = _intern(data, rels)
-    ne, nr = (vocab.num_entities, vocab.num_relations) if given else (0, 0)
-    lines = np.cumsum([len(span) for span in spans])[:-1]
+    ne, nr = (0, 0) if vocab is None else (vocab.num_entities, vocab.num_relations)
     pairs = zip(np.split(ent_ids[ne:], 2 * lines), np.split(rel_ids[nr:], lines))
     out = [np.stack([e[::2], r, e[1::2]], axis=1) for e, r in pairs]
     if vocab is None:
@@ -314,13 +329,18 @@ def reciprocal_queries(triples, num_relations: int) -> np.ndarray:
     return queries
 
 
+def _run_index(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index runs ``[lo[k], lo[k] + count[k])``, back to back."""
+    at = np.repeat(lo - (np.cumsum(count) - count), count)
+    at += np.arange(len(at))
+    return at
+
+
 def _expand_runs(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand the index runs ``[lo[k], lo[k] + count[k])`` into parallel
     ``(row, at)``: ``at`` walks every run in turn and ``row`` holds the
     ``k`` of the run each index came from."""
-    row = np.repeat(np.arange(len(count)), count)
-    at = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(row))
-    return row, at
+    return np.repeat(np.arange(len(count)), count), _run_index(lo, count)
 
 
 class FilterIndex:

@@ -383,9 +383,15 @@ def init_embeddings(
     if init_scale <= 0:
         raise ValueError("init_scale must be positive")
     rng = np.random.default_rng(seed)
-    ent = rng.normal(0.0, init_scale, size=(num_entities, n))
-    rc = rng.normal(0.0, init_scale, size=(2 * num_relations, n))
-    tau = np.zeros((2 * num_relations, n))
-    table = EmbeddingTable(ent, rc, tau, num_relations, model_kind)
+    rows = 2 * num_relations
+    zeros = np.broadcast_to(0.0, (num_entities, n))
+    table = EmbeddingTable(zeros, np.empty((rows, n)), np.zeros((rows, n)), num_relations, model_kind)
+    # row blocks of a C-order draw take the generator's stream in the same
+    # order, so this is the one-shot (|E|, n) draw without its temporary
+    ent = table.entity_embeddings
+    for lo in range(0, num_entities, _COPY_ROWS):
+        block = ent[lo : lo + _COPY_ROWS]
+        block[...] = rng.normal(0.0, init_scale, size=block.shape)
+    table.rel_c[:] = rng.normal(0.0, init_scale, size=(rows, n))
     table.enforce_kind()
     return table

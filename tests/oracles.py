@@ -18,6 +18,7 @@ import numpy as np
 
 from star_kge.data import TripleStore, Vocab
 from star_kge.model import (
+    EmbeddingTable,
     RelationParams,
     block_grad,
     block_rotate,
@@ -49,6 +50,17 @@ def central_diff(f, x0, step=1e-5):
         fm = f(x)
         g.flat[i] = (fp - fm) / (2.0 * step)
     return g
+
+
+def init_embeddings_one_shot(num_entities, num_relations, n, model_kind, init_scale, seed):
+    """A fresh table from one ``(|E|, n)`` entity draw, then the relation
+    draw, then the kind's constraints."""
+    rng = np.random.default_rng(seed)
+    ent = rng.normal(0.0, init_scale, size=(num_entities, n))
+    rc = rng.normal(0.0, init_scale, size=(2 * num_relations, n))
+    table = EmbeddingTable(ent, rc, np.zeros_like(rc), num_relations, model_kind)
+    table.enforce_kind()
+    return table
 
 
 def score_via_matrix(h, rel: RelationParams, t) -> float:

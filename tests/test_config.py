@@ -43,10 +43,25 @@ def readme_typed_keys() -> tuple[list, list]:
 class TestManifest:
     def test_shipped_config_hash_is_pinned(self):
         cfg = load_flat_config(ROOT / "configs" / "wn18rr_star_n32.cfg")
-        assert run_config_from_dict(cfg).config_hash() == "6414a99d437165a9"
+        assert run_config_from_dict(cfg).config_hash() == "853490547a1dce76"
 
     def test_all_defaults_hash_is_pinned(self):
-        assert run_config_from_dict({"data.train": "x"}).config_hash() == "393073ede102d5e3"
+        assert run_config_from_dict({"data.train": "x"}).config_hash() == "cca0c33088c16e1c"
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            {"out_dir": "/elsewhere/run"},
+            {"data.train": "/data/wn/train.txt", "data.valid": "/data/wn/valid.txt", "data.test": "/data/wn/test.txt"},
+        ],
+        ids=["out_dir", "data-directory"],
+    )
+    def test_hash_identifies_settings_not_directories(self, moved):
+        base = {"data.train": "wn/train.txt", "data.valid": "wn/valid.txt", "data.test": "wn/test.txt", "lr": 0.05}
+        here, there = run_config_from_dict(base), run_config_from_dict(base | moved)
+        assert here.to_dict() != there.to_dict()
+        assert here.config_hash() == there.config_hash()
+        assert here.config_hash() != run_config_from_dict(base | {"lr": 0.5}).config_hash()
 
     @pytest.mark.parametrize(
         "cfg",

@@ -3,6 +3,7 @@ import importlib.util
 import logging
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -129,6 +130,7 @@ class TestReaderMatchesLoop:
     @example(texts=("a\tr\tb\n", "", ""))  # empty splits
     @example(texts=("a\tr\tb\n", "b\tr\tc\nd\tr\ta\n", None))  # unknown tail, then head: the head is named
     @example(texts=("a\tr\tb\n", "a\tq\tc\n", None))  # unknown relation and tail: the relation is named
+    @example(texts=("caf\u00e9\tr\x85\ta\u2028b\n", "a\u2028b\tr\u00e9\tz\n", "z\tr\x85\tcaf\u00e9\n"))  # no file is ASCII
     def test_load_dataset_and_load_triples(self, texts):
         self._check(texts)
 
@@ -387,9 +389,11 @@ class TestReaderEdgeCases:
     def test_invalid_utf8_raises_as_a_text_read_would(self, tmp_path):
         path = tmp_path / "train.tsv"
         path.write_bytes(b"a\tr\tb\nc\tr\t\xff\n")
+        valid = write_tsv(tmp_path / "valid.tsv", [("caf\u00e9", "r", "a")])
         with pytest.raises(UnicodeDecodeError) as want:
             path.read_text(encoding="utf-8")
-        for load in (load_triples, load_dataset):
+        # alone, or as the test split after files that decode
+        for load in (load_triples, load_dataset, lambda bad: load_dataset(valid, valid, bad)):
             with pytest.raises(UnicodeDecodeError) as err:
                 load(path)
             assert str(err.value) == str(want.value)
@@ -449,17 +453,22 @@ class TestReaderEdgeCases:
         assert err.value.args == ("unknown entity 'ab\u20ac\u20acx'",)
 
 
+def _bench_graph_files(scale, seed, directory, monkeypatch):
+    """The train, valid and test files of the benchmark's WN18RR-shaped graph."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_graphs", Path(__file__).resolve().parents[1] / "bench" / "graphs.py"
+    )
+    graphs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, graphs)  # dataclasses look their module up
+    spec.loader.exec_module(graphs)
+    paths = graphs.write_tsv(graphs.generate(graphs.wn18rr_shape(scale), seed), directory)
+    return paths["train"], paths["valid"], paths["test"]
+
+
 class TestRecordedIngest:
     def test_wn18rr_shaped_graph_matches_recorded_sha256(self, tmp_path, monkeypatch):
         # sha256 of what the dict-encoder ingest loaded for this graph
-        spec = importlib.util.spec_from_file_location(
-            "bench_graphs", Path(__file__).resolve().parents[1] / "bench" / "graphs.py"
-        )
-        graphs = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, graphs)  # dataclasses look their module up
-        spec.loader.exec_module(graphs)
-        paths = graphs.write_tsv(graphs.generate(graphs.wn18rr_shape(0.01), 5), tmp_path)
-        store = load_dataset(paths["train"], paths["valid"], paths["test"])
+        store = load_dataset(*_bench_graph_files(0.01, 5, tmp_path, monkeypatch))
         digest = hashlib.sha256()
         for names in (store.vocab.entity_names, store.vocab.relation_names):
             digest.update("\n".join(names).encode("utf-8") + b"\0")
@@ -467,6 +476,20 @@ class TestRecordedIngest:
             digest.update(np.ascontiguousarray(store.split(split), dtype="<i8").tobytes())
         assert (store.num_entities, store.num_relations, len(store.train)) == (409, 11, 868)
         assert digest.hexdigest() == "a2c6dd48484da9a5681506d9474dc0ff8c7afcb5010a1b27d7ead26c5401991c"
+
+    def test_peak_memory_is_at_most_six_and_a_half_times_the_file_bytes(self, tmp_path, monkeypatch):
+        # one copy of the file bytes, the field offsets and the interning's
+        # words: about 6.1x; an ingest that kept each file's bytes beside the
+        # joined copy and its offsets twice peaked at about 10.3x
+        paths = _bench_graph_files(0.1, 11, tmp_path, monkeypatch)
+        load_dataset(*paths)  # allocations of a first call (caches, lazy imports) stay out of the peak
+        tracemalloc.start()
+        try:
+            load_dataset(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * sum(path.stat().st_size for path in paths)
 
 
 class TestClassify:

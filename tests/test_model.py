@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from star_kge.model import (
+    _COPY_ROWS,
+    MODEL_KINDS,
     EmbeddingTable,
     RelationParams,
     block_grad,
@@ -19,7 +21,14 @@ from star_kge.model import (
     score_gradients,
     transform_query,
 )
-from oracles import apply_translation_matrix, central_diff, gradient_rel_error, score_via_matrix, translation_matrix
+from oracles import (
+    apply_translation_matrix,
+    central_diff,
+    gradient_rel_error,
+    init_embeddings_one_shot,
+    score_via_matrix,
+    translation_matrix,
+)
 
 
 def random_relation(rng, n):
@@ -289,6 +298,19 @@ class TestInit:
         np.testing.assert_array_equal(a.entity_embeddings, b.entity_embeddings)
         np.testing.assert_array_equal(a.rel_c, b.rel_c)
         np.testing.assert_array_equal(a.rel_tau, b.rel_tau)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("num_entities", [1, _COPY_ROWS, 2 * _COPY_ROWS + 5])
+    def test_block_draw_equals_one_shot_draw(self, kind, num_entities):
+        table = init_embeddings(num_entities, 3, 6, model_kind=kind, init_scale=0.3, seed=num_entities)
+        want = init_embeddings_one_shot(num_entities, 3, 6, kind, 0.3, seed=num_entities)
+        for got, expected in [
+            (table.entity_embeddings, want.entity_embeddings),
+            (table.rel_c, want.rel_c),
+            (table.rel_tau, want.rel_tau),
+        ]:
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert np.all(table._hom_rows[-1] == 1.0)
 
     def test_complex_kind_zeroes_translation(self):
         t = init_embeddings(5, 2, 4, model_kind="ComplEx", seed=0)
