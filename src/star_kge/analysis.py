@@ -19,6 +19,7 @@ In^T @ Out, since chains through different middle entities are disjoint.
 from __future__ import annotations
 
 import csv
+import html
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,7 +194,7 @@ def _psi_color(psi: float) -> str:
 
 
 def _arc_svg(report: ImbalanceReport, width=900, height=420) -> str:
-    names = report.relation_names or [str(i) for i in range(report.counts.num_relations)]
+    names = [html.escape(str(name)) for name in report.relation_names or range(report.counts.num_relations)]
     used = sorted({i for pair in report.psi for i in pair})
     if not used:
         return (

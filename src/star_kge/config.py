@@ -187,6 +187,14 @@ _RELATION_FIELDS = {"name": _text, "kind": _text, "of": _text, "offset": _offset
 _RELATION_FIELDS |= dict.fromkeys(("quarter_turns", "num_tails", "heads_per_tail", "num_pairs"), _integer)
 
 
+def _index(key: str, digits: str) -> int:
+    """The index of a ``relation.<k>`` or ``compose.<k>`` key, written without
+    leading zeros so that no two spellings name one relation."""
+    if digits != str(int(digits)):
+        raise ConfigError(f"synth spec key {key!r}: write the index as {int(digits)}")
+    return int(digits)
+
+
 def synth_spec_from_dict(cfg: dict) -> SynthSpec:
     """Assemble a synthetic-KG spec from indexed flat keys.
 
@@ -199,10 +207,10 @@ def synth_spec_from_dict(cfg: dict) -> SynthSpec:
         if key in _SPEC_KEYS:
             continue
         parts = key.split(".")
-        if parts[0] == "relation" and len(parts) == 3 and parts[1].isdigit():
-            relations.setdefault(int(parts[1]), {})[parts[2]] = value
-        elif parts[0] == "compose" and len(parts) == 2 and parts[1].isdigit():
-            compositions[int(parts[1])] = str(value)
+        if parts[0] == "relation" and len(parts) == 3 and parts[1].isdecimal():
+            relations.setdefault(_index(key, parts[1]), {})[parts[2]] = value
+        elif parts[0] == "compose" and len(parts) == 2 and parts[1].isdecimal():
+            compositions[_index(key, parts[1])] = str(value)
         else:
             raise ConfigError(f"unknown synth spec key {key!r}")
     if "num_entities" not in cfg:

@@ -44,13 +44,14 @@ _COPY_ROWS = 2048
 
 
 def _check_vector(v, n=None, name="vector"):
+    """v as float64: one vector or a stack of them, of even length (n if given)."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional")
-    if v.shape[0] % 2 != 0:
-        raise ValueError(f"{name} length must be even, got {v.shape[0]}")
-    if n is not None and v.shape[0] != n:
-        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
+    if v.ndim == 0:
+        raise ValueError(f"{name} must be a vector or a stack of vectors")
+    if v.shape[-1] % 2 != 0:
+        raise ValueError(f"{name} length must be even, got {v.shape[-1]}")
+    if n is not None and v.shape[-1] != n:
+        raise ValueError(f"{name} has length {v.shape[-1]}, expected {n}")
     return v
 
 
@@ -59,7 +60,8 @@ class RelationParams:
     """Per-relation parameters: block vector ``r_c`` and translation ``tau``.
 
     Consecutive pairs (r_c[2k], r_c[2k+1]) form one 2x2 block; both vectors
-    have the embedding dimension n (even).
+    have the embedding dimension n (even). Both may also be (k, n) arrays,
+    a stack of k relations with one relation per row.
     """
 
     r_c: np.ndarray
@@ -67,17 +69,21 @@ class RelationParams:
 
     def __post_init__(self):
         self.r_c = _check_vector(self.r_c, name="r_c")
-        self.tau = _check_vector(self.tau, n=self.r_c.shape[0], name="tau")
+        self.tau = _check_vector(self.tau, n=self.n, name="tau")
+        if self.tau.shape != self.r_c.shape:
+            raise ValueError(f"tau has shape {self.tau.shape}, r_c {self.r_c.shape}")
 
     @property
     def n(self) -> int:
-        return self.r_c.shape[0]
+        return self.r_c.shape[-1]
 
     def conjugate(self) -> "RelationParams":
         """Negate the off-diagonal block components (complex conjugation)."""
         return RelationParams(_c(self.r_c).conj().view(np.float64), self.tau.copy())
 
-    def scaled(self, alpha: float) -> "RelationParams":
+    def scaled(self, alpha) -> "RelationParams":
+        """Both vectors times alpha: one number, or one per row of a stack."""
+        alpha = np.asarray(alpha)[..., None]
         return RelationParams(alpha * self.r_c, alpha * self.tau)
 
     def with_zero_tau(self) -> "RelationParams":
@@ -125,13 +131,23 @@ def transform_query(h, r_c, tau) -> np.ndarray:
     return block_rotate_t(r_c, h) + tau
 
 
-def score(h, rel: RelationParams, t) -> float:
-    """Score one (head, relation, tail) triple: h^T R t + tau . t + 1."""
+def _check_triple(h, rel: RelationParams, t):
     h = _check_vector(h, name="h")
-    t = _check_vector(t, n=h.shape[0], name="t")
-    if rel.n != h.shape[0]:
-        raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[0]}")
-    return float(transform_query(h, rel.r_c, rel.tau) @ t) + 1.0
+    t = _check_vector(t, n=h.shape[-1], name="t")
+    if rel.n != h.shape[-1]:
+        raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[-1]}")
+    return h, t
+
+
+def score(h, rel: RelationParams, t):
+    """Score one (head, relation, tail) triple: h^T R t + tau . t + 1.
+
+    Stacked rows of h, t and the relation score row by row (their leading
+    axes broadcast) into an array; one triple gives a float.
+    """
+    h, t = _check_triple(h, rel, t)
+    s = np.vecdot(transform_query(h, rel.r_c, rel.tau), t) + 1.0
+    return float(s) if s.ndim == 0 else s
 
 
 def _check_range(ids, bound, what):
@@ -177,28 +193,27 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
 def materialize_star_matrix(rel: RelationParams) -> np.ndarray:
     """Build the explicit (n+1) x (n+1) relation matrix [[R, 0], [tau^T, 1]].
 
-    Test oracle and pattern-check substrate only; scoring goes through the
-    vectorized kernel.
+    A (k, n) stack of relations gives the (k, n+1, n+1) stack of their
+    matrices. Test oracle and pattern-check substrate only; scoring goes
+    through the vectorized kernel.
     """
     n = rel.n
-    m = np.zeros((n + 1, n + 1))
-    a, b = rel.r_c[0::2], rel.r_c[1::2]
+    m = np.zeros(rel.r_c.shape[:-1] + (n + 1, n + 1))
+    a, b = rel.r_c[..., 0::2], rel.r_c[..., 1::2]
     idx = np.arange(0, n, 2)
-    m[idx, idx] = a
-    m[idx, idx + 1] = -b
-    m[idx + 1, idx] = b
-    m[idx + 1, idx + 1] = a
-    m[n, :n] = rel.tau
-    m[n, n] = 1.0
+    m[..., idx, idx] = a
+    m[..., idx, idx + 1] = -b
+    m[..., idx + 1, idx] = b
+    m[..., idx + 1, idx + 1] = a
+    m[..., n, :n] = rel.tau
+    m[..., n, n] = 1.0
     return m
 
 
 def score_gradients(h, rel: RelationParams, t) -> ScoreGradient:
-    """Exact partial derivatives of :func:`score` in all four parameter vectors."""
-    h = _check_vector(h, name="h")
-    t = _check_vector(t, n=h.shape[0], name="t")
-    if rel.n != h.shape[0]:
-        raise ValueError(f"relation dimension {rel.n} != entity dimension {h.shape[0]}")
+    """Exact partial derivatives of :func:`score` in all four parameter
+    vectors; stacked rows give one row of each derivative per triple."""
+    h, t = _check_triple(h, rel, t)
     return ScoreGradient(
         block_rotate(rel.r_c, t), transform_query(h, rel.r_c, rel.tau), block_grad(h, t), t.copy()
     )

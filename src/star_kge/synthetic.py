@@ -57,6 +57,10 @@ class RelationRule:
     of: str = ""
 
     def __post_init__(self):
+        if any(c in self.name for c in "\t\n\r"):
+            raise SynthSpecError(
+                f"relation name {self.name!r} holds a tab or line break, which a TSV line cannot store"
+            )
         if self.kind not in RULE_KINDS:
             raise SynthSpecError(f"unknown rule kind {self.kind!r} for relation {self.name!r}")
         for count in ("num_tails", "heads_per_tail", "num_pairs"):

@@ -179,6 +179,17 @@ class TestExport:
         assert len(rows) == 2
         assert rows[1][:2] == ["r0", "r1"]
 
+    def test_svg_escapes_relation_names(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        store = make_store([(0, 0, 1), (1, 1, 2)], num_relations=2)
+        report = dataset_imbalance(count_two_paths(store))
+        report.relation_names = ["r<1&x", 'say "hi"']
+        root = ET.parse(export_arc_data(report, tmp_path / "arcs.svg", "svg")).getroot()
+        texts = [el.text for el in root.iter() if el.tag.endswith(("text", "title"))]
+        assert texts[-2:] == ["r<1&x", 'say "hi"']
+        assert any(text.startswith('r<1&x / say "hi": ') for text in texts)
+
     def test_unknown_format_rejected(self, tmp_path):
         counts = PairCounts(np.array([[0, 1], [0, 0]]), 2)
         report = dataset_imbalance(counts)

@@ -698,6 +698,14 @@ BAD_INPUT = {
         "[Errno 17] File exists: '{d}/blocker'",
     ),
     "synth-no-kind": (["synth", "--spec", "{d}/nokind.spec", "--out", "{d}/kg"], "relation.0 needs both name and kind"),
+    "synth-aliased-index": (
+        ["synth", "--spec", "{d}/aliased.spec", "--out", "{d}/kg"],
+        "synth spec key 'relation.01.name': write the index as 1",
+    ),
+    "synth-tab-in-name": (
+        ["synth", "--spec", "{d}/tabname.spec", "--out", "{d}/kg"],
+        "relation name 'a\\tb' holds a tab or line break, which a TSV line cannot store",
+    ),
     "synth-missing-spec": (
         ["synth", "--spec", "{d}/nope.spec", "--out", "{d}/kg"],
         "[Errno 2] No such file or directory: '{d}/nope.spec'",
@@ -717,6 +725,8 @@ def bad_input_dir(tmp_path):
     (d / "bad.tsv").write_bytes(b"a\tr\tb\n\xc3\x28\tr\ta\n")
     (d / "blocker").write_text("", encoding="utf-8")  # a regular file where a directory is wanted
     (d / "nokind.spec").write_text("num_entities = 10\nrelation.0.name = x\n", encoding="utf-8")
+    (d / "aliased.spec").write_text("num_entities = 10\nrelation.1.name = a\nrelation.01.name = b\n", encoding="utf-8")
+    (d / "tabname.spec").write_text("num_entities = 10\nrelation.0.name = a\tb\nrelation.0.kind = symmetric\n", encoding="utf-8")
     (d / "ok.cfg").write_text(f"data.train = {d / 'train.tsv'}\nout_dir = {d / 'run'}\n", encoding="utf-8")
     (d / "unknown.cfg").write_text((d / "ok.cfg").read_text(encoding="utf-8") + "momentum = 0.9\n", encoding="utf-8")
     init_embeddings(3, 1, 4, seed=0).save_checkpoint(d / "ok.bin")

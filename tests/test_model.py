@@ -118,6 +118,14 @@ class TestMaterialize:
             tt = np.concatenate([t, [1.0]])
             assert abs(hh @ materialize_star_matrix(rel) @ tt - score(h, rel, t)) < 1e-10
 
+    def test_stack_is_the_per_row_matrices_bit_for_bit(self, rng):
+        rc, tau = rng.normal(size=(2, 5, 6))
+        stacked = materialize_star_matrix(RelationParams(rc, tau))
+        assert stacked.shape == (5, 7, 7)
+        for i in range(5):
+            one = materialize_star_matrix(RelationParams(rc[i], tau[i]))
+            assert stacked[i].tobytes() == one.tobytes()
+
 
 class TestTranslationMatrix:
     def test_hand_example(self):
@@ -254,6 +262,20 @@ class TestGradients:
         a = np.repeat(rc[0::2], 2)
         np.testing.assert_allclose(g.d_h, a * t, rtol=1e-12)
         np.testing.assert_allclose(g.d_t, a * h, rtol=1e-12)
+
+    def test_stacked_rows_match_one_triple_calls(self, rng):
+        rc, tau, h, t = rng.normal(size=(4, 5, 6))
+        rel = RelationParams(rc, tau)
+        s, g = score(h, rel, t), score_gradients(h, rel, t)
+        assert s.shape == (5,)
+        for i in range(5):
+            one = RelationParams(rc[i], tau[i])
+            assert s[i] == score(h[i], one, t[i])
+            gi = score_gradients(h[i], one, t[i])
+            for name in ("d_h", "d_t", "d_r_c", "d_tau"):
+                np.testing.assert_array_equal(getattr(g, name)[i], getattr(gi, name))
+        with pytest.raises(ValueError, match="shape"):
+            RelationParams(rc, tau[0])
 
 
 class TestBlockOps:

@@ -86,6 +86,17 @@ class TestCommutativity:
         rel = random_relation(rng, 8)
         assert check_commutativity(rel, rel, expect_commute=True).passed
 
+    def test_noncommutativity_reports_the_smallest_norm(self, rng):
+        rot, trans = noncommuting_pair(rng, 8, 20)
+        m1, m2 = materialize_star_matrix(rot), materialize_star_matrix(trans)
+        norms = [np.linalg.norm(a @ b - b @ a) for a, b in zip(m1, m2)]
+        res = check_commutativity(rot, trans, expect_commute=False)
+        assert res.passed and res.residual == pytest.approx(min(norms))
+        rot.r_c[5] = identity_relation(8).r_c  # the identity commutes with every relation
+        res = check_commutativity(rot, trans, expect_commute=False)
+        assert not res.passed and res.residual == 0.0
+        np.testing.assert_array_equal(res.witness["rel2_tau"], trans.tau[5])
+
     def test_failed_expectation_carries_witness(self, rng):
         rot, trans = noncommuting_pair(rng, 8)
         res = check_commutativity(rot, trans, expect_commute=True)
@@ -181,6 +192,16 @@ class TestMarginScaling:
         res = check_margin_scaling(random_relation(rng, 8), alpha=-1.0)
         assert res.passed
 
+    def test_one_alpha_per_stacked_row(self, rng):
+        rel, alpha = random_relation(rng, 8, 3), np.array([1.0, 2.0, -3.0])
+        res = check_margin_scaling(rel, alpha, trials=20)
+        assert res.passed and res.residual < 1e-10
+        res = check_margin_scaling(rel, alpha, trials=20, tol=-1.0)
+        (row,) = [i for i in range(3) if np.array_equal(res.witness["rel1_tau"], rel.tau[i])]
+        assert res.witness["alpha"] == alpha[row]
+        with pytest.raises(ValueError, match="alpha"):
+            check_margin_scaling(rel, np.array([1.0, 0.0, 2.0]))
+
     def test_zero_alpha_rejected(self, rng):
         with pytest.raises(ValueError):
             check_margin_scaling(random_relation(rng, 8), alpha=0.0)
@@ -214,38 +235,38 @@ def skew_entry(real):
 
     def skewed(rel):
         m = real(rel)
-        m[0, 1] += 0.5 * (1.0 + np.abs(rel.tau).sum())
+        m[..., 0, 1] += 0.5 * (1.0 + np.abs(rel.tau).sum(-1))
         return m
 
     return skewed
+
+
+def draw_residual(name, rel, d):
+    """The sampled check's residual for one relation and one draw d, a tuple
+    (h, t) or (t, h1, ..., h4), one vector product at a time."""
+    m = patterns.materialize_star_matrix(rel)
+    if name == "symmetry":
+        return abs(hom_score(d[0], m, d[1]) - hom_score(d[1], m, d[0]))
+    if name == "inversion":
+        m2 = patterns.materialize_star_matrix(rel.conjugate())
+        return abs(hom_score(d[0], m, d[1]) - hom_score(d[1], m2, d[0]))
+    if name == "margin":
+        m2 = patterns.materialize_star_matrix(rel.scaled(2.0))
+        return abs(2.0 * hom_score(d[0], m, d[1]) - hom_score(d[0], m2, d[1]) - 1.0)
+    if name == "antisymmetry":
+        return max(abs(hom_score(h, m, d[0]) - (rel.tau @ d[0] + 1.0)) for h in d[1:])
+    m0 = patterns.materialize_star_matrix(rel.with_zero_tau())
+    diffs = [hom_score(h, m, d[0]) - hom_score(h, m0, d[0]) for h in d[1:]]
+    return max(max(abs(x - rel.tau @ d[0]) for x in diffs), max(diffs) - min(diffs))
 
 
 def per_trial_oracle(name, rel, seed, trials, n):
     """The check's draws and residuals from a per-trial loop on a fresh
     generator: (list of draw tuples, residuals, generator after the draws)."""
     g = np.random.default_rng(seed)
-    m = patterns.materialize_star_matrix(rel)
-    draws, resid = [], []
-    for _ in range(trials):
-        k = 5 if name in ("antisymmetry", "eterm") else 2
-        d = tuple(g.normal(size=n) for _ in range(k))
-        if name == "symmetry":
-            r = abs(hom_score(d[0], m, d[1]) - hom_score(d[1], m, d[0]))
-        elif name == "inversion":
-            m2 = patterns.materialize_star_matrix(rel.conjugate())
-            r = abs(hom_score(d[0], m, d[1]) - hom_score(d[1], m2, d[0]))
-        elif name == "margin":
-            m2 = patterns.materialize_star_matrix(rel.scaled(2.0))
-            r = abs(2.0 * hom_score(d[0], m, d[1]) - hom_score(d[0], m2, d[1]) - 1.0)
-        elif name == "antisymmetry":
-            r = max(abs(hom_score(h, m, d[0]) - (rel.tau @ d[0] + 1.0)) for h in d[1:])
-        else:
-            m0 = patterns.materialize_star_matrix(rel.with_zero_tau())
-            diffs = [hom_score(h, m, d[0]) - hom_score(h, m0, d[0]) for h in d[1:]]
-            r = max(max(abs(x - rel.tau @ d[0]) for x in diffs), max(diffs) - min(diffs))
-        draws.append(d)
-        resid.append(r)
-    return draws, np.array(resid), g
+    k = 5 if name in ("antisymmetry", "eterm") else 2
+    draws = [tuple(g.normal(size=n) for _ in range(k)) for _ in range(trials)]
+    return draws, np.array([draw_residual(name, rel, d) for d in draws]), g
 
 
 SAMPLED = {
@@ -300,14 +321,39 @@ class TestHarness:
         slow = hom_score(w["h"], patterns.materialize_star_matrix(rel), w["t"])
         assert res.residual == pytest.approx(abs(fast - slow) / max(1.0, abs(fast), abs(slow)))
         g = np.random.default_rng(4)
+        rels = random_relation(g, 6, 40)  # all relations first, then the vectors
+        hs, ts = g.normal(size=(2, 40, 6))
         worst = 0.0
-        for _ in range(40):  # the draws interleave relations with vectors
-            r = random_relation(g, 6)
-            h, t = g.normal(size=6), g.normal(size=6)
+        for r_c, tau, h, t in zip(rels.r_c, rels.tau, hs, ts):
+            r = RelationParams(r_c, tau)
             fast = score(h, r, t)
             slow = hom_score(h, patterns.materialize_star_matrix(r), t)
             worst = max(worst, abs(fast - slow) / max(1.0, abs(fast), abs(slow)))
         assert res.residual == pytest.approx(worst, rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_stack_is_one_loop_over_trials_then_rows(self, name, rng, monkeypatch):
+        monkeypatch.setattr(
+            patterns, "materialize_star_matrix", skew_entry(patterns.materialize_star_matrix)
+        )
+        make_rel, check = SAMPLED[name]
+        rows = [make_rel(rng) for _ in range(3)]
+        stack = RelationParams(np.stack([r.r_c for r in rows]), np.stack([r.tau for r in rows]))
+        seeded, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        res = check(stack, trials=7, tol=-1.0, rng=seeded)
+        k = 5 if name in ("antisymmetry", "eterm") else 2
+        draws, resid = {}, np.empty((7, 3))
+        for trial in range(7):
+            for row, rel in enumerate(rows):
+                draws[trial, row] = tuple(fresh.normal(size=6) for _ in range(k))
+                resid[trial, row] = draw_residual(name, rel, draws[trial, row])
+        assert seeded.normal() == fresh.normal()
+        assert not res.passed and res.residual == pytest.approx(resid.max(), rel=1e-9)
+        trial, row = np.unravel_index(np.argmax(resid), resid.shape)
+        drawn = [res.witness[k] for k in ("h", "t") if k in res.witness]
+        assert all(map(np.array_equal, draws[trial, row], drawn))
+        np.testing.assert_array_equal(res.witness["rel1_r_c"], rows[row].r_c)
+        np.testing.assert_array_equal(res.witness["rel1_tau"], rows[row].tau)
 
     def test_witness_is_first_of_tied_worst_and_nan_fails(self):
         rel = identity_relation(2)
@@ -324,7 +370,7 @@ class TestHarness:
     @pytest.mark.parametrize("name", sorted(SAMPLED))
     def test_zero_trials_rejected(self, name, rng):
         make_rel, check = SAMPLED[name]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials"):
             check(make_rel(rng), trials=0)
 
 

@@ -115,6 +115,11 @@ class TestValidation:
         with pytest.raises(SynthSpecError, match=f"{count} must be >= 0, got -1"):
             RelationRule("x", "fan_in", **{count: -1})
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+    def test_names_that_break_a_tsv_line_rejected(self, name):
+        with pytest.raises(SynthSpecError, match="tab or line break"):
+            RelationRule(name, "symmetric")
+
     def test_composition_over_unknown_relation_rejected(self):
         spec = SynthSpec(
             num_entities=16,
