@@ -439,16 +439,15 @@ class TripleStore:
                 raise ValueError(f"{name} split contains relation ids outside [0, {nr})")
 
     def _flag_unseen_entities(self):
-        seen = np.zeros(self.num_entities, dtype=bool)
-        seen[self.train[:, 0]] = True
-        seen[self.train[:, 2]] = True
+        seen, held_out = np.zeros((2, self.num_entities), dtype=bool)
+        seen[self.train[:, [0, 2]]] = True
+        held_out[np.concatenate([self.valid, self.test])[:, [0, 2]]] = True
         self.entities_not_in_train = np.flatnonzero(~seen)
         # without train triples every entity is unseen; the empty split is
         # the error that training and the CLI report
-        if len(self.train) and len(self.entities_not_in_train):
-            logger.warning(
-                "%d entities appear only in valid/test splits", len(self.entities_not_in_train)
-            )
+        only_held_out = np.count_nonzero(held_out & ~seen)
+        if len(self.train) and only_held_out:
+            logger.warning("%d entities appear only in valid/test splits", only_held_out)
 
     # persistence -----------------------------------------------------------
 

@@ -335,6 +335,8 @@ def random_relation(
 
     Translations are redrawn until their norm is at least 0.5.
     """
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     shape = (n,) if trials is None else (trials, n)
     rc = rng.normal(size=shape)
     if diagonal:
@@ -385,8 +387,6 @@ def run_pattern_suite(
     """
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"n must be positive and even, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     per_row = 8  # inner (h, t) draws are enough per relation
     stack = partial(random_relation, rng, n, trials)

@@ -30,11 +30,13 @@ and only the 2 * batch_size x n operands are scaled. The backward GEMM
 Z [E, 1] gives Z E and, in its last column, the row sums, so no pass sums
 Z. The GEMMs read the table's (n+1) x |E| rows and Z as stored; the entity
 gradient (c * Q)^T Z is written n x |E| and ``d_entities`` is its
-transpose. :func:`train` reuses the score and entity-gradient buffers for
-every batch. :func:`adagrad_update` gives every flat chunk the same ufunc
-sequence as a whole-array pass, so the optimiser step is bitwise that of
-one; the loss and the folded gradients differ from a whole-matrix
-max-shifted step by rounding.
+transpose. :func:`train` builds one private workspace that holds the score
+buffer, the entity gradient and the Adagrad accumulators for every batch;
+:func:`batch_loss` called without one allocates its own.
+:func:`adagrad_update` gives every flat chunk the same ufunc sequence as a
+whole-array pass, so the optimiser step is bitwise that of one; the loss
+and the folded gradients differ from a whole-matrix max-shifted step by
+rounding.
 """
 
 from __future__ import annotations
@@ -98,23 +100,6 @@ class TrainConfig:
 
 
 @dataclass
-class OptimizerState:
-    """Adagrad accumulators (elementwise squared-gradient sums), laid out like their tables."""
-
-    acc_entities: np.ndarray
-    acc_rel_c: np.ndarray
-    acc_rel_tau: np.ndarray
-
-    @classmethod
-    def for_table(cls, table: EmbeddingTable) -> "OptimizerState":
-        return cls(
-            np.zeros_like(table.entity_embeddings),
-            np.zeros_like(table.rel_c),
-            np.zeros_like(table.rel_tau),
-        )
-
-
-@dataclass
 class BatchGradients:
     """Dense gradients of the batch objective for every parameter matrix."""
 
@@ -148,6 +133,35 @@ def _chunks(*arrays: np.ndarray) -> list:
     return [[f[lo : lo + step] for f in flat] for lo in range(0, flat[0].size, step)]
 
 
+class _Workspace:
+    """Private training state for batches of up to ``rows`` triples.
+
+    ``scores`` is the ``2 * rows`` by |E| score buffer, ``grad_t`` the
+    ``(n, |E|)`` entity gradient, and ``accumulators`` Adagrad's
+    squared-gradient sums in table order, the entity one laid out as the
+    ``(n, |E|)`` transpose that :meth:`step` updates.
+    """
+
+    def __init__(self, table: EmbeddingTable, rows: int):
+        ne = table.num_entities
+        self.scores = np.empty((2 * rows, ne))
+        self.grad_t = np.empty((table.n, ne))
+        self.accumulators = (np.zeros((table.n, ne)), np.zeros_like(table.rel_c), np.zeros_like(table.rel_tau))
+
+    def step(self, table: EmbeddingTable, grads: BatchGradients, lr: float) -> None:
+        """Adagrad on every table, then ``enforce_kind``; raises
+        :class:`DivergenceError` naming the first table left non-finite."""
+        acc_e, acc_c, acc_tau = self.accumulators
+        # Adagrad is elementwise, so stepping the contiguous (n, |E|) transposes is bitwise the same
+        adagrad_update(table.entity_embeddings.T, grads.d_entities.T, acc_e, lr)
+        adagrad_update(table.rel_c, grads.d_rel_c, acc_c, lr)
+        adagrad_update(table.rel_tau, grads.d_rel_tau, acc_tau, lr)
+        table.enforce_kind()
+        for name in ("entity_embeddings", "rel_c", "rel_tau"):
+            if not np.isfinite(getattr(table, name)).all():
+                raise DivergenceError(f"non-finite {name} after update")
+
+
 def batch_loss(
     batch: np.ndarray,
     table: EmbeddingTable,
@@ -155,18 +169,16 @@ def batch_loss(
     tail_weights: np.ndarray | None = None,
     head_weights: np.ndarray | None = None,
     *,
-    _scores: np.ndarray | None = None,
-    _grad_t: np.ndarray | None = None,
+    _workspace: _Workspace | None = None,
 ) -> tuple[float, BatchGradients]:
     """Mean weighted cross-entropy plus penalties over one batch of triples.
 
     ``tail_weights`` / ``head_weights`` are per-entity weight arrays
     (default: uniform 1). Returns the scalar loss and dense gradients of the
-    mean objective for every parameter matrix. ``_scores`` (at least
-    2 * len(batch) rows by |E|) and ``_grad_t`` (n by |E|, C order) are
-    private float64 work buffers that :func:`train` reuses across batches;
-    each one not given is allocated. The returned ``d_entities`` is the
-    ``(|E|, n)`` transpose of ``_grad_t``.
+    mean objective for every parameter matrix. ``_workspace`` is private:
+    :func:`train` passes one for batches of at least len(batch) triples, to
+    be reused across batches; without it one is made for this call. The
+    returned ``d_entities`` is the ``(|E|, n)`` transpose of its ``grad_t``.
 
     The softmax is one ``exp`` pass: the forward GEMM multiplies
     ``[Q, -s_t]`` by the table's ``[E, 1]^T`` rows, so each query's scores
@@ -179,6 +191,7 @@ def batch_loss(
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
+    ws = _workspace if _workspace is not None else _Workspace(table, len(batch))
     ents = table.entity_embeddings
     src, rel, tgt = reciprocal_queries(batch, table.num_relations).T
     nq = len(src)
@@ -200,7 +213,7 @@ def batch_loss(
     # every row sum >= ~1 and no max pass is needed
     Q = block_rotate_t(RC, H) + TAU
     Qh = np.concatenate([Q, -np.einsum("ij,ij->i", Q, T)[:, None]], axis=1)
-    scores = np.empty((nq, len(ents))) if _scores is None else _scores[:nq]
+    scores = ws.scores[:nq]
     np.matmul(Qh, table._hom_rows, out=scores)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(scores, out=scores)
@@ -231,7 +244,7 @@ def batch_loss(
     # GEMMs read Z as it is and the small operands carry c and a
     a = (w / nq)[:, None]
     c = a / ZE[:, -1:]
-    d_entities = np.matmul((c * Q).T, scores, out=_grad_t).T
+    d_entities = np.matmul((c * Q).T, scores, out=ws.grad_t).T
     V = c * ZE[:, :-1] - a * T
     d_src = block_rotate(RC, V)
     d_RC = block_grad(H, V)
@@ -254,13 +267,6 @@ def adagrad_update(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
     for p, g, acc in _chunks(param, grad, accumulator):
         acc += g * g
         p -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
-
-
-def _apply_updates(table, grads, state, config):
-    # Adagrad is elementwise, so stepping the contiguous (n, |E|) transposes is bitwise the same
-    adagrad_update(table.entity_embeddings.T, grads.d_entities.T, state.acc_entities.T, config.lr)
-    adagrad_update(table.rel_c, grads.d_rel_c, state.acc_rel_c, config.lr)
-    adagrad_update(table.rel_tau, grads.d_rel_tau, state.acc_rel_tau, config.lr)
 
 
 def train(
@@ -290,7 +296,6 @@ def train(
     table = init_embeddings(
         store.num_entities, store.num_relations, config.n, model_kind, config.init_scale, config.seed
     )
-    state = OptimizerState.for_table(table)
 
     # at w0 = 0 every weight is exactly 1.0
     tail_w, head_w = (
@@ -298,8 +303,7 @@ def train(
         for side in ("tail", "head")
     )
 
-    scores = np.empty((2 * min(config.batch_size, len(store.train)), store.num_entities))
-    grad_t = np.empty((config.n, store.num_entities))
+    ws = _Workspace(table, min(config.batch_size, len(store.train)))
     can_validate = config.eval_every > 0 and len(store.valid) > 0
     best_mrr = -np.inf
     best_table = None
@@ -316,19 +320,12 @@ def train(
             idx = order[start : start + config.batch_size]
             batch = store.train[idx]
             try:
-                loss, grads = batch_loss(batch, table, config, tail_w, head_w, _scores=scores, _grad_t=grad_t)
+                loss, grads = batch_loss(batch, table, config, tail_w, head_w, _workspace=ws)
+                ws.step(table, grads, config.lr)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"epoch {epoch}, batch {start // config.batch_size}: {exc}"
                 ) from None
-            _apply_updates(table, grads, state, config)
-            table.enforce_kind()
-            for name in ("entity_embeddings", "rel_c", "rel_tau"):
-                if not np.isfinite(getattr(table, name)).all():
-                    raise DivergenceError(
-                        f"epoch {epoch}, batch {start // config.batch_size}: "
-                        f"non-finite {name} after update"
-                    )
             loss_sum += loss * 2 * len(batch)
             query_count += 2 * len(batch)
         loop_s = time.perf_counter() - loop_start

@@ -12,15 +12,21 @@ import numpy as np
 
 from star_kge.evaluation import evaluate
 from star_kge.model import init_embeddings
+from star_kge.training import TrainConfig, train
 from conftest import make_store
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    tracing = load_tracing()
     assert tracing.WRAPPED
     assert tracing.Tracer().absent == []
 
@@ -28,9 +34,7 @@ def test_every_traced_name_resolves():
 def test_one_score_span_per_block_and_tile(monkeypatch):
     """Each tile's GEMM is a ``model.score_batch`` span inside its block's
     ``evaluation.filtered_rank`` span, so the rank self time excludes it."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     ne = 7
     triples = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4), (4, 0, 5), (5, 1, 6), (6, 0, 0)]
     store = make_store(triples, num_entities=ne, num_relations=2)
@@ -55,3 +59,19 @@ def test_one_score_span_per_block_and_tile(monkeypatch):
     assert len(rank_self) == len(blocks) and (rank_self > 0).all()
     gemm = [sum(s[tracing.END] - s[tracing.START] for s in tiles if s[tracing.PARENT] == b) for b in blocks]
     assert np.allclose(rank_total - rank_self, gemm)
+
+
+def test_each_training_batch_is_one_loss_three_adagrad_and_one_enforce_span():
+    """The training per-layer metrics read these spans; each batch makes them
+    at the top level, in this order."""
+    tracing = load_tracing()
+    triples = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4), (4, 0, 5), (5, 1, 6), (6, 0, 0)]
+    store = make_store(triples, num_entities=7, num_relations=2)
+
+    tracer = tracing.Tracer()
+    with tracer.active():
+        train(store, TrainConfig(n=4, epochs=1, batch_size=3))
+    top = [s[tracing.NAME] for s in tracer.spans if s[tracing.PARENT] == -1]
+    one_batch = ["training.batch_loss"] + ["training.adagrad_update"] * 3 + ["model.enforce_kind"]
+    # init_embeddings projects the fresh table once before the first batch
+    assert top == ["model.enforce_kind"] + one_batch * 3

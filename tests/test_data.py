@@ -605,6 +605,17 @@ class TestDatasetVocab:
             store = load_dataset(tmp_path / "train.tsv", test_path=tmp_path / "test.tsv")
         assert store.num_entities == 3
         assert list(store.entities_not_in_train) == [2]
+        assert "1 entities appear only in valid/test splits" in caplog.text
+
+    def test_vocabulary_wider_than_its_splits_warns_only_of_held_out_entities(self, caplog):
+        with caplog.at_level("WARNING"):
+            make_store([(0, 0, 1)], num_entities=4)
+        assert "appear only in valid/test" not in caplog.text
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            store = make_store([(0, 0, 1)], num_entities=6, valid=[(1, 0, 2)], test=[(3, 0, 0)])
+        assert "2 entities appear only in valid/test splits" in caplog.text
+        assert list(store.entities_not_in_train) == [2, 3, 4, 5]
 
 
 @pytest.mark.dataset

@@ -11,6 +11,7 @@ from star_kge.patterns import (
     check_inversion,
     check_kernel_oracle,
     check_margin_scaling,
+    check_score_gradients,
     check_symmetry_mode,
     compose_relation_params,
     find_asymmetry_witness,
@@ -406,6 +407,12 @@ class TestSuite:
             run_pattern_suite(n=4, trials=trials)
         with pytest.raises(ValueError, match="trials"):
             run_verify_suite(n=4, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("check", [check_kernel_oracle, check_score_gradients])
+    def test_kernel_checks_reject_no_trials(self, check, trials):
+        with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+            check(n=4, trials=trials)
 
     def test_injected_sign_error_fails_closure_with_witness(self, rng, monkeypatch):
         # corrupt the composed-parameter extraction the way a kernel sign bug would

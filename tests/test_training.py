@@ -11,8 +11,8 @@ from star_kge.data import entity_frequency, reciprocal_queries
 from star_kge.model import MODEL_KINDS, block_rotate_t, init_embeddings
 from star_kge.regularization import RegConfig, penalty_terms_batch
 from star_kge.training import (
+    BatchGradients,
     DivergenceError,
-    OptimizerState,
     TrainConfig,
     adagrad_update,
     batch_loss,
@@ -296,7 +296,7 @@ class TestTrain:
             return table
 
         monkeypatch.setattr(training_module, "init_embeddings", broken_init)
-        with pytest.raises(DivergenceError, match="epoch 0"):
+        with pytest.raises(DivergenceError, match="^epoch 0, batch 0: non-finite batch loss"):
             train(toy_store, tiny_config(epochs=1))
 
     @pytest.mark.parametrize("matrix", ["rel_c", "rel_tau"])
@@ -316,7 +316,7 @@ class TestTrain:
 
         monkeypatch.setattr(training_module, "init_embeddings", recording_init)
         monkeypatch.setattr(training_module, "adagrad_update", poisoned_update)
-        with pytest.raises(DivergenceError, match=f"epoch 0, batch 0: non-finite {matrix}"):
+        with pytest.raises(DivergenceError, match=f"^epoch 0, batch 0: non-finite {matrix} after update$"):
             train(toy_store, tiny_config(epochs=1))
 
     def test_complex_kind_keeps_translation_zero(self, toy_store):
@@ -366,7 +366,6 @@ REGS = (
 )
 TABLES = ("entity_embeddings", "rel_c", "rel_tau")
 GRADS = ("d_entities", "d_rel_c", "d_rel_tau")
-ACCUMULATORS = ("acc_entities", "acc_rel_c", "acc_rel_tau")
 
 
 @st.composite
@@ -578,29 +577,25 @@ class TestBlockedStep:
         store, cfg, (tw, hw) = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
         want_table = table.copy()
-        state = OptimizerState.for_table(table)
-        want_state = OptimizerState.for_table(want_table)
+        want_accs = [np.zeros_like(getattr(want_table, name)) for name in TABLES]
         # reused and stale between batches, as in train()
-        scores = np.full((2 * min(cfg.batch_size, len(store.train)), case["ne"]), np.nan)
+        ws = training._Workspace(table, min(cfg.batch_size, len(store.train)))
+        ws.scores.fill(np.nan)
         with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
             for start in range(0, len(store.train), cfg.batch_size):
                 batch = store.train[start : start + cfg.batch_size]
-                loss, grads = batch_loss(batch, table, cfg, tw, hw, _scores=scores)
+                loss, grads = batch_loss(batch, table, cfg, tw, hw, _workspace=ws)
                 want = _assert_near_oracle(loss, grads, batch, want_table, cfg, tw, hw)
-                # both optimisers step on the oracle's gradient, so the tables stay comparable
-                for name, grad, acc in zip(TABLES, GRADS, ACCUMULATORS):
-                    param, g, a = getattr(table, name), getattr(want, grad), getattr(state, acc)
-                    if name == "entity_embeddings":
-                        # the contiguous (n, |E|) transposes that train() steps in chunks
-                        param, g, a = param.T, np.ascontiguousarray(g.T), a.T
-                    adagrad_update(param, g, a, cfg.lr)
-                    adagrad_update_whole(
-                        getattr(want_table, name), getattr(want, grad), getattr(want_state, acc), cfg.lr
-                    )
-                    np.testing.assert_array_equal(getattr(table, name), getattr(want_table, name))
-                    np.testing.assert_array_equal(getattr(state, acc), getattr(want_state, acc))
-                table.enforce_kind()
+                # both optimisers step on the oracle's gradient, so the tables stay comparable;
+                # the entity gradient as the contiguous (n, |E|) transpose that train() steps in chunks
+                d_entities = np.ascontiguousarray(want.d_entities.T).T
+                ws.step(table, BatchGradients(d_entities, want.d_rel_c, want.d_rel_tau), cfg.lr)
+                for name, grad, want_acc in zip(TABLES, GRADS, want_accs):
+                    adagrad_update_whole(getattr(want_table, name), getattr(want, grad), want_acc, cfg.lr)
                 want_table.enforce_kind()
+                for name, acc, want_acc in zip(TABLES, ws.accumulators, (want_accs[0].T, *want_accs[1:])):
+                    np.testing.assert_array_equal(getattr(table, name), getattr(want_table, name))
+                    np.testing.assert_array_equal(acc, want_acc)
 
     def test_saturated_example_saturates(self):
         case = SATURATED
@@ -648,17 +643,15 @@ class TestBlockedStep:
         a prefix of the score buffer, against calls that allocate their own."""
         store, cfg, (tw, hw) = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
-        ne = case["ne"]
-        scores = np.empty((2 * min(cfg.batch_size, len(store.train)), ne))
-        grad_t = np.empty((cfg.n, ne))
+        ws = training._Workspace(table, min(cfg.batch_size, len(store.train)))
         with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
             for start in range(0, len(store.train), cfg.batch_size):
                 batch = store.train[start : start + cfg.batch_size]
-                for buffer in (scores, grad_t):
+                for buffer in (ws.scores, ws.grad_t):
                     buffer.fill(np.nan)
-                loss, grads = batch_loss(batch, table, cfg, tw, hw, _scores=scores, _grad_t=grad_t)
+                loss, grads = batch_loss(batch, table, cfg, tw, hw, _workspace=ws)
                 want_loss, want = batch_loss(batch, table, cfg, tw, hw)
-                assert np.shares_memory(grads.d_entities, grad_t)
+                assert np.shares_memory(grads.d_entities, ws.grad_t)
                 assert loss == want_loss
                 for name in GRADS:
                     np.testing.assert_array_equal(getattr(grads, name), getattr(want, name))
@@ -671,10 +664,10 @@ class TestBlockedStep:
         store, cfg, (tw, hw) = _case_setup(case, epochs=2)
         with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
             got, log = train(store, cfg, case["kind"])
-            # train()'s loop with a fresh score matrix for every batch
+            # train()'s loop with fresh score and gradient buffers for every batch
             rng = np.random.default_rng(cfg.seed)
             want = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
-            state = OptimizerState.for_table(want)
+            optimizer = training._Workspace(want, 1)  # only its accumulators are used
             mean_losses = []
             for _ in range(cfg.epochs):
                 order = rng.permutation(len(store.train))
@@ -682,8 +675,7 @@ class TestBlockedStep:
                 for start in range(0, len(order), cfg.batch_size):
                     batch = store.train[order[start : start + cfg.batch_size]]
                     loss, grads = batch_loss(batch, want, cfg, tw, hw)
-                    training._apply_updates(want, grads, state, cfg)
-                    want.enforce_kind()
+                    optimizer.step(want, grads, cfg.lr)
                     total += loss * 2 * len(batch)
                 mean_losses.append(total / (2 * len(order)))
         assert [r["mean_loss"] for r in log] == mean_losses
