@@ -67,7 +67,11 @@ def parse_flat_config(text: str) -> dict:
 
 
 def load_flat_config(path) -> dict:
-    return parse_flat_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return parse_flat_config(text)
 
 
 @dataclass

@@ -343,45 +343,43 @@ def _expand_runs(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(np.arange(len(count)), count), _run_index(lo, count)
 
 
-class FilterIndex:
-    """Known answers of every ``(source, relation)`` query, in CSR form.
+def _runs_in(codes: np.ndarray, base: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``[base[k] * span, (base[k] + 1) * span)`` of the sorted
+    ``codes``, found with two ``np.searchsorted`` calls and expanded by
+    :func:`_expand_runs`: ``codes[at]`` lies in the run of ``base[row]``."""
+    lo = np.searchsorted(codes, base * span)
+    return _expand_runs(lo, np.searchsorted(codes, (base + 1) * span) - lo)
 
-    ``keys`` holds the sorted, distinct int64 codes
-    ``src * num_relation_rows + rel``; the answers of ``keys[i]`` are
-    ``answers[offsets[i]:offsets[i + 1]]``, sorted and distinct. Built from
-    parallel ``src``, ``rel`` and ``answer`` arrays by sorting one int64 key
-    ``(src * num_relation_rows + rel) * span + answer`` per pair, with
-    ``span`` one more than the largest answer, dropping repeats at run
-    boundaries and splitting the key back with ``np.divmod``.
+
+class FilterIndex:
+    """Known answers of every ``(source, relation)`` query, as one sorted code array.
+
+    ``codes`` holds the sorted, distinct int64 codes
+    ``(src * num_relation_rows + rel) * span + answer`` of the parallel
+    ``src``, ``rel`` and ``answer`` arrays, with ``span`` one more than the
+    largest answer, so the answers of a pair are one run of codes, ascending.
+    A block of queries finds its runs with two ``np.searchsorted`` calls
+    (:func:`_runs_in`).
     """
 
     def __init__(self, src, rel, answer, num_relation_rows: int):
         self.num_relation_rows = int(num_relation_rows)
         answer = np.asarray(answer, dtype=np.int64)
-        span = int(answer.max()) + 1 if len(answer) else 1
-        key = np.sort((np.asarray(src, dtype=np.int64) * self.num_relation_rows + rel) * span + answer)
-        code, self.answers = np.divmod(key[_fresh(key)], span)
-        starts = np.flatnonzero(_fresh(code))
-        self.keys = code[starts]
-        self.offsets = np.append(starts, len(code))
+        self.span = int(answer.max()) + 1 if len(answer) else 1
+        codes = np.sort((np.asarray(src, dtype=np.int64) * self.num_relation_rows + rel) * self.span + answer)
+        self.codes = codes[_fresh(codes)]
 
     def known_answers(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Every known answer of a block of ``(src, rel, true_answer)`` queries.
 
         Returns parallel arrays ``(row, answer)``: ``answer`` is a known
-        answer of query ``row``. The block is looked up with one
-        ``searchsorted``. A query whose pair is not in the index, or whose
-        true answer is not among the pair's answers, raises ValueError.
+        answer of query ``row``. A query whose pair is not in the index, or
+        whose true answer is not among the pair's answers, raises ValueError.
         """
         q = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
-        code = q[:, 0] * self.num_relation_rows + q[:, 1]
-        pos = np.searchsorted(self.keys, code)
-        found = pos < len(self.keys)
-        found[found] = self.keys[pos[found]] == code[found]
-        pos[~found] = 0  # with found False, count is offsets[0] - offsets[0] = 0
-        count = self.offsets[pos + found] - self.offsets[pos]
-        row, at = _expand_runs(self.offsets[pos], count)
-        answer = self.answers[at]
+        base = q[:, 0] * self.num_relation_rows + q[:, 1]
+        row, at = _runs_in(self.codes, base, self.span)
+        answer = self.codes[at] - (base * self.span)[row]  # a subtraction, not a slower ``%``
         covered = np.zeros(len(q), dtype=bool)
         covered[row[answer == q[row, 2]]] = True
         if not covered.all():

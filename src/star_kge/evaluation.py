@@ -9,11 +9,12 @@ rank is taken ("filtered" setting).
 Queries are ranked in blocks of up to ``BLOCK_ROWS``. A block's ``[q, 1]``
 rows are built once, and each entity tile is one product with a column
 slice of the table's stored ``[E, 1]^T``, the score's ``+ 1`` inside it.
-The known answers in the tile (from the array
-:class:`~star_kge.data.FilterIndex`) are masked by scattering ``-inf``, and
-rivals are counted by a uint16 row sum of the mask while the tile is in
-cache, so the table is read once per block and no score block larger than
-a tile is written. :func:`evaluate` allocates one workspace per call.
+A block's known answers are its runs in the one sorted code array of
+:class:`~star_kge.data.FilterIndex`, found with two ``np.searchsorted``
+calls. Those in a tile are masked by scattering ``-inf``, and rivals are
+counted by a uint16 row sum of the mask while the tile is in cache, so the
+table is read once per block and no score block larger than a tile is
+written. :func:`evaluate` allocates one workspace per call.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FilterIndex, RelationClass, TripleStore, reciprocal_queries
-from .model import EmbeddingTable, _check_range, score_batch, transform_query
+from .model import EmbeddingTable, _query_rows, score_batch
 
 TIE_RULES = ("pessimistic", "random")
 HITS_AT = (1, 3, 10)
@@ -82,8 +83,8 @@ class _Workspace:
     """Private buffers of the ranking pass for blocks of up to ``rows`` queries.
 
     ``scores`` and ``mask`` hold one tile, ``rows`` high and ``width``
-    entities wide, ``query`` a block's ``[q, 1]`` rows, and ``col_max`` the
-    bound ``max_e |[E, 1]_ke|`` per coordinate k.
+    entities wide, and ``col_max`` the bound ``max_e |[E, 1]_ke|`` per
+    coordinate k.
     """
 
     def __init__(self, table: EmbeddingTable, rows: int):
@@ -91,18 +92,8 @@ class _Workspace:
         self.width = min(table.num_entities, max(1, BLOCK_SCORES // rows), TILE_WIDTH_MAX)
         self.scores = np.empty(rows * self.width)
         self.mask = np.empty(rows * self.width, dtype=bool)
-        self.query = np.ones((rows, table.n + 1))
         hom = table._hom_rows
         self.col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
-
-    def block_query(self, table: EmbeddingTable, heads, rels) -> np.ndarray:
-        """Range-check a block's ids and build its ``[q, 1]`` rows; returns
-        the ``(k, n+1)`` prefix of ``query`` that holds them."""
-        _check_range(heads, table.num_entities, "head")
-        _check_range(rels, table.num_relation_rows, "relation")
-        q = self.query[: len(heads)]
-        q[:, :-1] = transform_query(table.entity_embeddings[heads], table.rel_c[rels], table.rel_tau[rels])
-        return q
 
     def count(self, compare, tile, bound) -> np.ndarray:
         """Row-wise count of ``compare(tile, bound)``: one uint16 sum of the
@@ -152,7 +143,7 @@ def filtered_rank(
     ws = _workspace if _workspace is not None else _Workspace(table, k)
 
     heads, rels, targets = block.T
-    q = ws.block_query(table, heads, rels)
+    q = _query_rows(table, heads, rels)
     # row sums of C-order (k, n+1) products: the same rounding at any k
     s_true = (q * table._hom_rows.T[targets]).sum(axis=1)
     nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)

@@ -162,6 +162,15 @@ def homogeneous(x) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
+def _query_rows(table: "EmbeddingTable", heads: np.ndarray, rels: np.ndarray) -> np.ndarray:
+    """The ``(k, n+1)`` rows ``[q, 1]``, ``q = transform_query(...)``, of k
+    head and relation ids, range-checked first: a head or relation id outside
+    the table raises IndexError."""
+    _check_range(heads, table.num_entities, "head")
+    _check_range(rels, table.num_relation_rows, "relation")
+    return homogeneous(transform_query(table.entity_embeddings[heads], table.rel_c[rels], table.rel_tau[rels]))
+
+
 def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.ndarray:
     """Score (head, relation) queries against every entity.
 
@@ -171,10 +180,10 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
     against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
     costs no second pass. ``_tile`` is private: ``filtered_rank`` passes
-    ``(query, cols, out)``, its block's ``[q, 1]`` rows, built and
-    range-checked once per block, an entity tile's column slice and the
-    tile's view of its workspace (or None for a fresh array). The call is
-    then only that GEMM, and the ids are not read.
+    ``(query, cols, out)``, its block's ``[q, 1]`` rows from
+    :func:`_query_rows`, an entity tile's column slice and the tile's view of
+    its workspace (or None for a fresh array). The call is then only that
+    GEMM, and the ids are not read.
     """
     if _tile is not None:
         query, cols, out = _tile
@@ -182,11 +191,7 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
         raise ValueError(f"head ids {heads.shape} and relation ids {rels.shape} must be matching scalars or 1-D")
-    _check_range(heads, table.num_entities, "head")
-    _check_range(rels, table.num_relation_rows, "relation")
-    h, r = np.atleast_1d(heads), np.atleast_1d(rels)
-    q = transform_query(table.entity_embeddings[h], table.rel_c[r], table.rel_tau[r])
-    scores = homogeneous(q) @ table._hom_rows
+    scores = _query_rows(table, np.atleast_1d(heads), np.atleast_1d(rels)) @ table._hom_rows
     return scores[0] if heads.ndim == 0 else scores
 
 
@@ -395,8 +400,8 @@ def init_embeddings(
     """
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"embedding dimension must be positive and even, got {n}")
-    if init_scale <= 0:
-        raise ValueError("init_scale must be positive")
+    if not 0 < init_scale < np.inf:
+        raise ValueError(f"init_scale must be {'finite' if init_scale > 0 else 'positive'}, got {init_scale}")
     rng = np.random.default_rng(seed)
     rows = 2 * num_relations
     zeros = np.broadcast_to(0.0, (num_entities, n))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TripleStore, Vocab, _expand_runs
+from .data import TripleStore, Vocab, _runs_in
 
 RULE_KINDS = (
     "grid_rotation",
@@ -188,9 +188,7 @@ class _Generator:
         """Codes of ``first`` then ``second``: a sorted join on the middle entity."""
         ne = self.spec.num_entities
         f, s = self.maps[first], self.maps[second]
-        mid, s_head = f % ne, s // ne
-        lo = np.searchsorted(s_head, mid)
-        row, at = _expand_runs(lo, np.searchsorted(s_head, mid, side="right") - lo)
+        row, at = _runs_in(s, f % ne, ne)
         return np.unique(f[row] // ne * ne + s[at] % ne)
 
     def build(self) -> SynthResult:

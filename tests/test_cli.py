@@ -645,6 +645,10 @@ BAD_INPUT = {
         ["train", "--config", "{d}/nope.cfg"],
         "[Errno 2] No such file or directory: '{d}/nope.cfg'",
     ),
+    "train-config-not-utf8": (
+        ["train", "--config", "{d}/bad.cfg"],
+        "{d}/bad.cfg: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte",
+    ),
     "train-repeats-0": (["train", "--config", "{d}/ok.cfg", "--repeats", "0"], "--repeats must be at least 1, got 0"),
     "train-threads-0": (["train", "--config", "{d}/ok.cfg", "--threads", "0"], "--threads must be at least 1, got 0"),
     "eval-empty-split": (
@@ -706,6 +710,10 @@ BAD_INPUT = {
         ["synth", "--spec", "{d}/tabname.spec", "--out", "{d}/kg"],
         "relation name 'a\\tb' holds a tab or line break, which a TSV line cannot store",
     ),
+    "synth-spec-not-utf8": (
+        ["synth", "--spec", "{d}/bad.spec", "--out", "{d}/kg"],
+        "{d}/bad.spec: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte",
+    ),
     "synth-missing-spec": (
         ["synth", "--spec", "{d}/nope.spec", "--out", "{d}/kg"],
         "[Errno 2] No such file or directory: '{d}/nope.spec'",
@@ -727,6 +735,8 @@ def bad_input_dir(tmp_path):
     (d / "nokind.spec").write_text("num_entities = 10\nrelation.0.name = x\n", encoding="utf-8")
     (d / "aliased.spec").write_text("num_entities = 10\nrelation.1.name = a\nrelation.01.name = b\n", encoding="utf-8")
     (d / "tabname.spec").write_text("num_entities = 10\nrelation.0.name = a\tb\nrelation.0.kind = symmetric\n", encoding="utf-8")
+    (d / "bad.cfg").write_bytes(b"data.train = x.tsv\nn = 4\xff\n")
+    (d / "bad.spec").write_bytes(b"num_entities = 1\xff0\n")
     (d / "ok.cfg").write_text(f"data.train = {d / 'train.tsv'}\nout_dir = {d / 'run'}\n", encoding="utf-8")
     (d / "unknown.cfg").write_text((d / "ok.cfg").read_text(encoding="utf-8") + "momentum = 0.9\n", encoding="utf-8")
     init_embeddings(3, 1, 4, seed=0).save_checkpoint(d / "ok.bin")

@@ -21,6 +21,7 @@ from star_kge.data import (
     TripleStore,
     Vocab,
     VocabularyError,
+    _runs_in,
     classify_relations,
     entity_frequency,
     load_dataset,
@@ -269,15 +270,24 @@ class TestFilterIndex:
     @example(case=(1, 1, [(0, 0, 0), (0, 0, 0)], [], []))  # one entity: a repeated self-loop
     @example(case=(4, 2, [(0, 0, 1)], [], [(2, 1, 3), (0, 0, 1)]))  # test-only entities
     @example(case=(3, 2, [], [], []))  # no triples
+    @example(case=(3, 1, [(0, 0, 1)], [], []))  # pairs (2, 0) and (2, 1) sort after the last code
+    @example(case=(3, 1, [(0, 0, 2)], [], []))  # absent pairs between (0, 0) and (2, 1)
+    @example(case=(2, 1, [(0, 0, 1), (1, 0, 0)], [], []))  # answer span - 1, then the next pair's 0
     def test_matches_dict_of_sets(self, case):
         ne, nr, train, valid, test = case
         index = make_store(train, num_entities=ne, num_relations=nr, valid=valid, test=test).filter_index
         known = filter_sets([train, valid, test], nr)
         pairs = sorted(known)  # (src, rel) order is code order: rel < 2 * nr
-        assert index.keys.dtype == index.offsets.dtype == index.answers.dtype == np.int64
-        assert index.keys.tolist() == [src * 2 * nr + rel for src, rel in pairs]
-        assert index.offsets.tolist() == np.cumsum([0] + [len(known[p]) for p in pairs]).tolist()
-        assert index.answers.tolist() == [a for p in pairs for a in sorted(known[p])]
+        span = index.span
+        assert span == 1 + max((a for p in pairs for a in known[p]), default=0)
+        assert index.codes.dtype == np.int64
+        want = [(src * 2 * nr + rel) * span + a for src, rel in pairs for a in sorted(known[(src, rel)])]
+        assert index.codes.tolist() == want
+        # every pair code up to one past the last source, present or absent
+        grid = np.arange((ne + 1) * 2 * nr)
+        row, at = _runs_in(index.codes, grid, span)
+        want = [(p, a) for p in grid.tolist() for a in sorted(known.get(divmod(p, 2 * nr), ()))]
+        assert list(zip(row.tolist(), (index.codes[at] % span).tolist())) == want
         triples = train + valid + test
         queries = triples + [(t, r + nr, h) for h, r, t in triples]
         if queries:
@@ -305,13 +315,17 @@ class TestFilterIndex:
         # (0, r0, 1) twice across splits, and its reciprocal answer twice
         store = make_store([(0, 0, 2), (0, 0, 1), (3, 0, 1)], num_entities=4, valid=[(0, 0, 1)], test=[(0, 0, 2)])
         index = store.filter_index
-        r_rows = 2 * store.num_relations
-        np.testing.assert_array_equal(index.keys, [0 * r_rows + 0, 1 * r_rows + 1, 2 * r_rows + 1, 3 * r_rows + 0])
-        np.testing.assert_array_equal(index.offsets, [0, 2, 4, 5, 6])
-        np.testing.assert_array_equal(index.answers, [1, 2, 0, 3, 0, 1])
+        r_rows, span = 2 * store.num_relations, 4
+        assert index.span == span
+        pairs = [0 * r_rows + 0] * 2 + [1 * r_rows + 1] * 2 + [2 * r_rows + 1, 3 * r_rows + 0]
+        np.testing.assert_array_equal(index.codes, np.multiply(pairs, span) + [1, 2, 0, 3, 0, 1])
         row, answer = index.known_answers([(1, 1, 3), (0, 0, 2)])
         assert row.tolist() == [0, 0, 1, 1]
         assert answer.tolist() == [0, 3, 1, 2]
+        # pair (3, 1) sorts after the last code, (1, 0) between two present pairs
+        for query in [(3, 1, 0), (1, 0, 0)]:
+            with pytest.raises(ValueError, match="not covered"):
+                index.known_answers([query])
 
     def test_missing_pair_raises(self, toy_store):
         with pytest.raises(ValueError, match=r"query \(4, 1, 0\) is not covered"):

@@ -2,10 +2,12 @@
 and passes every private keyword-only parameter that it defines."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "star_kge"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "star_kge"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "star_kge"}
 
 
@@ -26,6 +28,14 @@ def test_package_imports_only_stdlib_and_numpy():
     assert sources
     found = {path.name: outside_imports(path.read_text(encoding="utf-8")) for path in sources}
     assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def test_numpy_floor_has_vecdot():
+    """``model.score`` and the pattern checks call ``np.vecdot``, new in numpy 2.0."""
+    # a regex, not tomllib: the package supports Python 3.10
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 0)
 
 
 def test_outside_imports_are_found_at_any_depth():

@@ -3,8 +3,8 @@ import pytest
 
 from star_kge.analysis import count_two_paths
 from star_kge.data import classify_relations, load_triples, reciprocal_queries
-from star_kge.evaluation import TIE_RULES, _Workspace, evaluate, filtered_rank
-from star_kge.model import init_embeddings, score_batch
+from star_kge.evaluation import TIE_RULES, evaluate, filtered_rank
+from star_kge.model import _query_rows, init_embeddings, score_batch
 from conftest import make_store
 from oracles import exact_scores, filter_sets, sort_rank
 
@@ -313,7 +313,7 @@ class TestTiles:
         heads, rels = np.array([0, 3, 6, 2]), np.array([0, 1, 2, 3])
         full = score_batch(table, heads, rels)
         # the block's [q, 1] rows as filtered_rank builds them, once for every tile
-        q = _Workspace(table, len(heads)).block_query(table, heads, rels)
+        q = _query_rows(table, heads, rels)
         for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
             tile = score_batch(table, heads, rels, _tile=(q, slice(lo, hi), None))
             assert tile.tobytes() == full[:, lo:hi].tobytes()

@@ -357,6 +357,19 @@ class TestInit:
         with pytest.raises(ValueError):
             init_embeddings(5, 2, 7, seed=0)
 
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (0.0, "init_scale must be positive, got 0.0"),
+            (-1.0, "init_scale must be positive, got -1.0"),
+            (float("nan"), "init_scale must be positive, got nan"),
+            (float("inf"), "init_scale must be finite, got inf"),
+        ],
+    )
+    def test_scale_outside_zero_to_inf_rejected(self, scale, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            init_embeddings(5, 2, 4, init_scale=scale, seed=0)
+
 
 class TestEntityLayout:
     """Entities live in one C-order (n+1, |E|) array whose last row is 1."""
