@@ -135,19 +135,6 @@ def count_two_paths(store: TripleStore, exclude_degenerate: bool = False) -> Pai
     return PairCounts(out, nr, degenerate_excluded=exclude_degenerate)
 
 
-def pair_imbalance(counts: PairCounts, i: int, j: int) -> float:
-    """Imbalance of one relation pair; undefined (raises) when no chain exists.
-
-    Written as (max - min) / sum, algebraically identical to
-    2 * max / sum - 1 but exact for small integer counts.
-    """
-    c_ij, c_ji = counts.pair(i, j)
-    total = c_ij + c_ji
-    if total == 0:
-        raise ValueError(f"relation pair ({i}, {j}) has no two-hop chains in either order")
-    return (max(c_ij, c_ji) - min(c_ij, c_ji)) / total
-
-
 def dataset_imbalance(counts: PairCounts, include_diagonal: bool = True) -> ImbalanceReport:
     """Classify every unordered pair as both-orders or single-order and
     aggregate the dataset imbalance ratio.
@@ -164,8 +151,8 @@ def dataset_imbalance(counts: PairCounts, include_diagonal: bool = True) -> Imba
     total = np.where(i == j, c_ij, c_ij + c_ji)
     keep = total > 0
     i, j, c_ij, c_ji, total = i[keep], j[keep], c_ij[keep], c_ji[keep], total[keep]
-    # exact integers below 2**53, so each float64 quotient is rounded as
-    # pair_imbalance's int division is; a diagonal pair gets 0 / c_ii = 0.0
+    # exact integers below 2**53, so each float64 quotient is the correctly
+    # rounded (max - min) / sum; a diagonal pair gets 0 / c_ii = 0.0
     psi = dict(zip(zip(i.tolist(), j.tolist()), (np.abs(c_ij - c_ji) / total).tolist()))
     balanced = (c_ij > 0) & (c_ji > 0)
     both = int(total[balanced].sum())
@@ -255,20 +242,11 @@ def export_arc_data(report: ImbalanceReport, out_path, fmt: str = "csv") -> Path
     """
     out_path = Path(out_path)
     if fmt == "csv":
-        names = report.relation_names or [str(i) for i in range(report.counts.num_relations)]
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rel_i", "rel_j", "count_ij", "count_ji", "psi"])
-            for (i, j), psi in sorted(report.psi.items()):
-                writer.writerow(
-                    [
-                        names[i],
-                        names[j],
-                        int(report.counts.counts[i, j]),
-                        int(report.counts.counts[j, i]),
-                        f"{psi:.6f}",
-                    ]
-                )
+            for p in report.to_dict()["pairs"]:
+                writer.writerow([p["name_i"], p["name_j"], p["count_ij"], p["count_ji"], f"{p['psi']:.6f}"])
     elif fmt == "svg":
         out_path.write_text(_arc_svg(report), encoding="utf-8")
     else:

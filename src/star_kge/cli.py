@@ -42,9 +42,17 @@ def _pin_threads(threads):
 
 
 def _write_json(path, payload):
+    """Write a sibling ``.tmp`` file and rename it over ``path``, as
+    ``save_checkpoint`` does: a write killed part way leaves the previous
+    file whole, and one that raises leaves no ``.tmp`` behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp = Path(str(path) + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_store(train, valid=None, test=None):

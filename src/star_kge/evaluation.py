@@ -57,7 +57,6 @@ class EvalReport:
     hits: dict[int, float]
     per_relation: dict[int, tuple[float, int]]
     per_class: dict[str, float]
-    direction: str
     num_queries: int
     tie_rule: str = "pessimistic"
     split: str = ""
@@ -66,7 +65,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {
             "split": self.split,
-            "direction": self.direction,
             "tie_rule": self.tie_rule,
             "num_queries": self.num_queries,
             "ranking_s": self.ranking_s,
@@ -84,7 +82,8 @@ class _Workspace:
 
     ``scores`` and ``mask`` hold one tile, ``rows`` high and ``width``
     entities wide, and ``col_max`` the bound ``max_e |[E, 1]_ke|`` per
-    coordinate k.
+    coordinate k; a non-finite entity coordinate makes it non-finite, which
+    raises ValueError (see :func:`filtered_rank`).
     """
 
     def __init__(self, table: EmbeddingTable, rows: int):
@@ -94,6 +93,8 @@ class _Workspace:
         self.mask = np.empty(rows * self.width, dtype=bool)
         hom = table._hom_rows
         self.col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
+        if not np.isfinite(self.col_max).all():
+            raise ValueError("the entity table holds a non-finite value, so its ranks would be meaningless")
 
     def count(self, compare, tile, bound) -> np.ndarray:
         """Row-wise count of ``compare(tile, bound)``: one uint16 sum of the
@@ -130,7 +131,9 @@ def filtered_rank(
     GEMM's rounding bound ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``:
     two scores whose exact values are equal differ by at most ``2 b_i``, so
     the pessimistic rank is ``1 + #(s_e >= s_t - 2 b_i)`` and the random
-    rule's strictly better rivals are ``#(s_e > s_t + 2 b_i)``.
+    rule's strictly better rivals are ``#(s_e > s_t + 2 b_i)``. A non-finite
+    entity table or bound ``s_t - 2 b_i`` raises ValueError: a NaN score
+    would count no rival, so the answer would rank first.
     ``_workspace`` is private: :func:`evaluate` passes one at least k rows
     high, to be reused across blocks; without it one is made for this call.
     """
@@ -143,13 +146,19 @@ def filtered_rank(
     ws = _workspace if _workspace is not None else _Workspace(table, k)
 
     heads, rels, targets = block.T
-    q = _query_rows(table, heads, rels)
-    # row sums of C-order (k, n+1) products: the same rounding at any k
-    s_true = (q * table._hom_rows.T[targets]).sum(axis=1)
-    nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
-    slack = 2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1)  # 2 b_i
-    low = (s_true - slack)[:, None]
-    high = (s_true + slack)[:, None]
+    # inf in a relation row would warn (inf - inf) part way; it is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _query_rows(table, heads, rels)
+        # row sums of C-order (k, n+1) products: the same rounding at any k
+        s_true = (q * table._hom_rows.T[targets]).sum(axis=1)
+        nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
+        slack = 2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1)  # 2 b_i
+        low = (s_true - slack)[:, None]
+        high = (s_true + slack)[:, None]
+    finite = np.isfinite(low[:, 0]) & np.isfinite(high[:, 0])
+    if not finite.all():
+        first = tuple(block[np.argmin(finite)].tolist())
+        raise ValueError(f"query {first} has a non-finite score bound: its relation row or its scores are not finite")
 
     at_least = np.zeros(k, dtype=np.int64)
     greater = np.zeros(k, dtype=np.int64)
@@ -176,30 +185,26 @@ def evaluate(
     store: TripleStore,
     classes: list[RelationClass] | None = None,
     tie_rule: str = "pessimistic",
-    direction: str = "both",
-    seed: int = 0,
 ) -> EvalReport:
-    """Rank every triple of a split in the requested direction(s).
+    """Rank both queries of every triple of a split.
 
     Queries go to :func:`filtered_rank` in blocks of up to ``BLOCK_ROWS``
     rows, in the order tail query then head query of each triple, all in one
-    workspace allocated per call.
+    workspace allocated per call. The random tie rule draws from
+    ``default_rng(0)``, so a report is reproducible.
     Per-relation results merge the head and tail queries of each original
     relation; per-class results group relations by their complexity class
     when ``classes`` is given.
     """
-    halves = {"tail": [0], "head": [1], "both": [0, 1]}.get(direction)
-    if halves is None:
-        raise ValueError(f"direction must be tail, head or both, got {direction!r}")
     triples = store.split(split)
     if len(triples) == 0:
         raise ValueError(f"split {split!r} is empty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     nr = store.num_relations
 
-    # (tail, head) halves of reciprocal_queries, interleaved per triple
-    queries = reciprocal_queries(triples, nr).reshape(2, -1, 3)[halves].swapaxes(0, 1).reshape(-1, 3)
-    rels = np.repeat(triples[:, 1], len(halves))
+    # the (tail, head) halves of reciprocal_queries, interleaved per triple
+    queries = reciprocal_queries(triples, nr).reshape(2, -1, 3).swapaxes(0, 1).reshape(-1, 3)
+    rels = np.repeat(triples[:, 1], 2)
 
     height = min(len(queries), BLOCK_ROWS)
     start = time.perf_counter()
@@ -237,7 +242,6 @@ def evaluate(
         hits=hits,
         per_relation=per_relation,
         per_class=per_class,
-        direction=direction,
         num_queries=len(rr),
         tie_rule=tie_rule,
         split=split,

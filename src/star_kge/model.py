@@ -245,14 +245,14 @@ class EmbeddingTable:
         if model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
         ne, n = np.shape(entity_embeddings)
+        if n % 2 != 0 or n <= 0:
+            raise ValueError(f"embedding dimension must be positive and even, got {n}")
         self._hom_rows = np.ones((n + 1, ne))
         self.entity_embeddings = entity_embeddings
         self.rel_c = np.asarray(rel_c, dtype=np.float64)
         self.rel_tau = np.asarray(rel_tau, dtype=np.float64)
         self.num_relations = int(num_relations)
         self.model_kind = model_kind
-        if n % 2 != 0:
-            raise ValueError(f"embedding dimension must be even, got {n}")
         if self.rel_c.shape != self.rel_tau.shape or self.rel_c.shape[1] != n:
             raise ValueError("relation parameter matrices must be (rows, n) like entities")
         if self.rel_c.shape[0] != 2 * self.num_relations:
@@ -317,7 +317,8 @@ class EmbeddingTable:
         block and translation matrices. Both files are written in full to
         sibling ``.tmp`` files first and then renamed over their targets, so
         a save that fails part way leaves the previous checkpoint whole and
-        no temporary file behind.
+        no temporary file behind. Nothing is flushed to disk (no ``fsync``):
+        a save survives a crash of the process, not a power cut.
         """
         path = Path(path)
         sidecar_path = Path(str(path) + ".json")

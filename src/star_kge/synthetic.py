@@ -304,8 +304,3 @@ class _Generator:
 def generate_full(spec: SynthSpec) -> SynthResult:
     """Generate the store plus rule metadata (held-out query tags etc.)."""
     return _Generator(spec).build()
-
-
-def generate(spec: SynthSpec) -> TripleStore:
-    """Generate just the triple store for a spec."""
-    return generate_full(spec).store

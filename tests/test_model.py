@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from star_kge.model import (
+    _CKPT_HEADER,
+    _CKPT_MAGIC,
+    _CKPT_VERSION,
     _COPY_ROWS,
     MODEL_KINDS,
     EmbeddingTable,
@@ -458,6 +461,16 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.rel_c, a.rel_c)
         np.testing.assert_array_equal(loaded.rel_tau, a.rel_tau)
         assert sidecar["epoch"] == 1
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        message = "^embedding dimension must be positive and even, got 0$"
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(np.empty((20, 0)), np.empty((2, 0)), np.empty((2, 0)), 1)
+        # a header-only file whose header says n = 0 has the size it promises
+        path = tmp_path / "zero.bin"
+        path.write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 20, 2, 0))
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -13,7 +13,6 @@ from star_kge.synthetic import (
     RelationRule,
     SynthSpec,
     SynthSpecError,
-    generate,
     generate_full,
 )
 
@@ -25,7 +24,7 @@ class TestBaseRules:
             relations=[RelationRule("sym", "symmetric", num_pairs=3)],
             seed=4,
         )
-        store = generate(spec)
+        store = generate_full(spec).store
         pairs = {(h, t) for h, _, t in store.train.tolist()}
         assert pairs == {(t, h) for h, t in pairs}
         assert len(pairs) == 6
@@ -36,7 +35,7 @@ class TestBaseRules:
             relations=[RelationRule("sink", "fan_in", num_tails=4, heads_per_tail=10)],
             seed=0,
         )
-        store = generate(spec)
+        store = generate_full(spec).store
         (cls,) = classify_relations(store)
         assert cls.label == CLASS_N_TO_ONE
         assert cls.hptr == 10.0
@@ -50,14 +49,14 @@ class TestBaseRules:
             ],
             seed=1,
         )
-        store = generate(spec)
+        store = generate_full(spec).store
         fwd = {(h, t) for h, r, t in store.train.tolist() if r == 0}
         bwd = {(h, t) for h, r, t in store.train.tolist() if r == 1}
         assert bwd == {(t, h) for h, t in fwd}
 
     def test_permutation_rule_is_functional(self):
         spec = SynthSpec(num_entities=12, relations=[RelationRule("p", "permutation")], seed=2)
-        store = generate(spec)
+        store = generate_full(spec).store
         heads = store.train[:, 0]
         tails = store.train[:, 2]
         assert len(np.unique(heads)) == 12
@@ -77,12 +76,12 @@ class TestValidation:
             num_entities=4, relations=[RelationRule("a", "inverse_of", of="missing")]
         )
         with pytest.raises(SynthSpecError, match="unknown"):
-            generate(spec)
+            generate_full(spec)
 
     def test_grid_rules_need_square_entity_count(self):
         spec = SynthSpec(num_entities=10, relations=[RelationRule("turn", "grid_rotation")])
         with pytest.raises(SynthSpecError, match="square"):
-            generate(spec)
+            generate_full(spec)
 
     def test_false_commuting_declaration_rejected(self):
         spec = SynthSpec(
@@ -95,7 +94,7 @@ class TestValidation:
             compositions=[CompositionRule("turn", "shift", "c", commutes=True)],
         )
         with pytest.raises(SynthSpecError, match="disagree"):
-            generate(spec)
+            generate_full(spec)
 
     def test_inverse_of_composed_relation_rejected(self):
         spec = SynthSpec(
@@ -127,7 +126,7 @@ class TestValidation:
             compositions=[CompositionRule("turn", "ghost", "c", commutes=False)],
         )
         with pytest.raises(SynthSpecError, match="unknown"):
-            generate(spec)
+            generate_full(spec)
 
 
 class TestGridComposition:
