@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import replacing
 from .data import TripleStore, _expand_runs, _fresh
 
 
@@ -242,13 +243,14 @@ def export_arc_data(report: ImbalanceReport, out_path, fmt: str = "csv") -> Path
     """
     out_path = Path(out_path)
     if fmt == "csv":
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        with replacing(out_path, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rel_i", "rel_j", "count_ij", "count_ji", "psi"])
             for p in report.to_dict()["pairs"]:
                 writer.writerow([p["name_i"], p["name_j"], p["count_ij"], p["count_ji"], f"{p['psi']:.6f}"])
     elif fmt == "svg":
-        out_path.write_text(_arc_svg(report), encoding="utf-8")
+        with replacing(out_path, encoding="utf-8") as fh:
+            fh.write(_arc_svg(report))
     else:
         raise ValueError(f"unknown export format {fmt!r} (expected csv or svg)")
     return out_path

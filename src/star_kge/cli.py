@@ -16,6 +16,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+from ._files import replacing
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -42,17 +44,10 @@ def _pin_threads(threads):
 
 
 def _write_json(path, payload):
-    """Write a sibling ``.tmp`` file and rename it over ``path``, as
-    ``save_checkpoint`` does: a write killed part way leaves the previous
-    file whole, and one that raises leaves no ``.tmp`` behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(str(path) + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_store(train, valid=None, test=None):
@@ -186,7 +181,7 @@ def cmd_eval(args) -> int:
 
     if args.per_relation:
         total = sum(c for _, c in report.per_relation.values())
-        with open(args.per_relation, "w", newline="", encoding="utf-8") as fh:
+        with replacing(args.per_relation, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["relation", "proportion", "mrr"])
             for rid in sorted(report.per_relation):

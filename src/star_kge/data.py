@@ -34,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import replacing
+
 logger = logging.getLogger(__name__)
 
 CLASS_ONE_TO_ONE = "1-to-1"
@@ -50,7 +52,7 @@ class TripleParseError(ValueError):
 
 
 class VocabularyError(KeyError):
-    """A name is missing from a vocabulary, or a vocabulary repeats a name."""
+    """A vocabulary repeats a name."""
 
 
 @dataclass
@@ -85,14 +87,6 @@ class Vocab:
     @property
     def num_relations(self) -> int:
         return len(self.relation_names)
-
-
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file with universal newlines, split at
-    ``\\n`` only; a final ``\\n`` ends the last line, as in splitlines()."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _tokenise(path) -> tuple[bytes, np.ndarray]:
@@ -248,57 +242,32 @@ def _decode(data: bytes, fields: np.ndarray) -> list[str]:
     return text.tobytes().decode("utf-8").split("\n")[:-1]
 
 
-def _name_fields(names: list[str]) -> tuple[bytes, np.ndarray]:
-    """The UTF-8 bytes of a vocabulary's names, back to back, and the
-    ``(start, end)`` offsets of every name."""
-    raw = [name.encode("utf-8", "surrogatepass") for name in names]
-    length = np.fromiter(map(len, raw), np.int64, len(raw))
-    end = np.cumsum(length)
-    return b"".join(raw), np.stack([end - length, end], axis=1)
-
-
-def _encode(paths, vocab: Vocab | None = None) -> tuple[Vocab, list[np.ndarray]]:
+def _encode(paths) -> tuple[Vocab, list[np.ndarray]]:
     """Id triples of TSV triple files (``None`` for an absent split), and
     the vocabulary that encoded them.
 
     The files are joined into one byte buffer. Entities (heads and tails,
     interleaved line by line over the files) and relations are interned
-    separately by :func:`_intern`. For a given ``vocab`` its names are
-    interned first, so they keep their ids, and a field with a later id is
-    unknown: :class:`VocabularyError` names a file's first unknown head,
-    else relation, else tail. Otherwise only the first field of every id
-    is decoded, into a new vocabulary.
+    separately by :func:`_intern`, and only the first field of every id is
+    decoded, into the vocabulary.
     """
     files = [_tokenise(path) if path else (b"", np.empty((0, 3, 2), dtype=np.int64)) for path in paths]
-    given = [] if vocab is None else [_name_fields(vocab.entity_names), _name_fields(vocab.relation_names)]
-    texts, spans = zip(*given, *files)
-    del files, given
+    texts, spans = zip(*files)
+    del files
     data = b"".join(texts + (bytes(8),))
     for span, at in zip(spans, np.cumsum([0, *map(len, texts)]).tolist()):
         span += at
     del texts  # the joined bytes are now the only copy
-    names, spans = spans[: -len(paths)], spans[-len(paths) :]
     # axis=None flattens each (k, 2, 2) head-and-tail view straight into the one copy
-    ents = np.concatenate(names[:1] + tuple(span[:, ::2] for span in spans), axis=None).reshape(-1, 2)
-    rels = np.concatenate(names[1:] + tuple(span[:, 1] for span in spans))
+    ents = np.concatenate([span[:, ::2] for span in spans], axis=None).reshape(-1, 2)
+    rels = np.concatenate([span[:, 1] for span in spans])
     lines = np.cumsum([len(span) for span in spans])[:-1]
-    if vocab is None:
-        del names, spans  # only an unknown name's message reads them again
+    del spans
     ent_ids, ent_first = _intern(data, ents)
     rel_ids, rel_first = _intern(data, rels)
-    ne, nr = (0, 0) if vocab is None else (vocab.num_entities, vocab.num_relations)
-    pairs = zip(np.split(ent_ids[ne:], 2 * lines), np.split(rel_ids[nr:], lines))
+    pairs = zip(np.split(ent_ids, 2 * lines), np.split(rel_ids, lines))
     out = [np.stack([e[::2], r, e[1::2]], axis=1) for e, r in pairs]
-    if vocab is None:
-        return Vocab._distinct(_decode(data, ents[ent_first]), _decode(data, rels[rel_first])), out
-    for ids, span in zip(out, spans):
-        unknown = ids >= (ne, nr, ne)
-        if unknown.any():
-            col = int(np.argmax(unknown.any(axis=0)))
-            start, end = span[np.argmax(unknown[:, col]), col]
-            kind = "relation" if col == 1 else "entity"
-            raise VocabularyError(f"unknown {kind} {data[start:end].decode('utf-8')!r}")
-    return vocab, out
+    return Vocab._distinct(_decode(data, ents[ent_first]), _decode(data, rels[rel_first])), out
 
 
 def _fresh(ordered: np.ndarray) -> np.ndarray:
@@ -454,46 +423,30 @@ class TripleStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         ents, rels = self.vocab.entity_names, self.vocab.relation_names
-        (directory / "entities.txt").write_text("".join(f"{n}\n" for n in ents), encoding="utf-8")
-        (directory / "relations.txt").write_text("".join(f"{n}\n" for n in rels), encoding="utf-8")
+        texts = {"entities.txt": "".join(f"{n}\n" for n in ents)}
+        texts["relations.txt"] = "".join(f"{n}\n" for n in rels)
         for name in ("train", "valid", "test"):
             lines = (f"{ents[h]}\t{rels[r]}\t{ents[t]}\n" for h, r, t in getattr(self, name).tolist())
-            (directory / f"{name}.tsv").write_text("".join(lines), encoding="utf-8")
+            texts[f"{name}.tsv"] = "".join(lines)
         manifest = {
             "format": "star-kge-store-v1",
             "num_entities": self.num_entities,
             "num_relations": self.num_relations,
             "splits": {name: int(len(getattr(self, name))) for name in ("train", "valid", "test")},
         }
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-
-    @classmethod
-    def load(cls, directory) -> "TripleStore":
-        directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-        if manifest.get("format") != "star-kge-store-v1":
-            raise ValueError(f"unrecognized store manifest in {directory}")
-        vocab = Vocab(_read_lines(directory / "entities.txt"), _read_lines(directory / "relations.txt"))
-        names = ("train", "valid", "test")
-        vocab, ids = _encode([directory / f"{name}.tsv" for name in names], vocab)
-        found = {"num_entities": vocab.num_entities, "num_relations": vocab.num_relations}
-        found["splits"] = {name: len(split) for name, split in zip(names, ids)}
-        for key, value in found.items():
-            if manifest.get(key) != value:
-                raise ValueError(f"{directory}: manifest records {key} {manifest.get(key)}, found {value}")
-        return cls(vocab, *ids)
+        texts["manifest.json"] = json.dumps(manifest, indent=2)
+        for name, text in texts.items():
+            with replacing(directory / name, encoding="utf-8") as fh:
+                fh.write(text)
 
 
-def load_triples(path, vocab: Vocab | None = None) -> TripleStore:
+def load_triples(path) -> TripleStore:
     """Load a single TSV file as the train split of a new store.
 
-    With ``vocab`` given, unknown names raise :class:`VocabularyError`;
-    otherwise the vocabulary is built in file order. Duplicate lines are
-    dropped with a warning since they would bias the per-relation head/tail
-    statistics.
+    The vocabulary is built in file order. Duplicate lines are dropped with
+    a warning since they would bias the per-relation head/tail statistics.
     """
-    vocab, (train,) = _encode([path], vocab)
-    return TripleStore(vocab, _dedupe(train, vocab, "train"))
+    return load_dataset(path)
 
 
 def load_dataset(train_path, valid_path=None, test_path=None) -> TripleStore:

@@ -24,12 +24,13 @@ relation-pattern checks.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._files import replacing
 
 MODEL_KINDS = ("STaR", "TaR", "ComplEx", "DistMult")
 _MODEL_KIND_CODES = {k: i for i, k in enumerate(MODEL_KINDS)}
@@ -245,6 +246,8 @@ class EmbeddingTable:
         if model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
         ne, n = np.shape(entity_embeddings)
+        if ne < 1:
+            raise ValueError(f"a table needs at least one entity, got {ne}")
         if n % 2 != 0 or n <= 0:
             raise ValueError(f"embedding dimension must be positive and even, got {n}")
         self._hom_rows = np.ones((n + 1, ne))
@@ -314,11 +317,10 @@ class EmbeddingTable:
 
         Layout: fixed little-endian header (magic, version, n, |E|, relation
         rows, model kind code) followed by the row-major float64 entity,
-        block and translation matrices. Both files are written in full to
-        sibling ``.tmp`` files first and then renamed over their targets, so
-        a save that fails part way leaves the previous checkpoint whole and
-        no temporary file behind. Nothing is flushed to disk (no ``fsync``):
-        a save survives a crash of the process, not a power cut.
+        block and translation matrices. Both files are written in full
+        through :func:`~star_kge._files.replacing` before the binary and
+        then the sidecar are renamed over their targets, so a save that
+        fails part way leaves the previous checkpoint whole.
         """
         path = Path(path)
         sidecar_path = Path(str(path) + ".json")
@@ -339,21 +341,16 @@ class EmbeddingTable:
             "num_entities": self.num_entities,
             "num_relations": self.num_relations,
         }
-        tmp, sidecar_tmp = Path(str(path) + ".tmp"), Path(str(sidecar_path) + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(header)
-                ents = self.entity_embeddings
-                for lo in range(0, len(ents), _COPY_ROWS):
-                    fh.write(np.ascontiguousarray(ents[lo : lo + _COPY_ROWS], dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(self.rel_c, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(self.rel_tau, dtype="<f8").tobytes())
-            sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-            os.replace(sidecar_tmp, sidecar_path)
-        finally:
-            tmp.unlink(missing_ok=True)
-            sidecar_tmp.unlink(missing_ok=True)
+        # the inner file, the binary, is renamed first, once both are written
+        with replacing(sidecar_path, encoding="utf-8") as side, replacing(path, "wb") as fh:
+            fh.write(header)
+            ents = self.entity_embeddings
+            for lo in range(0, len(ents), _COPY_ROWS):
+                fh.write(np.ascontiguousarray(ents[lo : lo + _COPY_ROWS], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.rel_c, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.rel_tau, dtype="<f8").tobytes())
+            side.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+            side.flush()  # so that a full disk fails before either rename
 
     @classmethod
     def load_checkpoint(cls, path) -> tuple["EmbeddingTable", dict]:

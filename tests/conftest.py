@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from star_kge.data import TripleStore, Vocab
+from star_kge.data import TripleStore, Vocab, load_dataset
 
 #: directory expected to hold WN18RR/ and FB15K237/ with train.txt etc.;
 #: benchmark-dependent tests skip when it is absent
@@ -19,6 +19,23 @@ def dataset_path(name: str, split: str) -> Path:
         f"{name} {split} file not found under {DATA_DIR} "
         "(set STAR_KGE_DATA_DIR to run benchmark-dependent tests)"
     )
+
+
+SPLITS = ("train", "valid", "test")
+
+
+def reload_saved(store, directory):
+    """``store`` written by ``TripleStore.save`` and read back with
+    ``load_dataset`` on the three TSVs it wrote."""
+    store.save(directory)
+    return load_dataset(*(Path(directory) / f"{name}.tsv" for name in SPLITS))
+
+
+def named_splits(store):
+    """Every split's triples as ``(head, relation, tail)`` names, as a TSV
+    carries them."""
+    ents, rels = store.vocab.entity_names, store.vocab.relation_names
+    return {name: [(ents[h], rels[r], ents[t]) for h, r, t in store.split(name).tolist()] for name in SPLITS}
 
 
 @pytest.fixture

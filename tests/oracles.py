@@ -215,24 +215,6 @@ def encode_loop(splits):
     return list(ents), list(rels), encoded, dropped
 
 
-def encode_frozen_loop(rows, entity_names, relation_names):
-    """Encode name rows with a fixed vocabulary, then dedupe.
-
-    Returns ``(encoded, dropped)`` like one split of :func:`encode_loop`, or
-    the VocabularyError text: the first unknown head, else the first
-    unknown relation, else the first unknown tail.
-    """
-    ents = {name: i for i, name in enumerate(entity_names)}
-    rels = {name: i for i, name in enumerate(relation_names)}
-    for col, kind, known in ((0, "entity", ents), (1, "relation", rels), (2, "entity", ents)):
-        for row in rows:
-            if row[col] not in known:
-                return f"unknown {kind} {row[col]!r}"
-    ids = [(ents[h], rels[r], ents[t]) for h, r, t in rows]
-    kept = list(dict.fromkeys(ids))
-    return np.array(kept, dtype=np.int64).reshape(-1, 3), len(ids) - len(kept)
-
-
 def filter_sets(splits, num_relations):
     """Known answers of every ``(source, relation)`` pair as a dict of sets:
     tails of ``(h, r)`` and heads of ``(t, r + num_relations)`` over all splits."""

@@ -554,7 +554,7 @@ def test_failed_json_write_keeps_the_previous_file(tmp_path, monkeypatch):
     def disk_full(*args):
         raise OSError("No space left on device")
 
-    monkeypatch.setattr("star_kge.cli.os.replace", disk_full)
+    monkeypatch.setattr("star_kge._files.os.replace", disk_full)
     with pytest.raises(OSError, match="No space left"):
         _write_json(path, {"mrr": 0.75})
     assert path.read_bytes() == written

@@ -1,5 +1,6 @@
 """The package imports nothing but the standard library, numpy and itself,
-and passes every private keyword-only parameter that it defines."""
+passes every private keyword-only parameter that it defines and writes
+every file through one atomic helper."""
 
 import ast
 import re
@@ -43,7 +44,6 @@ def test_outside_imports_are_found_at_any_depth():
     assert outside_imports(source) == ["pandas", "scipy.sparse"]
 
 
-
 def private_keywords(sources: list[str]) -> tuple[set, set]:
     """The (function, keyword) pairs of the ``_``-prefixed keyword-only
     parameters that ``sources`` define, and the (callee, keyword) pairs that
@@ -71,3 +71,67 @@ def test_private_keywords_are_found_in_definitions_and_calls():
     defined, passed = private_keywords([source])
     assert defined == {("f", "_x"), ("f", "_y")}
     assert passed == {("f", "_x"), ("f", "z"), ("g", "_y")}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for writing: ``open(path, mode)`` or
+    ``path.open(mode)`` with ``w``, ``a`` or ``x`` in a literal mode, or with
+    a mode that is not a literal; or ``.write_text`` or ``.write_bytes``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        at = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        at = 0
+    else:
+        return False
+    modes = call.args[at : at + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax"))
+
+
+def file_writes(source: str) -> list[str]:
+    """The dotted names of the functions (or ``<module>``) of ``source``
+    that write a file themselves, once per write, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and _writes(child):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+#: the only writes outside ``_files.replacing``: the training log is
+#: streamed, so that a failed run keeps the records of its finished epochs
+IN_PLACE_WRITES = {("cli.py", "_run_single")}
+
+
+def test_every_file_is_written_through_the_atomic_helper():
+    writes = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "_files.py"
+        for scope in file_writes(path.read_text(encoding="utf-8"))
+    }
+    assert writes == IN_PLACE_WRITES
+
+
+def test_file_writes_are_found_by_mode_and_method():
+    source = (
+        "open(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')\np.open()\np.read_text()\n"
+        "open(p, mode='w')\n"
+        "def f(m):\n    with open(p, 'ab') as fh:\n        pass\n    open(p, m)\n    p.write_text('x')\n"
+        "class C:\n    def g(self):\n        p.open('x')\n"
+        "        def h():\n            p.write_bytes(b'')\n"
+    )
+    assert file_writes(source) == ["<module>", "f", "f", "f", "C.g", "C.g.h"]

@@ -472,6 +472,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             EmbeddingTable.load_checkpoint(path)
 
+    def test_zero_entities_rejected(self, tmp_path):
+        message = "^a table needs at least one entity, got 0$"
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(np.empty((0, 4)), np.empty((2, 4)), np.empty((2, 4)), 1)
+        with pytest.raises(ValueError, match=message):
+            init_embeddings(0, 1, 4)
+        # a file whose header says |E| = 0 holds only the two relation rows
+        path = tmp_path / "empty.bin"
+        path.write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 4, 0, 2, 0) + bytes(8 * 2 * 2 * 4))
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable.load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)
