@@ -26,7 +26,6 @@ id is decoded to a ``str``.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 from dataclasses import dataclass
 from itertools import repeat
@@ -345,16 +344,31 @@ class FilterIndex:
         answer of query ``row``. A query whose pair is not in the index, or
         whose true answer is not among the pair's answers, raises ValueError.
         """
-        q = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
-        base = q[:, 0] * self.num_relation_rows + q[:, 1]
-        row, at = _runs_in(self.codes, base, self.span)
-        answer = self.codes[at] - (base * self.span)[row]  # a subtraction, not a slower ``%``
-        covered = np.zeros(len(q), dtype=bool)
-        covered[row[answer == q[row, 2]]] = True
+        return self._answers(self._pair_codes(np.asarray(queries, dtype=np.int64).reshape(-1, 3)))
+
+    def _pair_codes(self, q: np.ndarray) -> np.ndarray:
+        """The pair codes ``src * num_relation_rows + rel`` of ``(k, 3)``
+        queries, each checked by one ``np.searchsorted`` of its full code.
+
+        A relation outside ``[0, num_relation_rows)`` or an answer outside
+        ``[0, span)`` would alias into another pair's run, so such a query
+        is not covered either. ValueError names the first query not covered.
+        """
+        src, rel, answer = q.T
+        base = src * self.num_relation_rows + rel
+        code = base * self.span + answer
+        # "clip" keeps a code past the last one in range; an empty index covers nothing
+        found = self.codes.take(np.searchsorted(self.codes, code), mode="clip") == code if len(self.codes) else False
+        covered = found & (rel >= 0) & (rel < self.num_relation_rows) & (answer >= 0) & (answer < self.span)
         if not covered.all():
             h, r, t = q[np.argmin(covered)].tolist()
             raise ValueError(f"query ({h}, {r}, {t}) is not covered by the filter index")
-        return row, answer
+        return base
+
+    def _answers(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Parallel ``(row, answer)``: every known answer of pair ``base[row]``."""
+        row, at = _runs_in(self.codes, base, self.span)
+        return row, self.codes[at] - (base * self.span)[row]  # a subtraction, not a slower ``%``
 
 
 class TripleStore:
@@ -419,25 +433,14 @@ class TripleStore:
     # persistence -----------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write vocab files, per-split TSVs and a JSON manifest."""
+        """Write the three splits as ``train.tsv``, ``valid.tsv`` and ``test.tsv``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         ents, rels = self.vocab.entity_names, self.vocab.relation_names
-        texts = {"entities.txt": "".join(f"{n}\n" for n in ents)}
-        texts["relations.txt"] = "".join(f"{n}\n" for n in rels)
         for name in ("train", "valid", "test"):
             lines = (f"{ents[h]}\t{rels[r]}\t{ents[t]}\n" for h, r, t in getattr(self, name).tolist())
-            texts[f"{name}.tsv"] = "".join(lines)
-        manifest = {
-            "format": "star-kge-store-v1",
-            "num_entities": self.num_entities,
-            "num_relations": self.num_relations,
-            "splits": {name: int(len(getattr(self, name))) for name in ("train", "valid", "test")},
-        }
-        texts["manifest.json"] = json.dumps(manifest, indent=2)
-        for name, text in texts.items():
-            with replacing(directory / name, encoding="utf-8") as fh:
-                fh.write(text)
+            with replacing(directory / f"{name}.tsv", encoding="utf-8") as fh:
+                fh.write("".join(lines))
 
 
 def load_triples(path) -> TripleStore:

@@ -6,15 +6,18 @@ relation row, so a model is never transposed. All other known-true
 answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
-Queries are ranked in blocks of up to ``BLOCK_ROWS``. A block's ``[q, 1]``
-rows are built once, and each entity tile is one product with a column
-slice of the table's stored ``[E, 1]^T``, the score's ``+ 1`` inside it.
-A block's known answers are its runs in the one sorted code array of
+Queries are ranked in pair order, sorted by their ``(src, rel)`` pair, in
+blocks of up to ``BLOCK_ROWS``, so the repeats of a pair share a block. A
+block's ``[q, 1]`` rows are built once per distinct pair, and each entity
+tile is one product of them with a column slice of the table's stored
+``[E, 1]^T``, the score's ``+ 1`` inside it. A pair's known answers are
+its run in the one sorted code array of
 :class:`~star_kge.data.FilterIndex`, found with two ``np.searchsorted``
-calls. Those in a tile are masked by scattering ``-inf``, and rivals are
-counted by a uint16 row sum of the mask while the tile is in cache, so the
-table is read once per block and no score block larger than a tile is
-written. :func:`evaluate` allocates one workspace per call.
+calls. Those in a tile are masked by scattering ``-inf`` into the pair's
+row, each repeat of a pair is counted on a copy of that masked row, and
+rivals are counted by a uint16 row sum of the mask while the tile is in
+cache, so the table is read once per block and no score block larger than
+a tile is written. :func:`evaluate` allocates one workspace per call.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FilterIndex, RelationClass, TripleStore, reciprocal_queries
+from .data import FilterIndex, RelationClass, TripleStore, _fresh, reciprocal_queries
 from .model import EmbeddingTable, _query_rows, score_batch
 
 TIE_RULES = ("pessimistic", "random")
@@ -115,20 +118,25 @@ def filtered_rank(
     """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
     ``query`` is one triple, which gives an ``int``, or a ``(k, 3)`` block,
-    which gives an array of k ranks. ``rel`` may be a reciprocal relation id
-    for head prediction. Every query triple must be present in the filter
-    index, otherwise the store and the query disagree and a ValueError naming
-    the query is raised; a head or relation id outside the table raises
-    IndexError.
+    which gives an array of k ranks in block order. ``rel`` may be a
+    reciprocal relation id for head prediction. Every query triple must be
+    present in the filter index, otherwise the store and the query disagree
+    and a ValueError naming the first such query of the block is raised; a
+    head or relation id outside the table raises IndexError.
 
-    The ids are checked and the ``[q, 1]`` rows built once per block. The
-    block is scored in entity tiles of ``min(BLOCK_SCORES // k,
-    TILE_WIDTH_MAX)`` columns, one :func:`~star_kge.model.score_batch` call
-    each that is only the GEMM, and every tile is masked and counted (a
-    uint16 sum per row, which the width cap keeps exact) while it is still
-    in cache. The target score ``s_t`` is the row-wise dot product of
-    ``[q, 1]`` with the target's stored column. Ties are decided up to the
-    GEMM's rounding bound ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``:
+    The block's d distinct ``(head, rel)`` pairs are ranked once each: their
+    ids are checked, their ``[q, 1]`` rows built and their known answers
+    expanded once. The block is scored in entity tiles of ``min(BLOCK_SCORES
+    // k, TILE_WIDTH_MAX)`` columns, one :func:`~star_kge.model.score_batch`
+    call each that is only the GEMM of the d pair rows. The known answers
+    are masked in each pair's row, the ``k - d`` repeats are copied into the
+    rest of the tile, and every row is counted (a uint16 sum per row, which
+    the width cap keeps exact) while the tile is still in cache. Each query
+    keeps its own bounds: its target score ``s_t`` is the row-wise dot
+    product of its pair's ``[q, 1]`` with the target's stored column, and
+    the random rule draws once per query in block order. Ties are decided
+    up to the GEMM's rounding bound
+    ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``:
     two scores whose exact values are equal differ by at most ``2 b_i``, so
     the pessimistic rank is ``1 + #(s_e >= s_t - 2 b_i)`` and the random
     rule's strictly better rivals are ``#(s_e > s_t + 2 b_i)``. A non-finite
@@ -141,35 +149,45 @@ def filtered_rank(
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     query = np.asarray(query, dtype=np.int64)
     block = query.reshape(-1, 3)
-    row, answer = filter_index.known_answers(block)
-    k, ne = len(block), table.num_entities
+    base = filter_index._pair_codes(block)
+    # tile rows 0..d-1 hold the block's d distinct pairs, each with its first
+    # query; rows d..k-1 hold the repeats in pair order, copies of their pair's row
+    order = np.argsort(base, kind="stable")
+    lead = _fresh(base[order])
+    tile_rows = np.concatenate([order[lead], order[~lead]])  # the query of every tile row
+    repeats = (np.cumsum(lead) - 1)[~lead]  # the pair row that each repeat copies
+    k, d, ne = len(block), np.count_nonzero(lead), table.num_entities
+    pair_rows = np.concatenate([np.arange(d), repeats])  # the pair of every tile row
+    heads, rels, targets = block[tile_rows].T
+    row, answer = filter_index._answers(base[tile_rows[:d]])
     ws = _workspace if _workspace is not None else _Workspace(table, k)
 
-    heads, rels, targets = block.T
     # inf in a relation row would warn (inf - inf) part way; it is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        q = _query_rows(table, heads, rels)
+        q = _query_rows(table, heads[:d], rels[:d])
         # row sums of C-order (k, n+1) products: the same rounding at any k
-        s_true = (q * table._hom_rows.T[targets]).sum(axis=1)
+        s_true = (q[pair_rows] * table._hom_rows.T[targets]).sum(axis=1)
         nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
-        slack = 2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1)  # 2 b_i
+        slack = (2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1))[pair_rows]  # 2 b_i
         low = (s_true - slack)[:, None]
         high = (s_true + slack)[:, None]
     finite = np.isfinite(low[:, 0]) & np.isfinite(high[:, 0])
     if not finite.all():
-        first = tuple(block[np.argmin(finite)].tolist())
+        first = tuple(block[tile_rows[~finite].min()].tolist())
         raise ValueError(f"query {first} has a non-finite score bound: its relation row or its scores are not finite")
 
-    at_least = np.zeros(k, dtype=np.int64)
-    greater = np.zeros(k, dtype=np.int64)
+    counts = np.zeros((2, k), dtype=np.int64)  # per tile row: rivals >= low, rivals > high
     for lo in range(0, ne, ws.width):
         w = min(ws.width, ne - lo)
-        tile = score_batch(table, heads, rels, _tile=(q, slice(lo, lo + w), ws.scores[: k * w].reshape(k, w)))
+        tile = ws.scores[: k * w].reshape(k, w)
+        pairs = score_batch(table, heads[:d], rels[:d], _tile=(q, slice(lo, lo + w), tile[:d]))
         inside = (answer >= lo) & (answer < lo + w)
-        tile[row[inside], answer[inside] - lo] = -np.inf  # the true answer too: it never outranks itself
-        at_least += ws.count(np.greater_equal, tile, low)
+        pairs[row[inside], answer[inside] - lo] = -np.inf  # the true answer too: it never outranks itself
+        np.take(pairs, repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
+        counts[0] += ws.count(np.greater_equal, tile, low)
         if tie_rule == "random":
-            greater += ws.count(np.greater, tile, high)
+            counts[1] += ws.count(np.greater, tile, high)
+    at_least, greater = counts[:, np.argsort(tile_rows)]  # back in query order
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
     else:
@@ -188,10 +206,12 @@ def evaluate(
 ) -> EvalReport:
     """Rank both queries of every triple of a split.
 
-    Queries go to :func:`filtered_rank` in blocks of up to ``BLOCK_ROWS``
-    rows, in the order tail query then head query of each triple, all in one
-    workspace allocated per call. The random tie rule draws from
-    ``default_rng(0)``, so a report is reproducible.
+    The tail query and the head query of each triple are sorted stably by
+    their pair code ``src * 2|R| + rel`` and go to :func:`filtered_rank` in
+    that pair order, in blocks of up to ``BLOCK_ROWS`` rows, all in one
+    workspace allocated per call; the ranks are put back in triple order.
+    The random tie rule draws from ``default_rng(0)`` in pair order, so a
+    report is reproducible.
     Per-relation results merge the head and tail queries of each original
     relation; per-class results group relations by their complexity class
     when ``classes`` is given.
@@ -208,10 +228,14 @@ def evaluate(
 
     height = min(len(queries), BLOCK_ROWS)
     start = time.perf_counter()
+    # pair order, so that the repeats of a (src, rel) pair share a block
+    order = np.argsort(queries[:, 0] * (2 * nr) + queries[:, 1], kind="stable")
+    in_order = queries[order]
     workspace = _Workspace(table, height)
-    ranks = np.concatenate(
+    ranks = np.empty(len(queries), dtype=np.int64)
+    ranks[order] = np.concatenate(
         [
-            filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
+            filtered_rank(in_order[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
             for i in range(0, len(queries), height)
         ]
     )

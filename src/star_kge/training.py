@@ -281,9 +281,11 @@ def train(
     validation every ``eval_every`` epochs (when a valid split exists) and
     returns the checkpoint with the best validation MRR, or the final table
     when validation never ran. The log holds one record per epoch:
-    {epoch, mean_loss, valid_mrr, wall_ms, queries_per_s}. ``wall_ms``
-    spans the whole epoch, validation included; ``queries_per_s`` is the
-    epoch's 2 * |train| queries over the seconds of its batch loop alone.
+    {epoch, mean_loss, valid_mrr, wall_ms, validation_ms, queries_per_s}.
+    ``wall_ms`` spans the whole epoch, validation included;
+    ``validation_ms`` is the wall time of the validation ``evaluate`` alone,
+    None when the epoch ran none; ``queries_per_s`` is the epoch's
+    2 * |train| queries over the seconds of its batch loop alone.
     ``on_epoch``, when given, is called with each record as soon as its
     epoch ends.
     """
@@ -331,9 +333,11 @@ def train(
         loop_s = time.perf_counter() - loop_start
         mean_loss = loss_sum / query_count
 
-        valid_mrr = None
+        valid_mrr = validation_ms = None
         if can_validate and (epoch + 1) % config.eval_every == 0:
+            valid_start = time.perf_counter()
             valid_mrr = evaluate("valid", table, store).mrr
+            validation_ms = (time.perf_counter() - valid_start) * 1000.0
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr
                 best_table = table.copy()
@@ -344,6 +348,7 @@ def train(
                 "mean_loss": mean_loss,
                 "valid_mrr": valid_mrr,
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
+                "validation_ms": validation_ms,
                 "queries_per_s": query_count / loop_s,
             }
         )

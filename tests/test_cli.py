@@ -104,9 +104,6 @@ class TestSynth:
     def test_lattice_config_writes_its_recorded_files(self, tmp_path):
         # sha256 of the files the dict-of-sets generator wrote for this config
         recorded = {
-            "entities.txt": "38512920d297cfd94c2c166d2fe1a7c530ab4712fcb9cf8035011d4bbcfef993",
-            "manifest.json": "5067d7325776cf3c74574bc3acc354fb35abe32769b8671de8267985e21bbfa2",
-            "relations.txt": "5cbca257fe0566ab316c45e487cae79bd2a8f63492a4d06c71143e6f166c3984",
             "synth_manifest.json": "8cf494cba5b873bd77f1272431c911e570712daafeda4d05c86c814fc65b27d4",
             "test.tsv": "0a084c03534c12302487d016924b771688233e67c5796dd6e1c16c0d7119b06f",
             "train.tsv": "38d87039aab5a45be7978f44fdd3f7fafa963c3641fcc563160be370f185af3e",
@@ -139,8 +136,13 @@ class TestTrain:
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 5
         row = json.loads(log_lines[0])
-        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms", "queries_per_s"}
+        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms", "validation_ms", "queries_per_s"}
         assert 0 < row["queries_per_s"] < math.inf
+        # eval_every = 2: epochs 1 and 3 validate, and only they are timed
+        rows = [json.loads(line) for line in log_lines]
+        assert [r["validation_ms"] is None for r in rows] == [r["valid_mrr"] is None for r in rows]
+        assert [r["valid_mrr"] is None for r in rows] == [True, False, True, False, True]
+        assert all(0 < r["validation_ms"] < r["wall_ms"] for r in rows if r["validation_ms"] is not None)
 
     def test_repeats_emit_mean_and_std(self, synth_dir, tmp_path):
         out = tmp_path / "runs"

@@ -302,6 +302,21 @@ class TestFilterIndex:
         with pytest.raises(ValueError, match="not covered"):
             empty.filter_index.known_answers([(0, 0, 0)])
 
+    def test_out_of_range_ids_do_not_alias_into_other_runs(self):
+        # codes (src * 2 + rel) * 3 + answer: pair (0, 0) holds {1}, pair (0, 1) holds {2}
+        index = make_store([(0, 0, 1), (2, 0, 0)], num_entities=3).filter_index
+        assert index.span == 3 and index.known_answers([(0, 1, 2)])[1].tolist() == [2]
+        # each is the code of (0, 1, 2) or (0, 0, 1), but its own answer or relation is out of range
+        for query in [(0, 0, 5), (0, 1, -2), (1, -1, 2), (0, 2, -4)]:
+            with pytest.raises(ValueError, match=r"query \(%d, %d, %d\) is not covered" % query):
+                index.known_answers([(0, 0, 1), query])
+
+    def test_empty_index_covers_nothing(self):
+        empty = TripleStore(Vocab(["a", "b"], ["r"]), np.empty((0, 3), dtype=np.int64)).filter_index
+        for query in [(0, 0, 0), (0, 0, 1), (1, 1, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError, match="not covered"):
+                empty.known_answers([query])
+
     def test_reciprocal_triples_never_reach_disk(self, toy_store, tmp_path):
         reloaded = reload_saved(toy_store, tmp_path / "store")
         assert reloaded.vocab.relation_names == toy_store.vocab.relation_names

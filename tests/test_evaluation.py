@@ -17,6 +17,23 @@ def trained_toy(store, epochs=60, seed=0):
     return table
 
 
+def triple_order(triples, num_relations):
+    """Each triple's tail query, then its head query: the order of evaluate()'s ranks."""
+    return reciprocal_queries(triples, num_relations).reshape(2, -1, 3).swapaxes(0, 1).reshape(-1, 3).tolist()
+
+
+def triple_order_mrr(queries, ranks, triples, num_relations):
+    """The MRR of parallel queries and ranks, averaged in triple order as evaluate() averages it."""
+    rank_of = dict(zip(map(tuple, queries), ranks))
+    return np.mean(1.0 / np.array([rank_of[tuple(q)] for q in triple_order(triples, num_relations)]))
+
+
+def pair_order(triples, num_relations):
+    """The queries that evaluate() hands to filtered_rank: :func:`triple_order`
+    stably sorted by pair code ``src * 2|R| + rel``."""
+    return sorted(triple_order(triples, num_relations), key=lambda q: q[0] * 2 * num_relations + q[1])
+
+
 class TestFilteredRank:
     def test_unique_maximum_ranks_first(self):
         store = make_store([(0, 0, 1), (0, 0, 2)], num_entities=4)
@@ -153,18 +170,15 @@ class TestBlockedRanking:
         assert [len(block) for block, _ in calls[:-1]] == [3] * (len(calls) - 1)
         queries = np.concatenate([block for block, _ in calls])
         ranks = np.concatenate([r for _, r in calls])
-        # 2 queries per triple, 3 per block: triple 1's tail query ends
-        # block 0 and its head query starts block 1
-        h, r, t = store.train[1].tolist()
-        assert calls[0][0][2].tolist() == [h, r, t]
-        assert calls[1][0][0].tolist() == [t, r + 2, h]
+        # the blocks are cut from the queries in pair order
+        assert queries.tolist() == pair_order(store.train, store.num_relations)
         expected = []
         for query in queries.tolist():
             scores = score_batch(table, query[0], query[1])
             _, known = store.filter_index.known_answers([query])
             expected.append(sort_rank(scores, query[2], set(known.tolist()) - {query[2]}))
         assert ranks.tolist() == expected
-        assert report.mrr == np.mean(1.0 / np.asarray(expected))
+        assert report.mrr == triple_order_mrr(queries.tolist(), expected, store.train, store.num_relations)
         if constant:
             # every unfiltered rival ties with the answer, which goes last
             known = [len(store.filter_index.known_answers([q])[1]) for q in queries.tolist()]
@@ -215,6 +229,15 @@ class TestBlockedRanking:
         with pytest.raises(ValueError, match=r"query \(3, 0, 0\)"):
             filtered_rank([(0, 0, 1), (3, 0, 0)], table, store.filter_index)
 
+    def test_first_uncovered_query_in_block_order_is_named(self):
+        store = make_store([(0, 0, 1), (2, 0, 0)], num_entities=3)
+        table = init_embeddings(3, 1, 4, seed=0)
+        # (1, 1, 2) repeats the covered pair of (1, 1, 0); (0, 0, 2) comes
+        # first in pair order, but later in the block
+        block = [(1, 1, 0), (1, 1, 2), (0, 0, 2)]
+        with pytest.raises(ValueError, match=r"query \(1, 1, 2\) is not covered by the filter index"):
+            filtered_rank(block, table, store.filter_index)
+
     def test_ids_outside_the_table_are_index_errors(self):
         """A store wider than the table: its ids are checked once per block."""
         store = make_store([(0, 0, 1), (3, 0, 2)], num_entities=4, num_relations=2)
@@ -229,6 +252,95 @@ class TestBlockedRanking:
         report = evaluate("train", table, toy_store)
         assert report.ranking_s > 0.0
         assert report.to_dict()["ranking_s"] == report.ranking_s
+
+
+class TestRepeatedPairs:
+    """evaluate() scores and masks each distinct (src, rel) pair of a block
+    once; a repeat is counted on a copy of its pair's row."""
+
+    NE = 160
+
+    @classmethod
+    def hub_case(cls):
+        """A test split in which pair (0, r0) repeats 24 times with 130 known
+        answers and pair (150, r1~) 6 times, among a few other triples;
+        every third entity row is zero, so those rivals tie exactly."""
+        train = [(0, 0, t) for t in range(1, 107)] + [(t, 1, t + 1) for t in range(100, 140)]
+        test = [(0, 0, t) for t in range(107, 131)] + [(x, 1, 150) for x in range(140, 146)]
+        test += [(151, 2, 152), (153, 2, 0), (0, 2, 154), (155, 0, 3)]
+        store = make_store(train, num_entities=cls.NE, num_relations=3, test=test)
+        table = init_embeddings(cls.NE, 3, 6, init_scale=1.0, seed=11)
+        table.entity_embeddings[::3] = 0.0
+        return store, table
+
+    @staticmethod
+    def check_against_sort_oracle(store, table, queries, ranks, tie_rule):
+        known = filter_sets([store.train, store.valid, store.test], store.num_relations)
+        for (src, rel, answer), rank in zip(queries, ranks):
+            scores = score_batch(table, src, rel)
+            pessimistic = sort_rank(scores, answer, known[(src, rel)] - {answer})
+            if tie_rule == "pessimistic":
+                assert rank == pessimistic
+            else:
+                rivals = np.delete(scores, sorted(known[(src, rel)]))
+                assert 1 + np.count_nonzero(rivals > scores[answer]) <= rank <= pessimistic
+
+    def test_hub_case_shape(self):
+        store, _ = self.hub_case()
+        queries = reciprocal_queries(store.test, store.num_relations).tolist()
+        assert sum(q[:2] == [0, 0] for q in queries) == 24
+        assert len(store.filter_index.known_answers([(0, 0, 107)])[1]) == 130
+
+    @pytest.mark.parametrize("small_blocks", [True, False])
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_hub_ranks_equal_sort_oracle_and_single_calls(self, monkeypatch, tie_rule, small_blocks):
+        store, table = self.hub_case()
+        if small_blocks:
+            monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 7)
+            monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 7 * 16)  # 16-entity tiles
+        calls = TestBlockedRanking.spy_blocks(monkeypatch)
+        report = evaluate("test", table, store, tie_rule=tie_rule)
+        queries = np.concatenate([block for block, _ in calls]).tolist()
+        ranks = np.concatenate([r for _, r in calls]).tolist()
+        assert queries == pair_order(store.test, store.num_relations)
+
+        single_rng = np.random.default_rng(0)  # evaluate's fixed seed, drawn in pair order
+        assert ranks == [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in queries]
+        self.check_against_sort_oracle(store, table, queries, ranks, tie_rule)
+        assert report.mrr == triple_order_mrr(queries, ranks, store.test, store.num_relations)
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_block_of_one_pair(self, monkeypatch, tie_rule):
+        store, table = self.hub_case()
+        block = [(0, 0, t) for t in range(130, 106, -1)]
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", len(block) * 50)  # 50-entity tiles
+        ranks = filtered_rank(block, table, store.filter_index, tie_rule, np.random.default_rng(4))
+        single_rng = np.random.default_rng(4)
+        assert ranks.tolist() == [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in block]
+        self.check_against_sort_oracle(store, table, block, ranks.tolist(), tie_rule)
+
+    def test_each_tile_is_as_high_as_the_blocks_distinct_pairs(self, monkeypatch):
+        import star_kge.evaluation as evaluation
+
+        store, table = self.hub_case()
+        monkeypatch.setattr(evaluation, "BLOCK_ROWS", 16)
+        monkeypatch.setattr(evaluation, "BLOCK_SCORES", 16 * 40)  # 40-entity tiles
+        heights = []
+        real_score_batch = evaluation.score_batch
+
+        def spy(*args, _tile, **kwargs):
+            heights.append((len(_tile[0]), len(_tile[2])))
+            return real_score_batch(*args, _tile=_tile, **kwargs)
+
+        monkeypatch.setattr(evaluation, "score_batch", spy)
+        calls = TestBlockedRanking.spy_blocks(monkeypatch)
+        evaluate("test", table, store)
+        distinct = [len({(src, rel) for src, rel, _ in block.tolist()}) for block, _ in calls]
+        assert heights == [(d, d) for d in distinct for _ in range(-(-self.NE // 40))]
+        # pair (0, r0) fills block 0 and opens block 1, so 24 - 2 of its
+        # queries are copies; pair (150, r1~) is scored once for 6 queries
+        assert distinct[0] == 1
+        assert sum(len(block) for block, _ in calls) - sum(distinct) == 22 + 5
 
 
 class TestTiles:
@@ -402,13 +514,11 @@ class TestEvaluate:
         calls = TestBlockedRanking.spy_blocks(monkeypatch)
         report = evaluate("train", table, toy_store)
         queries = np.concatenate([block for block, _ in calls]).tolist()
-        # each triple's tail query (h, r, t), then its head query (t, r + |R|, h)
-        nr = toy_store.num_relations
-        tails = toy_store.train.tolist()
-        heads = [[t, r + nr, h] for h, r, t in tails]
-        assert queries == [q for pair in zip(tails, heads) for q in pair]
+        # each triple's tail query (h, r, t) and head query (t, r + |R|, h), in pair order
+        assert queries == pair_order(toy_store.train, toy_store.num_relations)
         assert report.num_queries == len(queries)
-        assert report.mrr == np.mean(1.0 / np.concatenate([ranks for _, ranks in calls]))
+        ranks = np.concatenate([ranks for _, ranks in calls]).tolist()
+        assert report.mrr == triple_order_mrr(queries, ranks, toy_store.train, toy_store.num_relations)
 
     def test_filter_index_is_built_on_first_evaluate(self, tmp_path, monkeypatch):
         rows = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c"), ("c", "r", "a"), ("c", "s", "b"), ("b", "r", "b")]
