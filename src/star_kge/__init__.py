@@ -22,7 +22,6 @@ _EXPORTS = {
     "adagrad_update": "training",
     "batch_loss": "training",
     "classify_relations": "data",
-    "entity_frequency": "data",
     "evaluate": "evaluation",
     "filtered_rank": "evaluation",
     "init_embeddings": "model",
@@ -33,7 +32,6 @@ _EXPORTS = {
     "score": "model",
     "score_batch": "model",
     "score_gradients": "model",
-    "tail_weight": "training",
     "train": "training",
 }
 

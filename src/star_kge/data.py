@@ -517,18 +517,3 @@ def classify_relations(store: TripleStore) -> list[RelationClass]:
     if missing:
         logger.warning("%d relations have no train triples and were not classified", len(missing))
     return out
-
-
-def entity_frequency(store: TripleStore, side: str) -> tuple[np.ndarray, int]:
-    """Count train-split appearances of every entity as tail or head.
-
-    Returns the per-entity count array (entities that never appear get 0)
-    and the maximum count.
-    """
-    if side not in ("head", "tail"):
-        raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-    if len(store.train) == 0:
-        raise ValueError("train split is empty")
-    col = 0 if side == "head" else 2
-    counts = np.bincount(store.train[:, col], minlength=store.num_entities).astype(np.int64)
-    return counts, int(counts.max())

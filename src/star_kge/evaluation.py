@@ -7,11 +7,12 @@ answers of a query (over train + valid + test) are removed before the
 rank is taken ("filtered" setting).
 
 Queries are ranked in pair order, sorted by their ``(src, rel)`` pair, in
-blocks of up to ``BLOCK_ROWS``, so the repeats of a pair share a block. A
-block's ``[q, 1]`` rows are built once per distinct pair, and each entity
-tile is one product of them with a column slice of the table's stored
-``[E, 1]^T``, the score's ``+ 1`` inside it. A pair's known answers are
-its run in the one sorted code array of
+blocks of up to ``BLOCK_ROWS``, so the repeats of a pair share a block;
+MRR, Hits@K and the per-relation and per-class sums are taken over the
+ranks in that order. A block's ``[q, 1]`` rows are built once per distinct
+pair, and each entity tile is one product of them with a column slice of
+the table's stored ``[E, 1]^T``, the score's ``+ 1`` inside it. A pair's
+known answers are its run in the one sorted code array of
 :class:`~star_kge.data.FilterIndex`, found with two ``np.searchsorted``
 calls. Those in a tile are masked by scattering ``-inf`` into the pair's
 row, each repeat of a pair is counted on a copy of that masked row, and
@@ -206,15 +207,17 @@ def evaluate(
 ) -> EvalReport:
     """Rank both queries of every triple of a split.
 
-    The tail query and the head query of each triple are sorted stably by
-    their pair code ``src * 2|R| + rel`` and go to :func:`filtered_rank` in
-    that pair order, in blocks of up to ``BLOCK_ROWS`` rows, all in one
-    workspace allocated per call; the ranks are put back in triple order.
+    The queries of :func:`~star_kge.data.reciprocal_queries` are sorted
+    stably by their pair code ``src * 2|R| + rel`` and go to
+    :func:`filtered_rank` in that pair order, in blocks of up to
+    ``BLOCK_ROWS`` rows, all in one workspace allocated per call. MRR,
+    Hits@K and the breakdowns are taken over the ranks in that same order.
     The random tie rule draws from ``default_rng(0)`` in pair order, so a
     report is reproducible.
-    Per-relation results merge the head and tail queries of each original
-    relation; per-class results group relations by their complexity class
-    when ``classes`` is given.
+    Per-relation results merge the tail queries (relation ``r``) and head
+    queries (``r + |R|``) of each original relation ``r``, read as
+    ``rel % |R|``; per-class results group relations by their complexity
+    class when ``classes`` is given.
     """
     triples = store.split(split)
     if len(triples) == 0:
@@ -222,25 +225,21 @@ def evaluate(
     rng = np.random.default_rng(0)
     nr = store.num_relations
 
-    # the (tail, head) halves of reciprocal_queries, interleaved per triple
-    queries = reciprocal_queries(triples, nr).reshape(2, -1, 3).swapaxes(0, 1).reshape(-1, 3)
-    rels = np.repeat(triples[:, 1], 2)
-
+    queries = reciprocal_queries(triples, nr)
     height = min(len(queries), BLOCK_ROWS)
     start = time.perf_counter()
     # pair order, so that the repeats of a (src, rel) pair share a block
-    order = np.argsort(queries[:, 0] * (2 * nr) + queries[:, 1], kind="stable")
-    in_order = queries[order]
+    queries = queries[np.argsort(queries[:, 0] * (2 * nr) + queries[:, 1], kind="stable")]
     workspace = _Workspace(table, height)
-    ranks = np.empty(len(queries), dtype=np.int64)
-    ranks[order] = np.concatenate(
+    ranks = np.concatenate(
         [
-            filtered_rank(in_order[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
+            filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
             for i in range(0, len(queries), height)
         ]
     )
     ranking_s = time.perf_counter() - start
 
+    rels = queries[:, 1] % nr  # a head query's reciprocal row counts for its original relation
     rr = 1.0 / ranks
     hits = {k: float(np.mean(ranks <= k)) for k in HITS_AT}
     count = np.bincount(rels, minlength=nr)

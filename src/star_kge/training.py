@@ -7,9 +7,13 @@ frequency weight of its target entity,
 
     w(e) = w0 * count(e) / max_count + (1 - w0),
 
-and each query adds lambda times the regularization penalty of its own
-(source, relation, target) parameters. The batch objective is the mean
-over the 2 * batch_size queries.
+counted over train tails for a tail query and over train heads for a
+head query. :func:`train` holds the weights as one (2, |E|) table, and a
+query reads its weight in row ``rel // |R|``: its relation id gives its
+direction (``rel < |R|`` is a tail query). Each query adds lambda times
+the regularization penalty of its own (source, relation, target)
+parameters. The batch objective is the mean over the 2 * batch_size
+queries.
 
 A training step makes one pass over the 2 * batch_size x |E| score
 matrix besides the GEMMs: one in-place ``exp``. The table stores its
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TripleStore, entity_frequency, reciprocal_queries
+from .data import TripleStore, reciprocal_queries
 from .model import EmbeddingTable, block_grad, block_rotate, block_rotate_t, init_embeddings
 from .regularization import RegConfig, penalty_terms_batch
 
@@ -108,19 +112,12 @@ class BatchGradients:
     d_rel_tau: np.ndarray
 
 
-def tail_weight(entity_id, counts: np.ndarray, w0: float):
-    """Frequency weight w0 * count / max_count + (1 - w0).
-
-    ``counts`` comes from :func:`star_kge.data.entity_frequency` (tail counts
-    for tail queries, head counts for head queries).
-    """
-    counts = np.asarray(counts)
-    if counts.size == 0:
-        raise ValueError("empty entity counts")
-    max_count = counts.max()
-    if max_count < 1:
-        raise ValueError("entity counts must contain at least one appearance")
-    return w0 * (counts[entity_id] / max_count) + (1.0 - w0)
+def _weight_table(store: TripleStore, w0: float) -> np.ndarray:
+    """The (2, |E|) frequency weights ``w0 * count / max_count + (1 - w0)``:
+    row 0 from the train tail counts, for tail queries, and row 1 from the
+    head counts, for head queries. At w0 = 0 every weight is exactly 1.0."""
+    counts = np.stack([np.bincount(store.train[:, col], minlength=store.num_entities) for col in (2, 0)])
+    return w0 * (counts / counts.max(axis=1, keepdims=True)) + (1.0 - w0)
 
 
 def _chunks(*arrays: np.ndarray) -> list:
@@ -166,19 +163,20 @@ def batch_loss(
     batch: np.ndarray,
     table: EmbeddingTable,
     config: TrainConfig,
-    tail_weights: np.ndarray | None = None,
-    head_weights: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
     *,
     _workspace: _Workspace | None = None,
 ) -> tuple[float, BatchGradients]:
     """Mean weighted cross-entropy plus penalties over one batch of triples.
 
-    ``tail_weights`` / ``head_weights`` are per-entity weight arrays
-    (default: uniform 1). Returns the scalar loss and dense gradients of the
-    mean objective for every parameter matrix. ``_workspace`` is private:
-    :func:`train` passes one for batches of at least len(batch) triples, to
-    be reused across batches; without it one is made for this call. The
-    returned ``d_entities`` is the ``(|E|, n)`` transpose of its ``grad_t``.
+    ``weights`` is a (2, |E|) table of per-entity weights, row 0 for tail
+    queries and row 1 for head queries (default: uniform 1); a query reads
+    its target's weight in row ``rel // |R|``. Returns the scalar loss and
+    dense gradients of the mean objective for every parameter matrix.
+    ``_workspace`` is private: :func:`train` passes one for batches of at
+    least len(batch) triples, to be reused across batches; without it one is
+    made for this call. The returned ``d_entities`` is the ``(|E|, n)``
+    transpose of its ``grad_t``.
 
     The softmax is one ``exp`` pass: the forward GEMM multiplies
     ``[Q, -s_t]`` by the table's ``[E, 1]^T`` rows, so each query's scores
@@ -195,14 +193,7 @@ def batch_loss(
     ents = table.entity_embeddings
     src, rel, tgt = reciprocal_queries(batch, table.num_relations).T
     nq = len(src)
-
-    m = len(batch)
-    w = np.concatenate(
-        [
-            np.ones(m) if tail_weights is None else tail_weights[tgt[:m]],
-            np.ones(m) if head_weights is None else head_weights[tgt[m:]],
-        ]
-    )
+    w = np.ones(nq) if weights is None else weights[rel // table.num_relations, tgt]
 
     H = ents[src]
     RC = table.rel_c[rel]
@@ -299,12 +290,7 @@ def train(
         store.num_entities, store.num_relations, config.n, model_kind, config.init_scale, config.seed
     )
 
-    # at w0 = 0 every weight is exactly 1.0
-    tail_w, head_w = (
-        tail_weight(np.arange(store.num_entities), entity_frequency(store, side)[0], config.w0)
-        for side in ("tail", "head")
-    )
-
+    weights = _weight_table(store, config.w0)
     ws = _Workspace(table, min(config.batch_size, len(store.train)))
     can_validate = config.eval_every > 0 and len(store.valid) > 0
     best_mrr = -np.inf
@@ -322,7 +308,7 @@ def train(
             idx = order[start : start + config.batch_size]
             batch = store.train[idx]
             try:
-                loss, grads = batch_loss(batch, table, config, tail_w, head_w, _workspace=ws)
+                loss, grads = batch_loss(batch, table, config, weights, _workspace=ws)
                 ws.step(table, grads, config.lr)
             except DivergenceError as exc:
                 raise DivergenceError(

@@ -253,7 +253,7 @@ def pair_imbalance(counts, i, j):
     return (max(c_ij, c_ji) - min(c_ij, c_ji)) / total
 
 
-def batch_loss_whole(batch, table, config, tail_weights=None, head_weights=None):
+def batch_loss_whole(batch, table, config, weights=None):
     """The training step in whole-matrix passes: one fresh score matrix, six
     full passes over it and the transposed backward GEMM ``dS^T Q``."""
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
@@ -264,13 +264,8 @@ def batch_loss_whole(batch, table, config, tail_weights=None, head_weights=None)
     tgt = np.concatenate([t, h])
     nq = len(src)
 
-    if tail_weights is None and head_weights is None:
-        w = np.ones(nq)
-    else:
-        tw = np.ones(table.num_entities) if tail_weights is None else tail_weights
-        hw = np.ones(table.num_entities) if head_weights is None else head_weights
-        m = len(batch)
-        w = np.concatenate([tw[tgt[:m]], hw[tgt[m:]]])
+    # row 0 of weights for the tail queries, row 1 for the head queries
+    w = np.ones(nq) if weights is None else np.concatenate([weights[0][t], weights[1][h]])
 
     H = ents[src]
     RC = table.rel_c[rel]

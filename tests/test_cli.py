@@ -268,6 +268,22 @@ class TestTrain:
         sidecar = json.loads((short / "checkpoint.bin.json").read_text())
         assert (sidecar["epoch"], sidecar["epochs_run"]) == (2, 2)
 
+    def test_out_flag_holds_every_output_and_keeps_the_config_hash(self, synth_dir, tmp_path):
+        configured = tmp_path / "configured"
+        cfg = write_train_config(tmp_path / "train.cfg", synth_dir, configured, epochs=2)
+        out = tmp_path / "flag"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        assert not configured.exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.bin", "checkpoint.bin.json", "config.json", "eval_test.json", "eval_valid.json", "train_log.jsonl"
+        ]
+        assert json.loads((out / "config.json").read_text())["out_dir"] == str(out)
+        # the hash leaves out the paths, so the same run without --out shares it
+        assert main(["train", "--config", str(cfg), "--threads", "1"]) == 0
+        hashes = [json.loads((d / "checkpoint.bin.json").read_text())["config_hash"] for d in (out, configured)]
+        assert hashes[0] == hashes[1]
+        assert (out / "checkpoint.bin").read_bytes() == (configured / "checkpoint.bin").read_bytes()
+
     def test_determinism_bitwise_checkpoints(self, synth_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -672,6 +688,20 @@ BAD_INPUT = {
         ["train", "--config", "{d}/bad.cfg"],
         "{d}/bad.cfg: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte",
     ),
+    "train-line-without-equals": (["train", "--config", "{d}/noeq.cfg"], "line 1: expected 'key = value', got 'n 4'"),
+    "train-empty-key": (["train", "--config", "{d}/nokey.cfg"], "line 1: empty key"),
+    "train-duplicate-key": (["train", "--config", "{d}/twice.cfg"], "line 3: duplicate key 'n'"),
+    "train-no-train-path": (["train", "--config", "{d}/notrain.cfg"], "missing required key data.train"),
+    "train-odd-n": (["train", "--config", "{d}/oddn.cfg"], "n must be positive and even, got 7"),
+    "train-negative-epochs": (["train", "--config", "{d}/epochs.cfg"], "epochs must be >= 0"),
+    "train-negative-eval-every": (
+        ["train", "--config", "{d}/evalevery.cfg"],
+        "eval_every must be >= 0 (0 disables validation)",
+    ),
+    "train-unknown-dura-variant": (
+        ["train", "--config", "{d}/dura.cfg"],
+        "reg.dura_variant must be one of ('literal', 'exact'), got 'foo'",
+    ),
     "train-repeats-0": (["train", "--config", "{d}/ok.cfg", "--repeats", "0"], "--repeats must be at least 1, got 0"),
     "train-threads-0": (["train", "--config", "{d}/ok.cfg", "--threads", "0"], "--threads must be at least 1, got 0"),
     "eval-empty-split": (
@@ -689,6 +719,22 @@ BAD_INPUT = {
     "eval-truncated-checkpoint": (
         ["eval", "--checkpoint", "{d}/short.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
         "{d}/short.bin: size 128 != expected 257",
+    ),
+    "eval-checkpoint-shorter-than-header": (
+        ["eval", "--checkpoint", "{d}/tiny.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/tiny.bin: truncated checkpoint",
+    ),
+    "eval-checkpoint-version": (
+        ["eval", "--checkpoint", "{d}/v2.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/v2.bin: unsupported checkpoint version 2",
+    ),
+    "eval-checkpoint-kind-code": (
+        ["eval", "--checkpoint", "{d}/kind.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/kind.bin: unknown model kind code 255",
+    ),
+    "eval-checkpoint-odd-relation-rows": (
+        ["eval", "--checkpoint", "{d}/oddrows.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/oddrows.bin: relation row count 3 is not even",
     ),
     "eval-nan-checkpoint": (
         ["eval", "--checkpoint", "{d}/nan.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
@@ -732,6 +778,41 @@ BAD_INPUT = {
         ["verify", "--n", "4", "--trials", "2", "--json", "{d}/blocker/c.json"],
         "[Errno 17] File exists: '{d}/blocker'",
     ),
+    "synth-unknown-key": (["synth", "--spec", "{d}/colour.spec", "--out", "{d}/kg"], "unknown synth spec key 'colour'"),
+    "synth-no-num-entities": (
+        ["synth", "--spec", "{d}/noentities.spec", "--out", "{d}/kg"],
+        "missing required key num_entities",
+    ),
+    "synth-no-relations": (["synth", "--spec", "{d}/norelations.spec", "--out", "{d}/kg"], "spec declares no relations"),
+    "synth-unknown-field": (
+        ["synth", "--spec", "{d}/field.spec", "--out", "{d}/kg"],
+        "relation.0: unknown fields ['colour']",
+    ),
+    "synth-malformed-compose": (
+        ["synth", "--spec", "{d}/compose.spec", "--out", "{d}/kg"],
+        "compose.0 must be 'first, second, composed, commuting|noncommuting'",
+    ),
+    "synth-malformed-offset": (
+        ["synth", "--spec", "{d}/offset.spec", "--out", "{d}/kg"],
+        "relation.0.offset must be 'di,dj'",
+    ),
+    "synth-unknown-rule-kind": (
+        ["synth", "--spec", "{d}/spiral.spec", "--out", "{d}/kg"],
+        "unknown rule kind 'spiral' for relation 'a'",
+    ),
+    "synth-one-entity": (["synth", "--spec", "{d}/one.spec", "--out", "{d}/kg"], "need at least 2 entities"),
+    "synth-holdout-fraction": (
+        ["synth", "--spec", "{d}/holdout.spec", "--out", "{d}/kg"],
+        "holdout_fraction must lie in [0, 1)",
+    ),
+    "synth-paired-holdout-fraction": (
+        ["synth", "--spec", "{d}/paired.spec", "--out", "{d}/kg"],
+        "paired_holdout_fraction must lie in [0, 1]",
+    ),
+    "synth-symmetric-too-few-entities": (
+        ["synth", "--spec", "{d}/pairs.spec", "--out", "{d}/kg"],
+        "symmetric rule 'a' needs more entities",
+    ),
     "synth-no-kind": (["synth", "--spec", "{d}/nokind.spec", "--out", "{d}/kg"], "relation.0 needs both name and kind"),
     "synth-aliased-index": (
         ["synth", "--spec", "{d}/aliased.spec", "--out", "{d}/kg"],
@@ -770,6 +851,33 @@ def bad_input_dir(tmp_path):
     (d / "bad.spec").write_bytes(b"num_entities = 1\xff0\n")
     (d / "ok.cfg").write_text(f"data.train = {d / 'train.tsv'}\nout_dir = {d / 'run'}\n", encoding="utf-8")
     (d / "unknown.cfg").write_text((d / "ok.cfg").read_text(encoding="utf-8") + "momentum = 0.9\n", encoding="utf-8")
+    for name, extra in [
+        ("noeq", "n 4\n"),
+        ("nokey", " = 4\n"),
+        ("twice", "n = 4\nlr = 0.1\nn = 6\n"),
+        ("oddn", "n = 7\n"),
+        ("epochs", "epochs = -1\n"),
+        ("evalevery", "eval_every = -1\n"),
+        ("dura", "reg.dura_variant = foo\n"),
+    ]:
+        # the bad line first, so that a line-numbered message names line 1
+        (d / f"{name}.cfg").write_text(extra + (d / "ok.cfg").read_text(encoding="utf-8"), encoding="utf-8")
+    (d / "notrain.cfg").write_text("n = 4\n", encoding="utf-8")
+    relation = "relation.0.name = a\nrelation.0.kind = symmetric\n"
+    for name, text in [
+        ("colour", "num_entities = 10\ncolour = red\n" + relation),
+        ("noentities", relation),
+        ("norelations", "num_entities = 10\n"),
+        ("field", "num_entities = 10\n" + relation + "relation.0.colour = red\n"),
+        ("compose", "num_entities = 10\n" + relation + "compose.0 = a, a\n"),
+        ("offset", "num_entities = 10\n" + relation + "relation.0.offset = 1\n"),
+        ("spiral", "num_entities = 10\nrelation.0.name = a\nrelation.0.kind = spiral\n"),
+        ("one", "num_entities = 1\n" + relation),
+        ("holdout", "num_entities = 10\nholdout_fraction = 1.0\n" + relation),
+        ("paired", "num_entities = 10\npaired_holdout_fraction = 1.5\n" + relation),
+        ("pairs", "num_entities = 10\n" + relation + "relation.0.num_pairs = 6\n"),
+    ]:
+        (d / f"{name}.spec").write_text(text, encoding="utf-8")
     init_embeddings(3, 1, 4, seed=0).save_checkpoint(d / "ok.bin")
     init_embeddings(7, 1, 4, seed=0).save_checkpoint(d / "seven.bin")
     (d / "short.bin").write_bytes((d / "ok.bin").read_bytes()[:128])
@@ -778,6 +886,11 @@ def bad_input_dir(tmp_path):
     nan.save_checkpoint(d / "nan.bin")
     # a header-only file whose header says n = 0 has the size it promises
     (d / "zero.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 3, 2, 0))
+    (d / "tiny.bin").write_bytes(_CKPT_MAGIC)
+    (d / "v2.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, 2, 4, 3, 2, 0))
+    (d / "kind.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 4, 3, 2, 255))
+    # 3 entities and 3 relation rows of n = 4, at the size the header promises
+    (d / "oddrows.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 4, 3, 3, 0) + bytes(8 * (12 + 24)))
     return d
 
 

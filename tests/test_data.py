@@ -23,11 +23,11 @@ from star_kge.data import (
     VocabularyError,
     _runs_in,
     classify_relations,
-    entity_frequency,
     load_dataset,
     load_triples,
     reciprocal_queries,
 )
+from star_kge.training import _weight_table
 from conftest import dataset_path, make_store, named_splits, reload_saved
 from oracles import (
     classify_relations_loop,
@@ -540,28 +540,23 @@ class TestClassify:
 
 
 class TestEntityFrequency:
+    """Train tail and head counts, read from the weight table at w0 = 1,
+    where an entity's weight is its count over the largest count."""
+
     def test_tail_counts(self):
         store = make_store([(0, 0, 1), (2, 0, 1)])
-        counts, max_count = entity_frequency(store, "tail")
-        assert counts[1] == 2
-        assert max_count == 2
+        assert _weight_table(store, 1.0)[0].tolist() == [0.0, 1.0, 0.0]  # tail counts 0, 2, 0
 
     def test_absent_entity_counts_zero(self):
         store = make_store([(0, 0, 1)], num_entities=5)
-        counts, _ = entity_frequency(store, "tail")
-        assert counts[4] == 0
+        weights = _weight_table(store, 1.0)
+        assert weights[0, 4] == weights[1, 4] == 0.0
 
     def test_matches_exhaustive_recount(self, rng):
         triples = list(dict.fromkeys(map(tuple, rng.integers(0, 10, size=(60, 3)).tolist())))
         store = make_store(triples, num_entities=10, num_relations=10)
-        counts, max_count = entity_frequency(store, "head")
-        manual = [sum(1 for h, _, _ in triples if h == e) for e in range(10)]
-        np.testing.assert_array_equal(counts, manual)
-        assert max_count == max(manual)
-
-    def test_bad_side_rejected(self, toy_store):
-        with pytest.raises(ValueError):
-            entity_frequency(toy_store, "middle")
+        manual = np.array([sum(1 for h, _, _ in triples if h == e) for e in range(10)])
+        np.testing.assert_array_equal(_weight_table(store, 1.0)[1], manual / manual.max())
 
 
 class TestDatasetVocab:
@@ -610,12 +605,10 @@ class TestWN18RR:
 
     def test_tail_counts_match_scan(self):
         store = load_dataset(dataset_path("WN18RR", "train"))
-        counts, max_count = entity_frequency(store, "tail")
         scan = np.zeros(store.num_entities, dtype=np.int64)
         for _, _, t in store.train.tolist():
             scan[t] += 1
-        np.testing.assert_array_equal(counts, scan)
-        assert max_count == scan.max()
+        np.testing.assert_array_equal(_weight_table(store, 1.0)[0], scan / scan.max())
 
 
 @pytest.mark.dataset

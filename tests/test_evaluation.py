@@ -17,21 +17,11 @@ def trained_toy(store, epochs=60, seed=0):
     return table
 
 
-def triple_order(triples, num_relations):
-    """Each triple's tail query, then its head query: the order of evaluate()'s ranks."""
-    return reciprocal_queries(triples, num_relations).reshape(2, -1, 3).swapaxes(0, 1).reshape(-1, 3).tolist()
-
-
-def triple_order_mrr(queries, ranks, triples, num_relations):
-    """The MRR of parallel queries and ranks, averaged in triple order as evaluate() averages it."""
-    rank_of = dict(zip(map(tuple, queries), ranks))
-    return np.mean(1.0 / np.array([rank_of[tuple(q)] for q in triple_order(triples, num_relations)]))
-
-
 def pair_order(triples, num_relations):
-    """The queries that evaluate() hands to filtered_rank: :func:`triple_order`
-    stably sorted by pair code ``src * 2|R| + rel``."""
-    return sorted(triple_order(triples, num_relations), key=lambda q: q[0] * 2 * num_relations + q[1])
+    """The queries that evaluate() hands to filtered_rank: those of
+    reciprocal_queries, stably sorted by pair code ``src * 2|R| + rel``."""
+    queries = reciprocal_queries(triples, num_relations).tolist()
+    return sorted(queries, key=lambda q: q[0] * 2 * num_relations + q[1])
 
 
 class TestFilteredRank:
@@ -178,7 +168,7 @@ class TestBlockedRanking:
             _, known = store.filter_index.known_answers([query])
             expected.append(sort_rank(scores, query[2], set(known.tolist()) - {query[2]}))
         assert ranks.tolist() == expected
-        assert report.mrr == triple_order_mrr(queries.tolist(), expected, store.train, store.num_relations)
+        assert report.mrr == np.mean(1.0 / ranks)
         if constant:
             # every unfiltered rival ties with the answer, which goes last
             known = [len(store.filter_index.known_answers([q])[1]) for q in queries.tolist()]
@@ -198,6 +188,18 @@ class TestBlockedRanking:
         assert block.shape == (len(queries),)
         assert block.tolist() == singles
         assert all(type(rank) is int for rank in singles)
+
+    def test_random_rule_without_rng_draws_from_seed_zero(self, rng):
+        triples = list(dict.fromkeys(map(tuple, rng.integers(0, 8, size=(16, 3)).tolist())))
+        store = make_store(triples, num_entities=8, num_relations=8)
+        table = init_embeddings(8, 8, 6, init_scale=1.0, seed=5)
+        table.entity_embeddings[::2] = 0.0  # exact ties for the random rule to break
+        block = reciprocal_queries(store.train, store.num_relations)
+        unseeded = filtered_rank(block, table, store.filter_index, "random")
+        seeded = filtered_rank(block, table, store.filter_index, "random", np.random.default_rng(0))
+        assert unseeded.tolist() == seeded.tolist()
+        pessimistic = filtered_rank(block, table, store.filter_index)
+        assert (unseeded < pessimistic).any()  # the ties were broken by draws, not pessimistically
 
     def test_workspace_ranks_equal_workspace_free_calls(self, monkeypatch, rng):
         triples = list(dict.fromkeys(map(tuple, rng.integers(0, 8, size=(16, 3)).tolist())))
@@ -307,7 +309,7 @@ class TestRepeatedPairs:
         single_rng = np.random.default_rng(0)  # evaluate's fixed seed, drawn in pair order
         assert ranks == [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in queries]
         self.check_against_sort_oracle(store, table, queries, ranks, tie_rule)
-        assert report.mrr == triple_order_mrr(queries, ranks, store.test, store.num_relations)
+        assert report.mrr == np.mean(1.0 / np.array(ranks))
 
     @pytest.mark.parametrize("tie_rule", TIE_RULES)
     def test_block_of_one_pair(self, monkeypatch, tie_rule):
@@ -518,7 +520,7 @@ class TestEvaluate:
         assert queries == pair_order(toy_store.train, toy_store.num_relations)
         assert report.num_queries == len(queries)
         ranks = np.concatenate([ranks for _, ranks in calls]).tolist()
-        assert report.mrr == triple_order_mrr(queries, ranks, toy_store.train, toy_store.num_relations)
+        assert report.mrr == np.mean(1.0 / np.array(ranks))
 
     def test_filter_index_is_built_on_first_evaluate(self, tmp_path, monkeypatch):
         rows = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c"), ("c", "r", "a"), ("c", "s", "b"), ("b", "r", "b")]

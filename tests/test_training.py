@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import star_kge.training as training
-from star_kge.data import entity_frequency, reciprocal_queries
+from star_kge.data import reciprocal_queries
 from star_kge.model import MODEL_KINDS, block_rotate_t, init_embeddings
 from star_kge.regularization import RegConfig, penalty_terms_batch
 from star_kge.training import (
@@ -16,7 +16,6 @@ from star_kge.training import (
     TrainConfig,
     adagrad_update,
     batch_loss,
-    tail_weight,
     train,
 )
 from conftest import make_store
@@ -30,28 +29,33 @@ def tiny_config(**kw):
 
 
 class TestTailWeight:
+    """The (2, |E|) frequency weight table that train() hands batch_loss."""
+
     def test_zero_w0_gives_uniform_weights(self):
-        counts = np.array([3, 0, 7])
-        for e in range(3):
-            assert tail_weight(e, counts, 0.0) == 1.0
+        store = make_store([(0, 0, 2), (1, 0, 2), (2, 0, 0)], num_entities=4)
+        weights = training._weight_table(store, 0.0)
+        assert weights.shape == (2, 4)
+        assert (weights == 1.0).all()
 
     def test_maximal_entity_gets_weight_one(self):
-        counts = np.array([2, 9, 5])
-        assert tail_weight(1, counts, 0.7) == 1.0
+        store = make_store([(0, 0, 1), (2, 0, 1), (1, 0, 2)], num_entities=3)
+        weights = training._weight_table(store, 0.7)
+        assert weights[0, 1] == 1.0  # two tails
+        assert weights[1, 0] == weights[1, 1] == weights[1, 2] == 1.0  # one head each
 
     def test_unseen_entity_at_w0_point_one(self):
-        counts = np.array([4, 0])
-        assert tail_weight(1, counts, 0.1) == pytest.approx(0.9)
+        store = make_store([(0, 0, 1)], num_entities=3)
+        weights = training._weight_table(store, 0.1)
+        assert weights[0, 2] == pytest.approx(0.9)
+        assert weights[1, 2] == pytest.approx(0.9)
 
     def test_vectorized_ids(self):
-        counts = np.array([4, 2, 0])
-        np.testing.assert_allclose(
-            tail_weight(np.array([0, 1, 2]), counts, 0.5), [1.0, 0.75, 0.5]
-        )
-
-    def test_empty_counts_rejected(self):
-        with pytest.raises(ValueError):
-            tail_weight(0, np.array([]), 0.1)
+        """Row 0 comes from the tail counts and row 1 from the head counts."""
+        triples = [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (1, 0, 1), (0, 0, 1), (1, 0, 2)]
+        store = make_store(triples, num_entities=4, num_relations=2)
+        weights = training._weight_table(store, 0.5)
+        np.testing.assert_array_equal(weights[0], [1.0, 0.75, 0.625, 0.5])  # tails 4, 2, 1, 0
+        np.testing.assert_array_equal(weights[1], [0.625, 1.0, 0.75, 0.5])  # heads 1, 4, 2, 0
 
 
 class TestBatchLoss:
@@ -79,7 +83,7 @@ class TestBatchLoss:
         # largest |score| of the batch, recomputed after the loss failed
         table = init_embeddings(3, 1, 4, init_scale=0.5, seed=0)
         cfg = tiny_config(reg=RegConfig("Fro", lam=1e308))
-        _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, None, None)
+        _, H, RC, TAU, _ = _query_terms(store.train, table, None)
         want = np.abs((block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T).max()
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="score") as exc:
             batch_loss(store.train, table, cfg)
@@ -108,14 +112,11 @@ class TestBatchLoss:
             num_relations=num_relations,
         )
         cfg = tiny_config(w0=0.3, reg=reg)
-        tail_counts, _ = entity_frequency(store, "tail")
-        head_counts, _ = entity_frequency(store, "head")
-        tw = tail_weight(np.arange(num_entities), tail_counts, cfg.w0)
-        hw = tail_weight(np.arange(num_entities), head_counts, cfg.w0)
+        weights = training._weight_table(store, cfg.w0)
 
         table = init_embeddings(num_entities, num_relations, n, init_scale=0.5, seed=17)
         table.rel_tau[:] = rng.normal(size=table.rel_tau.shape) * 0.5
-        _, grads = batch_loss(store.train, table, cfg, tw, hw)
+        _, grads = batch_loss(store.train, table, cfg, weights)
 
         shapes = [table.entity_embeddings.shape, table.rel_c.shape, table.rel_tau.shape]
         sizes = [int(np.prod(s)) for s in shapes]
@@ -125,7 +126,7 @@ class TestBatchLoss:
             t2.entity_embeddings = theta[: sizes[0]].reshape(shapes[0])
             t2.rel_c = theta[sizes[0] : sizes[0] + sizes[1]].reshape(shapes[1])
             t2.rel_tau = theta[sizes[0] + sizes[1] :].reshape(shapes[2])
-            return batch_loss(store.train, t2, cfg, tw, hw)[0]
+            return batch_loss(store.train, t2, cfg, weights)[0]
 
         theta0 = np.concatenate(
             [table.entity_embeddings.ravel(), table.rel_c.ravel(), table.rel_tau.ravel()]
@@ -428,25 +429,20 @@ def _case_setup(case, epochs=1):
         n=case["n"], epochs=epochs, batch_size=case["batch_size"], w0=case["w0"], reg=case["reg"],
         seed=case["seed"], init_scale=case.get("init_scale", 0.5),
     )
-    weights = (None, None)
-    if cfg.w0 > 0:
-        weights = tuple(
-            tail_weight(np.arange(ne), entity_frequency(store, side)[0], cfg.w0) for side in ("tail", "head")
-        )
+    weights = training._weight_table(store, cfg.w0) if cfg.w0 > 0 else None
     return store, cfg, weights
 
 
-def _query_terms(batch, table, cfg, tw, hw):
+def _query_terms(batch, table, weights):
     """The per-query operands of ``batch_loss``: weights a = w / 2m, H, RC,
     TAU and T, in the order of ``data.reciprocal_queries``."""
     src, rel, tgt = reciprocal_queries(batch, table.num_relations).T
-    m = len(batch)
-    w = np.ones(2 * m) if cfg.w0 == 0 else np.concatenate([tw[tgt[:m]], hw[tgt[m:]]])
+    w = np.ones(len(src)) if weights is None else weights[rel // table.num_relations, tgt]
     ents = table.entity_embeddings
-    return w / (2 * m), ents[src], table.rel_c[rel], table.rel_tau[rel], ents[tgt]
+    return w / len(src), ents[src], table.rel_c[rel], table.rel_tau[rel], ents[tgt]
 
 
-def fold_atol(batch, table, cfg, tw, hw):
+def fold_atol(batch, table, cfg, weights):
     """A bound on |folded - whole-matrix| for every entry of every gradient.
 
     Both steps round the same exact gradient. A result computed by a chain
@@ -479,7 +475,7 @@ def fold_atol(batch, table, cfg, tw, hw):
     s_i a_i max|Q_i|, that adds sum_i s_i a_i (e F_i + max|Q_i|) to the
     bound, where F_i = 1 + 2 max|RC_i| + 2 max|H_i| is V_i's fan-out above.
     """
-    a, H, RC, TAU, T = _query_terms(batch, table, cfg, tw, hw)
+    a, H, RC, TAU, T = _query_terms(batch, table, weights)
     Q = block_rotate_t(RC, H) + TAU
     ents = table.entity_embeddings
     e = np.abs(ents).max()
@@ -499,7 +495,7 @@ def fold_atol(batch, table, cfg, tw, hw):
     return 2 * gamma(table.num_entities + 4 * len(a) + 8) * M + np.sum(softmax * a * (e * fan + qmax))
 
 
-def loss_atol(batch, table, cfg, tw, hw):
+def loss_atol(batch, table, cfg, weights):
     """A bound on |loss - oracle loss| for one batch.
 
     Derived like :func:`fold_atol`, to first order in u = eps / 2, with
@@ -522,7 +518,7 @@ def loss_atol(batch, table, cfg, tw, hw):
     division by 2m round both losses by gamma_{2m+2} of the sum of their
     terms' magnitudes.
     """
-    a, H, RC, TAU, T = _query_terms(batch, table, cfg, tw, hw)
+    a, H, RC, TAU, T = _query_terms(batch, table, weights)
     nq = len(a)
     Q = block_rotate_t(RC, H) + TAU
     ents = table.entity_embeddings
@@ -548,16 +544,16 @@ def loss_atol(batch, table, cfg, tw, hw):
     return (w @ per_query + 2 * gamma(nq + 2) * (w @ (C + per_query) + reg_mass)) / nq
 
 
-def _assert_near_oracle(loss, grads, batch, table, cfg, tw=None, hw=None):
+def _assert_near_oracle(loss, grads, batch, table, cfg, weights=None):
     """The step's loss and gradients against the whole-matrix oracle's;
     returns the oracle's gradients."""
-    want_loss, want = batch_loss_whole(batch, table, cfg, tw, hw)
+    want_loss, want = batch_loss_whole(batch, table, cfg, weights)
     # the step shifts each row by s_t inside the GEMM where the oracle
     # subtracts its max: the same loss, rounded another way
-    assert abs(loss - want_loss) <= loss_atol(batch, table, cfg, tw, hw)
+    assert abs(loss - want_loss) <= loss_atol(batch, table, cfg, weights)
     # the fold scales the small GEMM operands instead of dS and moves the
     # one-hot term out of the GEMMs: the same gradient, rounded in another order
-    atol = fold_atol(batch, table, cfg, tw, hw)
+    atol = fold_atol(batch, table, cfg, weights)
     for name in GRADS:
         np.testing.assert_allclose(getattr(grads, name), getattr(want, name), rtol=1e-12, atol=atol, err_msg=name)
     return want
@@ -574,7 +570,7 @@ class TestBlockedStep:
     @example(SATURATED)
     @example(RIVAL_BEYOND_EXP)
     def test_matches_whole_matrix_oracle(self, case):
-        store, cfg, (tw, hw) = _case_setup(case)
+        store, cfg, weights = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
         want_table = table.copy()
         want_accs = [np.zeros_like(getattr(want_table, name)) for name in TABLES]
@@ -584,8 +580,8 @@ class TestBlockedStep:
         with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
             for start in range(0, len(store.train), cfg.batch_size):
                 batch = store.train[start : start + cfg.batch_size]
-                loss, grads = batch_loss(batch, table, cfg, tw, hw, _workspace=ws)
-                want = _assert_near_oracle(loss, grads, batch, want_table, cfg, tw, hw)
+                loss, grads = batch_loss(batch, table, cfg, weights, _workspace=ws)
+                want = _assert_near_oracle(loss, grads, batch, want_table, cfg, weights)
                 # both optimisers step on the oracle's gradient, so the tables stay comparable;
                 # the entity gradient as the contiguous (n, |E|) transpose that train() steps in chunks
                 d_entities = np.ascontiguousarray(want.d_entities.T).T
@@ -599,9 +595,9 @@ class TestBlockedStep:
 
     def test_saturated_example_saturates(self):
         case = SATURATED
-        store, cfg, (tw, hw) = _case_setup(case)
+        store, cfg, weights = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
-        _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, tw, hw)
+        _, H, RC, TAU, _ = _query_terms(store.train, table, weights)
         scores = (block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T
         tgt = reciprocal_queries(store.train, table.num_relations)[:, 2]
         is_tgt = np.arange(table.num_entities) == tgt[:, None]
@@ -610,9 +606,9 @@ class TestBlockedStep:
 
     def test_rival_beyond_exp_example_overflows(self):
         case = RIVAL_BEYOND_EXP
-        store, cfg, (tw, hw) = _case_setup(case)
+        store, cfg, weights = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
-        _, H, RC, TAU, T = _query_terms(store.train, table, cfg, tw, hw)
+        _, H, RC, TAU, T = _query_terms(store.train, table, weights)
         Q = block_rotate_t(RC, H) + TAU
         gaps = (Q @ table.entity_embeddings.T).max(axis=1) - np.sum(Q * T, axis=1)
         assert gaps.max() > 1000 and np.sum(gaps < 700) == len(gaps) - 1
@@ -626,7 +622,7 @@ class TestBlockedStep:
         table.rel_c[:] = 0.0
         table.rel_tau[:] = -250 + rng.normal(size=table.rel_tau.shape)
         cfg = tiny_config(reg=RegConfig("DURA", lam=0.1))
-        _, H, RC, TAU, _ = _query_terms(store.train, table, cfg, None, None)
+        _, H, RC, TAU, _ = _query_terms(store.train, table, None)
         scores = (block_rotate_t(RC, H) + TAU) @ table.entity_embeddings.T
         assert np.all((-1100 < scores) & (scores < -900))
         assert np.all(np.exp(scores).sum(axis=1) == 0)
@@ -641,7 +637,7 @@ class TestBlockedStep:
     def test_stale_workspace_gives_bitwise_equal_step(self, case):
         """NaN-filled buffers, a full batch and a short last batch that uses
         a prefix of the score buffer, against calls that allocate their own."""
-        store, cfg, (tw, hw) = _case_setup(case)
+        store, cfg, weights = _case_setup(case)
         table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
         ws = training._Workspace(table, min(cfg.batch_size, len(store.train)))
         with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
@@ -649,8 +645,8 @@ class TestBlockedStep:
                 batch = store.train[start : start + cfg.batch_size]
                 for buffer in (ws.scores, ws.grad_t):
                     buffer.fill(np.nan)
-                loss, grads = batch_loss(batch, table, cfg, tw, hw, _workspace=ws)
-                want_loss, want = batch_loss(batch, table, cfg, tw, hw)
+                loss, grads = batch_loss(batch, table, cfg, weights, _workspace=ws)
+                want_loss, want = batch_loss(batch, table, cfg, weights)
                 assert np.shares_memory(grads.d_entities, ws.grad_t)
                 assert loss == want_loss
                 for name in GRADS:
@@ -661,7 +657,7 @@ class TestBlockedStep:
     @example(CUT_MID_BATCH)
     @example(BATCH_OVER_TRAIN)
     def test_train_with_reused_buffer_equals_fresh_buffer_loop(self, case):
-        store, cfg, (tw, hw) = _case_setup(case, epochs=2)
+        store, cfg, weights = _case_setup(case, epochs=2)
         with mock.patch.object(training, "BLOCK_BYTES", case["block_bytes"]):
             got, log = train(store, cfg, case["kind"])
             # train()'s loop with fresh score and gradient buffers for every batch
@@ -674,7 +670,7 @@ class TestBlockedStep:
                 total = 0.0
                 for start in range(0, len(order), cfg.batch_size):
                     batch = store.train[order[start : start + cfg.batch_size]]
-                    loss, grads = batch_loss(batch, want, cfg, tw, hw)
+                    loss, grads = batch_loss(batch, want, cfg, weights)
                     optimizer.step(want, grads, cfg.lr)
                     total += loss * 2 * len(batch)
                 mean_losses.append(total / (2 * len(order)))
