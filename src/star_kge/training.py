@@ -41,6 +41,12 @@ buffer, the entity gradient and the Adagrad accumulators for every batch;
 whole-array pass, so the optimiser step is bitwise that of one; the loss
 and the folded gradients differ from a whole-matrix max-shifted step by
 rounding.
+
+The step runs on BLAS's thread count ``w`` with BLAS held to one thread
+(:mod:`._threads`): the forward GEMM, ``exp`` and ``Z [E, 1]`` in ``w``
+row parts, (c * Q)^T Z in ``w`` entity-column parts, and Adagrad and the
+entity finiteness sweep in ``w`` chunk or row parts. Runs at one ``w`` are
+bitwise repeatable; the GEMM parts may round differently at another ``w``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _threads
 from .data import TripleStore, reciprocal_queries
 from .model import EmbeddingTable, block_grad, block_rotate, block_rotate_t, init_embeddings
 from .regularization import RegConfig, penalty_terms_batch
@@ -154,7 +161,10 @@ class _Workspace:
         adagrad_update(table.rel_c, grads.d_rel_c, acc_c, lr)
         adagrad_update(table.rel_tau, grads.d_rel_tau, acc_tau, lr)
         table.enforce_kind()
-        for name in ("entity_embeddings", "rel_c", "rel_tau"):
+        ent_t = table.entity_embeddings.T
+        if not all(_threads.split(lambda rows: np.isfinite(ent_t[rows]).all(), len(ent_t))):
+            raise DivergenceError("non-finite entity_embeddings after update")
+        for name in ("rel_c", "rel_tau"):
             if not np.isfinite(getattr(table, name)).all():
                 raise DivergenceError(f"non-finite {name} after update")
 
@@ -200,16 +210,21 @@ def batch_loss(
     TAU = table.rel_tau[rel]
     T = ents[tgt]
 
-    # [Q, -s_t] @ [E, 1]^T is S - s_t, so the target's own exp(0) keeps
-    # every row sum >= ~1 and no max pass is needed
     Q = block_rotate_t(RC, H) + TAU
     Qh = np.concatenate([Q, -np.einsum("ij,ij->i", Q, T)[:, None]], axis=1)
     scores = ws.scores[:nq]
-    np.matmul(Qh, table._hom_rows, out=scores)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(scores, out=scores)
-        # Z @ [E, 1]: Z E, and in the last column the row sums
-        ZE = scores @ table._hom_rows.T
+    ZE = np.empty((nq, table.n + 1))
+
+    def softmax_rows(rows):
+        # [Q, -s_t] @ [E, 1]^T is S - s_t, so the target's own exp(0) keeps
+        # every row sum >= ~1 and no max pass is needed
+        np.matmul(Qh[rows], table._hom_rows, out=scores[rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(scores[rows], out=scores[rows])
+            # Z @ [E, 1]: Z E, and in the last column the row sums
+            np.matmul(scores[rows], table._hom_rows.T, out=ZE[rows])
+
+    _threads.split(softmax_rows, nq)
     ce = np.log(ZE[:, -1])
     for i in np.flatnonzero(~np.isfinite(ZE).all(axis=1)):
         # a rival beat the target by more than ~709, so exp, the row sum or
@@ -235,7 +250,9 @@ def batch_loss(
     # GEMMs read Z as it is and the small operands carry c and a
     a = (w / nq)[:, None]
     c = a / ZE[:, -1:]
-    d_entities = np.matmul((c * Q).T, scores, out=ws.grad_t).T
+    cQ = (c * Q).T
+    _threads.split(lambda cols: np.matmul(cQ, scores[:, cols], out=ws.grad_t[:, cols]), table.num_entities)
+    d_entities = ws.grad_t.T
     V = c * ZE[:, :-1] - a * T
     d_src = block_rotate(RC, V)
     d_RC = block_grad(H, V)
@@ -255,9 +272,14 @@ def adagrad_update(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
     """In-place Adagrad step: acc += g^2; param -= lr * g / sqrt(acc + eps), in flat chunks."""
     if param.shape != grad.shape or param.shape != accumulator.shape:
         raise ValueError("param, grad and accumulator shapes must match")
-    for p, g, acc in _chunks(param, grad, accumulator):
-        acc += g * g
-        p -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
+    chunks = _chunks(param, grad, accumulator)
+
+    def step(part):
+        for p, g, acc in chunks[part]:
+            acc += g * g
+            p -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
+
+    _threads.split(step, len(chunks))
 
 
 def train(
@@ -272,11 +294,13 @@ def train(
     validation every ``eval_every`` epochs (when a valid split exists) and
     returns the checkpoint with the best validation MRR, or the final table
     when validation never ran. The log holds one record per epoch:
-    {epoch, mean_loss, valid_mrr, wall_ms, validation_ms, queries_per_s}.
+    {epoch, mean_loss, valid_mrr, wall_ms, validation_ms, queries_per_s,
+    threads}.
     ``wall_ms`` spans the whole epoch, validation included;
     ``validation_ms`` is the wall time of the validation ``evaluate`` alone,
     None when the epoch ran none; ``queries_per_s`` is the epoch's
-    2 * |train| queries over the seconds of its batch loop alone.
+    2 * |train| queries over the seconds of its batch loop alone, and
+    ``threads`` the worker count that loop split each step over.
     ``on_epoch``, when given, is called with each record as soon as its
     epoch ends.
     """
@@ -304,18 +328,17 @@ def train(
         loss_sum = 0.0
         query_count = 0
         loop_start = time.perf_counter()
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = store.train[idx]
-            try:
-                loss, grads = batch_loss(batch, table, config, weights, _workspace=ws)
-                ws.step(table, grads, config.lr)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"epoch {epoch}, batch {start // config.batch_size}: {exc}"
-                ) from None
-            loss_sum += loss * 2 * len(batch)
-            query_count += 2 * len(batch)
+        # BLAS stays at one thread between the batches' split passes too
+        with _threads.held() as workers:
+            for start in range(0, len(order), config.batch_size):
+                batch = store.train[order[start : start + config.batch_size]]
+                try:
+                    loss, grads = batch_loss(batch, table, config, weights, _workspace=ws)
+                    ws.step(table, grads, config.lr)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"epoch {epoch}, batch {start // config.batch_size}: {exc}") from None
+                loss_sum += loss * 2 * len(batch)
+                query_count += 2 * len(batch)
         loop_s = time.perf_counter() - loop_start
         mean_loss = loss_sum / query_count
 
@@ -336,6 +359,7 @@ def train(
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
                 "validation_ms": validation_ms,
                 "queries_per_s": query_count / loop_s,
+                "threads": workers,
             }
         )
         if on_epoch is not None:

@@ -71,3 +71,36 @@ def toy_store():
         valid=[(1, 1, 3)],
         test=[(0, 0, 3), (2, 1, 4)],
     )
+
+
+class FakeBlas:
+    """Stands in for OpenBLAS's thread-count control in ``star_kge._threads``:
+    ``count`` is the count it reports and ``sets`` every count set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+        self.sets.append(count)
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """``install(count)`` makes ``star_kge._threads`` see a BLAS of ``count``
+    threads (none at all for None) and start from no pool; returns the
+    :class:`FakeBlas`, or None."""
+    from star_kge import _threads
+
+    def install(count):
+        fake = None if count is None else FakeBlas(count)
+        monkeypatch.setattr(_threads, "_blas", () if fake is None else (fake.get, fake.set))
+        monkeypatch.setattr(_threads, "_pool", None)
+        monkeypatch.setattr(_threads, "_pool_size", 0)
+        return fake
+
+    return install

@@ -1,0 +1,127 @@
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from star_kge import _threads
+
+
+def test_split_gives_each_worker_one_contiguous_part_in_order(fake_blas):
+    blas = fake_blas(3)
+    seen = []
+
+    def part(rows):
+        seen.append(blas.count)
+        return rows.start, rows.stop
+
+    assert _threads.split(part, 10) == [(0, 3), (3, 6), (6, 10)]
+    assert seen == [1, 1, 1]  # BLAS at one thread in every part
+    assert blas.count == 3 and blas.sets == [1, 3]
+
+
+def test_fewer_items_than_workers_gives_one_part_each(fake_blas):
+    fake_blas(4)
+    assert _threads.split(lambda rows: (rows.start, rows.stop), 2) == [(0, 1), (1, 2)]
+    assert _threads.split(lambda rows: (rows.start, rows.stop), 0) == [(0, 0)]
+
+
+@pytest.mark.parametrize("count", [None, 1], ids=["no-control", "one-thread"])
+def test_one_worker_runs_on_the_caller_and_starts_no_thread(fake_blas, count):
+    blas = fake_blas(count)
+    callers = []
+    parts = _threads.split(lambda rows: callers.append(threading.current_thread()) or rows, 9)
+    assert parts == [slice(0, 9)]
+    assert callers == [threading.current_thread()]
+    assert _threads._pool is None
+    assert blas is None or blas.sets == []
+
+
+def test_helper_error_is_raised_after_every_part_finishes(fake_blas):
+    blas = fake_blas(2)
+    done = []
+
+    def part(rows):
+        if rows.start > 0:
+            raise ValueError("helper part")
+        time.sleep(0.05)
+        done.append(rows.start)
+
+    with pytest.raises(ValueError, match="helper part"):
+        _threads.split(part, 4)
+    assert done == [0]
+    assert blas.count == 2
+
+
+def test_caller_error_waits_for_the_helpers(fake_blas):
+    blas = fake_blas(3)
+    done = []
+
+    def part(rows):
+        if rows.start == 0:
+            raise KeyError("caller part")
+        time.sleep(0.05)
+        done.append(rows.start)
+        raise ValueError("later part")
+
+    with pytest.raises(KeyError, match="caller part"):  # the first part's error, in part order
+        _threads.split(part, 6)
+    assert sorted(done) == [2, 4]
+    assert blas.count == 3
+
+
+def test_parts_run_under_the_callers_errstate(fake_blas):
+    fake_blas(2)
+    with np.errstate(divide="raise", over="ignore"):
+        modes = _threads.split(lambda rows: np.geterr(), 2)
+    assert [(m["divide"], m["over"]) for m in modes] == [("raise", "ignore")] * 2
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        _threads.split(lambda rows: np.ones(1) / np.zeros(1) if rows.start else None, 2)
+
+
+def test_nested_scopes_share_the_outer_count(fake_blas):
+    blas = fake_blas(2)
+    with _threads.held() as outer:
+        with _threads.held() as inner:
+            assert (outer, inner, blas.count) == (2, 2, 1)
+        assert blas.count == 1
+    assert blas.count == 2 and blas.sets == [1, 2]
+
+
+@pytest.mark.parametrize("first_out", [0, 1])
+def test_overlapping_scopes_in_two_threads_restore_the_count(fake_blas, first_out):
+    """The second thread in must not read the one thread the first set, and
+    whichever leaves last restores the count read by the first."""
+    blas = fake_blas(2)
+    inside = threading.Barrier(2)
+    leave = [threading.Event(), threading.Event()]
+    workers = [None, None]
+
+    def scope(i):
+        with _threads.held() as w:
+            workers[i] = w
+            inside.wait(timeout=5)
+            leave[i].wait(timeout=5)
+
+    threads = [threading.Thread(target=scope, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    time.sleep(0.05)
+    leave[first_out].set()
+    threads[first_out].join(timeout=5)
+    assert blas.count == 1  # the other thread is still inside
+    leave[1 - first_out].set()
+    threads[1 - first_out].join(timeout=5)
+    assert workers == [2, 2]
+    assert blas.count == 2 and blas.sets == [1, 2]
+
+
+def test_openblas_count_is_held_and_restored():
+    blas = _threads._find_blas()
+    if not blas:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    get, _ = blas
+    before = get()
+    inside = _threads.split(lambda rows: get(), 4)
+    assert inside == [1] * min(before, 4)
+    assert get() == before

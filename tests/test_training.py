@@ -1,4 +1,5 @@
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -677,3 +678,111 @@ class TestBlockedStep:
         assert [r["mean_loss"] for r in log] == mean_losses
         for name in TABLES:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestSplitStep:
+    """The step's row, column and chunk parts over BLAS's thread count."""
+
+    @pytest.mark.parametrize("workers", [2, 3, "live"])
+    @pytest.mark.parametrize("case", [CUT_MID_BATCH, RIVAL_BEYOND_EXP, SATURATED], ids=["cut", "rival", "saturated"])
+    def test_split_step_matches_the_one_part_step(self, fake_blas, monkeypatch, case, workers):
+        store, cfg, weights = _case_setup(case)
+        table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+        batch = store.train[: cfg.batch_size]
+        fake_blas(1)
+        want_loss, want = batch_loss(batch, table, cfg, weights)
+        if workers == "live":
+            monkeypatch.setattr(training._threads, "_blas", None)  # look up this process's BLAS again
+        else:
+            fake_blas(workers)
+        loss, grads = batch_loss(batch, table, cfg, weights)
+        # each part rounds as the whole does, but a GEMM's rounding may
+        # depend on its shape: bound the difference as the oracle's
+        assert abs(loss - want_loss) <= loss_atol(batch, table, cfg, weights)
+        atol = fold_atol(batch, table, cfg, weights)
+        for name in GRADS:
+            np.testing.assert_allclose(getattr(grads, name), getattr(want, name), rtol=1e-12, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_adagrad_split_is_bitwise_one_whole_pass(self, fake_blas, rng, workers):
+        blas = fake_blas(workers)
+        param, grad, acc = rng.normal(size=(3, 6, 37))
+        acc = acc * acc
+        want = [param.copy(), grad, acc.copy()]
+        with mock.patch.object(training, "BLOCK_BYTES", 8 * 19):
+            assert len(training._chunks(param, grad, acc)) >= workers
+            adagrad_update(param, grad, acc, lr=0.3)
+        adagrad_update_whole(*want, lr=0.3)
+        np.testing.assert_array_equal(param, want[0])
+        np.testing.assert_array_equal(acc, want[2])
+        assert blas.sets == [1, workers]
+
+    def test_no_blas_control_starts_no_thread_and_repeats_bitwise(self, fake_blas, toy_store):
+        fake_blas(None)
+        cfg = tiny_config(epochs=3, seed=4, reg=RegConfig("DURA", lam=0.05))
+        (t1, log1), (t2, log2) = train(toy_store, cfg), train(toy_store, cfg)
+        assert training._threads._pool is None
+        for name in TABLES:
+            np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
+        assert [r["mean_loss"] for r in log1] == [r["mean_loss"] for r in log2]
+        assert [r["threads"] for r in log1] == [1, 1, 1]
+
+    def test_epoch_record_names_the_worker_count(self, fake_blas, toy_store):
+        blas = fake_blas(3)
+        _, log = train(toy_store, tiny_config(epochs=2))
+        assert [r["threads"] for r in log] == [3, 3]
+        assert blas.count == 3
+
+    def test_count_restored_after_normal_returns(self, fake_blas, toy_store):
+        blas = fake_blas(2)
+        table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
+        ws = training._Workspace(table, len(toy_store.train))
+        loss, grads = batch_loss(toy_store.train, table, tiny_config(), _workspace=ws)
+        assert blas.count == 2
+        ws.step(table, grads, 0.1)
+        assert blas.count == 2 and blas.sets[-1] == 2
+
+    def test_count_restored_after_divergence(self, fake_blas, toy_store):
+        blas = fake_blas(2)
+        table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
+        ws = training._Workspace(table, len(toy_store.train))
+        _, grads = batch_loss(toy_store.train, table, tiny_config(), _workspace=ws)
+        grads.d_entities[-1, -1] = np.nan  # in the last worker's part of the finiteness sweep
+        with pytest.raises(DivergenceError, match="non-finite entity_embeddings"):
+            ws.step(table, grads, 0.1)
+        assert blas.count == 2
+        with pytest.raises(DivergenceError, match="non-finite batch loss"):
+            batch_loss(toy_store.train, table, tiny_config(), _workspace=ws)
+        assert blas.count == 2
+
+    def test_count_restored_after_a_helper_part_raises(self, fake_blas, toy_store):
+        blas = fake_blas(2)
+        table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
+        # a score buffer for one triple: the caller's half of the rows fits,
+        # the helper's half finds no rows to write into
+        small = training._Workspace(table, 1)
+        with pytest.raises(ValueError):
+            batch_loss(toy_store.train[:2], table, tiny_config(), _workspace=small)
+        assert blas.count == 2
+        ws = training._Workspace(table, len(toy_store.train))
+        _, grads = batch_loss(toy_store.train, table, tiny_config(), _workspace=ws)
+        ws.accumulators[0].flags.writeable = False  # every Adagrad part raises
+        with pytest.raises(ValueError, match="read-only"):
+            ws.step(table, grads, 0.1)
+        assert blas.count == 2 and blas.sets[-1] == 2
+
+    def test_two_threads_training_at_once_restore_the_count(self, fake_blas, toy_store):
+        blas = fake_blas(2)
+        cfg = tiny_config(epochs=20, reg=RegConfig("DURA", lam=0.05))
+        logs = [None, None]
+
+        def run(i):
+            logs[i] = train(toy_store, cfg)[1]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert [r["threads"] for log in logs for r in log] == [2] * 40
+        assert blas.count == 2 and blas.sets[-1] == 2
