@@ -5,9 +5,10 @@ elementwise pass run right after one shares its core with them. Inside
 :func:`held` BLAS runs on the calling thread only, and :func:`split` gives
 each of ``w`` workers, ``w`` being the thread count BLAS had on entry, one
 contiguous part of the rows, columns or chunks of a pass: one part on the
-calling thread and the rest on a pool of ``w - 1`` threads made on first
-use. With no OpenBLAS thread control found, or a count of 1, there is one
-worker and no thread is started.
+calling thread and the rest on a pool made on first use, which starts a
+thread only when none is idle, up to min(32, cores + 4). With no OpenBLAS
+thread control found, or a count of 1, there is one worker and no thread is
+started.
 
 Parts run only numpy calls. Each runs in a copy of the caller's context, so
 the caller's ``np.errstate`` holds in it.
@@ -30,7 +31,6 @@ _blas: tuple | None = None  # (get, set), or () when no OpenBLAS control was fou
 _depth = 0  # scopes open across all threads
 _count = 1  # BLAS's thread count when the outermost scope opened
 _pool: ThreadPoolExecutor | None = None
-_pool_size = 0
 
 
 def _find_blas() -> tuple:
@@ -79,17 +79,6 @@ def held() -> Iterator[int]:
                 _blas[1](_count)
 
 
-def _executor(size: int) -> ThreadPoolExecutor:
-    global _pool, _pool_size
-    with _lock:
-        if _pool_size < size:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(max_workers=size, thread_name_prefix="star_kge")
-            _pool_size = size
-        return _pool
-
-
 def split(fn: Callable[[slice], object], n: int) -> list:
     """``fn(part)`` for contiguous slices of ``range(n)``, one per worker of
     a :func:`held` scope that this call opens.
@@ -98,14 +87,17 @@ def split(fn: Callable[[slice], object], n: int) -> list:
     Every part finishes before this returns or raises; the first part's
     error, in slice order, is raised. Returns the parts' results in order.
     """
+    global _pool
     with held() as workers:
         parts = max(1, min(workers, n))
         bounds = [n * i // parts for i in range(parts + 1)]
         slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         if parts == 1:
             return [fn(slices[0])]
-        pool = _executor(parts - 1)
-        futures = [pool.submit(contextvars.copy_context().run, fn, part) for part in slices[1:]]
+        with _lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(thread_name_prefix="star_kge")
+        futures = [_pool.submit(contextvars.copy_context().run, fn, part) for part in slices[1:]]
         try:
             first = fn(slices[0])
         finally:

@@ -189,8 +189,6 @@ def cmd_eval(args) -> int:
                 writer.writerow(
                     [store.vocab.relation_names[rid], f"{count / total:.4f}", f"{mrr:.4f}"]
                 )
-    if args.per_class:
-        _write_json(args.per_class, payload["per_class"])
     return EXIT_OK
 
 
@@ -283,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-rule", choices=("pessimistic", "random"), default="pessimistic")
     p.add_argument("--out", default=None, help="write the full report JSON here")
     p.add_argument("--per-relation", default=None, help="write per-relation CSV here")
-    p.add_argument("--per-class", default=None, help="write per-class JSON here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", parents=[common], help="two-hop path imbalance statistics of a train file")

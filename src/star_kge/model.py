@@ -36,11 +36,11 @@ MODEL_KINDS = ("STaR", "TaR", "ComplEx", "DistMult")
 _MODEL_KIND_CODES = {k: i for i, k in enumerate(MODEL_KINDS)}
 
 _CKPT_MAGIC = b"STARCKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<8sIIQQB")
 
-#: entity rows per block when copying between the (|E|, n) view and row-major
-#: memory: one whole-table transposing copy is ~3x slower
+#: entity rows per block when copying into or drawing the (|E|, n) view: one
+#: whole-table transposing copy is ~3x slower
 _COPY_ROWS = 2048
 
 
@@ -316,11 +316,12 @@ class EmbeddingTable:
         and ``epochs_run`` how many the saving run made (default ``epoch``).
 
         Layout: fixed little-endian header (magic, version, n, |E|, relation
-        rows, model kind code) followed by the row-major float64 entity,
-        block and translation matrices. Both files are written in full
-        through :func:`~star_kge._files.replacing` before the binary and
-        then the sidecar are renamed over their targets, so a save that
-        fails part way leaves the previous checkpoint whole.
+        rows, model kind code), the one record of shape and kind, followed by
+        the float64 arrays as the table stores them: the (n, |E|) entity
+        rows, then the block and translation matrices. Both files are
+        written in full through :func:`~star_kge._files.replacing` before
+        the binary and then the sidecar are renamed over their targets, so
+        a save that fails part way leaves the previous checkpoint whole.
         """
         path = Path(path)
         sidecar_path = Path(str(path) + ".json")
@@ -336,19 +337,12 @@ class EmbeddingTable:
             "config_hash": config_hash,
             "epoch": int(epoch),
             "epochs_run": int(epoch if epochs_run is None else epochs_run),
-            "model_kind": self.model_kind,
-            "n": self.n,
-            "num_entities": self.num_entities,
-            "num_relations": self.num_relations,
         }
         # the inner file, the binary, is renamed first, once both are written
         with replacing(sidecar_path, encoding="utf-8") as side, replacing(path, "wb") as fh:
             fh.write(header)
-            ents = self.entity_embeddings
-            for lo in range(0, len(ents), _COPY_ROWS):
-                fh.write(np.ascontiguousarray(ents[lo : lo + _COPY_ROWS], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.rel_c, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.rel_tau, dtype="<f8").tobytes())
+            for part in (self._hom_rows[:-1], self.rel_c, self.rel_tau):
+                fh.write(np.ascontiguousarray(part, dtype="<f8"))
             side.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
             side.flush()  # so that a full disk fails before either rename
 
@@ -370,7 +364,7 @@ class EmbeddingTable:
         if len(raw) != expected:
             raise ValueError(f"{path}: size {len(raw)} != expected {expected}")
         body = np.frombuffer(raw, dtype="<f8", offset=_CKPT_HEADER.size)
-        ent = body[: ne * n].reshape(ne, n)
+        ent = body[: ne * n].reshape(n, ne).T
         rc = body[ne * n : ne * n + nrows * n].reshape(nrows, n).copy()
         tau = body[ne * n + nrows * n :].reshape(nrows, n).copy()
         if nrows % 2 != 0:

@@ -100,7 +100,6 @@ def fake_blas(monkeypatch):
         fake = None if count is None else FakeBlas(count)
         monkeypatch.setattr(_threads, "_blas", () if fake is None else (fake.get, fake.set))
         monkeypatch.setattr(_threads, "_pool", None)
-        monkeypatch.setattr(_threads, "_pool_size", 0)
         return fake
 
     return install

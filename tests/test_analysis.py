@@ -165,6 +165,9 @@ class TestExport:
         path = export_arc_data(report, tmp_path / "pairs.csv", "csv")
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows == [["rel_i", "rel_j", "count_ij", "count_ji", "psi"]]
+        # and an SVG with no arc
+        svg = export_arc_data(report, tmp_path / "arcs.svg", "svg").read_text()
+        assert svg.endswith("<!-- no relation pairs --></svg>") and "<path" not in svg
 
     def test_two_relation_toy_writes_one_arc(self, tmp_path):
         store = make_store([(0, 0, 1), (1, 1, 2)], num_relations=2)

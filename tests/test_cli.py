@@ -403,7 +403,6 @@ class TestEval:
         assert main(["train", "--config", str(cfg)]) == 0
         report_path = tmp_path / "report.json"
         csv_path = tmp_path / "per_relation.csv"
-        cls_path = tmp_path / "per_class.json"
         code = main(
             [
                 "eval",
@@ -421,8 +420,6 @@ class TestEval:
                 str(report_path),
                 "--per-relation",
                 str(csv_path),
-                "--per-class",
-                str(cls_path),
             ]
         )
         assert code == 0
@@ -435,7 +432,7 @@ class TestEval:
             r for _, r, _ in np.loadtxt(synth_dir / "test.tsv", dtype=str, delimiter="\t", ndmin=2)
         }
         assert len(rows) - 1 == len(test_rels)
-        assert json.loads(cls_path.read_text())
+        assert payload["per_class"]
 
     def test_empty_split_is_usage_error(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -726,8 +723,8 @@ BAD_INPUT = {
         "{d}/tiny.bin: truncated checkpoint",
     ),
     "eval-checkpoint-version": (
-        ["eval", "--checkpoint", "{d}/v2.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
-        "{d}/v2.bin: unsupported checkpoint version 2",
+        ["eval", "--checkpoint", "{d}/v1.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/v1.bin: unsupported checkpoint version 1",
     ),
     "eval-checkpoint-kind-code": (
         ["eval", "--checkpoint", "{d}/kind.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
@@ -888,7 +885,9 @@ def bad_input_dir(tmp_path):
     # a header-only file whose header says n = 0 has the size it promises
     (d / "zero.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 3, 2, 0))
     (d / "tiny.bin").write_bytes(_CKPT_MAGIC)
-    (d / "v2.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, 2, 4, 3, 2, 0))
+    # a version-1 body, entities (|E|, n) row-major, has the current size
+    body = (d / "ok.bin").read_bytes()[_CKPT_HEADER.size :]
+    (d / "v1.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, 1, 4, 3, 2, 0) + body)
     (d / "kind.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 4, 3, 2, 255))
     # 3 entities and 3 relation rows of n = 4, at the size the header promises
     (d / "oddrows.bin").write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 4, 3, 3, 0) + bytes(8 * (12 + 24)))

@@ -3,7 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from star_kge.config import _KEYS, _integer, _number, _parse_value, load_flat_config, run_config_from_dict
+from star_kge.config import (
+    _KEYS,
+    _integer,
+    _number,
+    _parse_value,
+    load_flat_config,
+    parse_flat_config,
+    run_config_from_dict,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,8 +77,9 @@ class TestManifest:
             {"data.train": "x"},
             load_flat_config(ROOT / "configs" / "wn18rr_star_n32.cfg"),
             {"data.train": "a", "data.test": "b", "model_kind": "ComplEx", "lr": 1, "reg.kind": "Fro"},
+            parse_flat_config("data.train = 'a b.tsv'\nmodel_kind = \"DistMult\"\n"),
         ],
-        ids=["defaults", "shipped", "partial"],
+        ids=["defaults", "shipped", "partial", "quoted"],
     )
     def test_flattened_manifest_reads_back_equal(self, cfg):
         run = run_config_from_dict(cfg)

@@ -360,6 +360,12 @@ class TestRoundTrip:
         vocab = Vocab(["a", "b"], ["r"])
         with pytest.raises(ValueError, match="entity ids"):
             TripleStore(vocab, np.array([[0, 0, 5]]))
+        with pytest.raises(ValueError, match=r"^train split contains relation ids outside \[0, 1\)$"):
+            TripleStore(vocab, np.array([[0, 1, 1]]))
+        with pytest.raises(ValueError, match="^unknown split 'dev'$"):
+            TripleStore(vocab, np.array([[0, 0, 1]])).split("dev")
+        with pytest.raises(ValueError, match="^train split is empty$"):
+            classify_relations(TripleStore(vocab, np.empty((0, 3), dtype=np.int64)))
 
 
 class TestReaderEdgeCases:

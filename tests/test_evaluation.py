@@ -60,6 +60,8 @@ class TestFilteredRank:
         table = init_embeddings(3, 1, 4, seed=0)
         with pytest.raises(ValueError, match="filter"):
             filtered_rank((0, 0, 2), table, store.filter_index)
+        with pytest.raises(ValueError, match="^tie_rule must be one of .*, got 'optimistic'$"):
+            filtered_rank((0, 0, 1), table, store.filter_index, "optimistic")
 
     def test_matches_sort_oracle_on_all_queries(self, rng):
         triples = list(dict.fromkeys(map(tuple, rng.integers(0, 5, size=(12, 3)).tolist())))

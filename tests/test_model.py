@@ -95,6 +95,10 @@ class TestScore:
             score(np.zeros(2), rel, np.zeros(4))
         with pytest.raises(ValueError):
             score(np.zeros(3), RelationParams(np.zeros(4), np.zeros(4)), np.zeros(3))
+        with pytest.raises(ValueError, match="^relation dimension 4 != entity dimension 2$"):
+            score(np.zeros(2), rel, np.zeros(2))
+        with pytest.raises(ValueError, match="^h must be a vector or a stack of vectors$"):
+            score(0.0, rel, np.zeros(4))
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -404,22 +408,25 @@ class TestEntityLayout:
         np.testing.assert_array_equal(table.entity_embeddings, held)
 
     def test_checkpoint_body_is_row_major_entities_then_relations(self, tmp_path, rng):
-        ents = np.asfortranarray(rng.normal(size=(7, 4)))
+        """The file is its header, then the row-major (n, |E|) entity rows as
+        the table stores them, then rel_c and rel_tau."""
         rel_c, rel_tau = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        table = EmbeddingTable(rng.normal(size=(7, 4)), rel_c, rel_tau, 1, "TaR")
         path = tmp_path / "model.bin"
-        EmbeddingTable(ents, rel_c, rel_tau, 1).save_checkpoint(path)
-        body = np.ascontiguousarray(ents).tobytes() + rel_c.tobytes() + rel_tau.tobytes()
-        assert path.read_bytes()[-len(body) :] == body
+        table.save_checkpoint(path)
+        header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 4, 7, 2, MODEL_KINDS.index("TaR"))
+        body = b"".join(a.astype("<f8").tobytes() for a in (table._hom_rows[:-1], table.rel_c, table.rel_tau))
+        assert path.read_bytes() == header + body
 
 
 class TestCheckpoint:
     def test_bytes_match_recorded_sha256(self, tmp_path):
-        # sha256 of the file that one whole-table entity copy wrote; 5,000
-        # rows span three 2,048-row write blocks
+        # sha256 of the version-2 file, whose body is the table's (n, |E|)
+        # entity rows, rel_c and rel_tau, each written whole
         path = tmp_path / "model.bin"
         init_embeddings(5000, 3, 8, seed=4).save_checkpoint(path, epoch=3, config_hash="abc")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "b46d69480bd2baadb78cc277703439a82619ebaaf28f913c7ed1dd7957ce003c"
+        assert digest == "feef2a4b22ccbaaf12662833daad2def8fd44aef56da75d574915bcefdd36f37"
 
     def test_round_trip_is_bitwise(self, tmp_path, rng):
         table = init_embeddings(12, 3, 6, model_kind="TaR", init_scale=0.5, seed=5)
@@ -431,8 +438,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.rel_tau, table.rel_tau)
         assert loaded.model_kind == "TaR"
         assert loaded.num_relations == 3
-        assert sidecar["epoch"] == 17
-        assert sidecar["config_hash"] == "abc123"
+        assert sidecar == {"config_hash": "abc123", "epoch": 17, "epochs_run": 17}
 
     @pytest.mark.parametrize("fail_in", ["binary", "sidecar"])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail_in):
@@ -466,6 +472,14 @@ class TestCheckpoint:
         message = "^embedding dimension must be positive and even, got 0$"
         with pytest.raises(ValueError, match=message):
             EmbeddingTable(np.empty((20, 0)), np.empty((2, 0)), np.empty((2, 0)), 1)
+        # and the table's other shape and kind checks
+        ents, rows = np.zeros((20, 4)), np.zeros((2, 4))
+        with pytest.raises(ValueError, match="^model_kind must be one of .*, got 'TransE'$"):
+            EmbeddingTable(ents, rows, rows, 1, "TransE")
+        with pytest.raises(ValueError, match=r"^relation parameter matrices must be \(rows, n\) like entities$"):
+            EmbeddingTable(ents, rows, np.zeros((2, 6)), 1)
+        with pytest.raises(ValueError, match="^expected one relation row per original and reciprocal relation$"):
+            EmbeddingTable(ents, rows, rows, 2)
         # a header-only file whose header says n = 0 has the size it promises
         path = tmp_path / "zero.bin"
         path.write_bytes(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, 0, 20, 2, 0))

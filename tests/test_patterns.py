@@ -67,6 +67,8 @@ class TestCompositionClosure:
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             check_composition_closure(random_relation(rng, 4), random_relation(rng, 6))
+        with pytest.raises(ValueError, match="^relations must share a dimension and a row count$"):
+            check_commutativity(random_relation(rng, 4), random_relation(rng, 6), expect_commute=True)
 
 
 class TestCommutativity:

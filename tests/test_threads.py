@@ -1,5 +1,6 @@
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,15 +27,41 @@ def test_fewer_items_than_workers_gives_one_part_each(fake_blas):
     assert _threads.split(lambda rows: (rows.start, rows.stop), 0) == [(0, 0)]
 
 
-@pytest.mark.parametrize("count", [None, 1], ids=["no-control", "one-thread"])
-def test_one_worker_runs_on_the_caller_and_starts_no_thread(fake_blas, count):
-    blas = fake_blas(count)
+def _proc_maps(text):
+    """Makes ``_find_blas`` read ``text`` as the process's memory map, or
+    fail to read it for None, when the next scope opens."""
+
+    def install(fake_blas, monkeypatch):
+        def read_text():
+            if text is None:
+                raise PermissionError("maps")
+            return text
+
+        fake_blas(None)
+        monkeypatch.setattr(_threads, "_blas", None)
+        monkeypatch.setattr(_threads, "Path", lambda path: SimpleNamespace(read_text=read_text))
+
+    return install
+
+
+@pytest.mark.parametrize(
+    "install",
+    [
+        lambda fake_blas, monkeypatch: fake_blas(None),
+        lambda fake_blas, monkeypatch: fake_blas(1),
+        _proc_maps(None),
+        _proc_maps("7f00-7f10 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n"),
+    ],
+    ids=["no-control", "one-thread", "unreadable-maps", "no-openblas-mapped"],
+)
+def test_one_worker_runs_on_the_caller_and_starts_no_thread(fake_blas, monkeypatch, install):
+    blas = install(fake_blas, monkeypatch)
     callers = []
     parts = _threads.split(lambda rows: callers.append(threading.current_thread()) or rows, 9)
     assert parts == [slice(0, 9)]
     assert callers == [threading.current_thread()]
     assert _threads._pool is None
-    assert blas is None or blas.sets == []
+    assert blas.sets == [] if blas else _threads._blas == ()
 
 
 def test_helper_error_is_raised_after_every_part_finishes(fake_blas):

@@ -94,6 +94,9 @@ class TestBatchLoss:
         table = init_embeddings(3, 1, 4, seed=0)
         with pytest.raises(ValueError):
             batch_loss(np.empty((0, 3), dtype=np.int64), table, tiny_config())
+        # nor does the update step take a gradient of another shape
+        with pytest.raises(ValueError, match="^param, grad and accumulator shapes must match$"):
+            adagrad_update(table.rel_c, table.rel_c.copy(), np.zeros((2, 2)), 0.1)
 
     @pytest.mark.parametrize(
         "reg",
@@ -345,6 +348,9 @@ class TestTrain:
             tiny_config(init_scale=math.nan)
         with pytest.raises(ValueError, match="reg.lambda"):
             RegConfig(kind="DURA", lam=math.nan)
+        empty = make_store(np.empty((0, 3)), num_entities=3, num_relations=1, valid=[(0, 0, 1)])
+        with pytest.raises(ValueError, match="^train split is empty$"):
+            train(empty, tiny_config())
 
     @pytest.mark.parametrize(
         "make",
