@@ -9,8 +9,9 @@ from pathlib import Path
 
 @contextmanager
 def replacing(path, mode="w", **open_kwargs):
-    """Open a sibling ``.tmp`` of ``path`` and yield it for writing; when
-    the block ends without error, rename it over ``path`` with ``os.replace``.
+    """Open a sibling ``.tmp`` of ``path``, in a directory made if missing,
+    and yield it for writing; when the block ends without error, rename it
+    over ``path`` with ``os.replace``.
 
     A write that raises part way leaves the previous ``path`` whole, and the
     ``.tmp`` is removed whether or not the block succeeds. Nothing is flushed
@@ -18,6 +19,7 @@ def replacing(path, mode="w", **open_kwargs):
     power cut.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(str(path) + ".tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:

@@ -34,14 +34,21 @@ _pool: ThreadPoolExecutor | None = None
 
 
 def _find_blas() -> tuple:
-    """The loaded OpenBLAS's ``(get, set)`` thread-count functions, or ()."""
+    """The loaded OpenBLAS's ``(get, set)`` thread-count functions, or ()
+    when none is mapped or none that is mapped opens."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         return ()
-    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower() and ".so" in line}
+    # a line is "address perms offset dev inode [path]", and a path may hold spaces
+    fields = (line.split(maxsplit=5) for line in maps.splitlines())
+    paths = {f[5].removesuffix(" (deleted)") for f in fields if len(f) == 6}
+    libs = {path for path in paths if "openblas" in path.lower() and ".so" in path}
     for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # gone or unreadable since it was mapped
+            continue
         for spelling in _SPELLINGS:
             get = getattr(handle, spelling.format("get"), None)
             put = getattr(handle, spelling.format("set"), None)

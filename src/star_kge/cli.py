@@ -44,8 +44,6 @@ def _pin_threads(threads):
 
 
 def _write_json(path, payload):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with replacing(path, encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -108,7 +106,6 @@ def cmd_train(args) -> int:
     if args.out:
         run_cfg.out_dir = args.out
     out_dir = Path(run_cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # reproducibility manifest goes out before any training work starts
     _write_json(out_dir / "config.json", run_cfg.to_dict())
 
@@ -156,8 +153,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import csv
-
     from .data import classify_relations
     from .evaluation import evaluate
     from .model import EmbeddingTable
@@ -178,17 +173,6 @@ def cmd_eval(args) -> int:
     print(json.dumps({k: payload[k] for k in shown}, indent=2))
     if args.out:
         _write_json(args.out, payload)
-
-    if args.per_relation:
-        total = sum(c for _, c in report.per_relation.values())
-        with replacing(args.per_relation, newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["relation", "proportion", "mrr"])
-            for rid in sorted(report.per_relation):
-                mrr, count = report.per_relation[rid]
-                writer.writerow(
-                    [store.vocab.relation_names[rid], f"{count / total:.4f}", f"{mrr:.4f}"]
-                )
     return EXIT_OK
 
 
@@ -280,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("valid", "test"), default="test")
     p.add_argument("--tie-rule", choices=("pessimistic", "random"), default="pessimistic")
     p.add_argument("--out", default=None, help="write the full report JSON here")
-    p.add_argument("--per-relation", default=None, help="write per-relation CSV here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", parents=[common], help="two-hop path imbalance statistics of a train file")

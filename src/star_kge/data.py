@@ -435,7 +435,6 @@ class TripleStore:
     def save(self, directory) -> None:
         """Write the three splits as ``train.tsv``, ``valid.tsv`` and ``test.tsv``."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         ents, rels = self.vocab.entity_names, self.vocab.relation_names
         for name in ("train", "valid", "test"):
             lines = (f"{ents[h]}\t{rels[r]}\t{ents[t]}\n" for h, r, t in getattr(self, name).tolist())

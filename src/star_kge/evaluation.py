@@ -62,6 +62,7 @@ class EvalReport:
     per_relation: dict[int, tuple[float, int]]
     per_class: dict[str, float]
     num_queries: int
+    relation_names: list[str]
     tie_rule: str = "pessimistic"
     split: str = ""
     ranking_s: float = 0.0
@@ -75,7 +76,8 @@ class EvalReport:
             "mrr": self.mrr,
             "hits": {str(k): v for k, v in sorted(self.hits.items())},
             "per_relation": {
-                str(rid): {"mrr": m, "count": c} for rid, (m, c) in sorted(self.per_relation.items())
+                str(rid): {"name": self.relation_names[rid], "mrr": m, "count": c}
+                for rid, (m, c) in sorted(self.per_relation.items())
             },
             "per_class": dict(sorted(self.per_class.items())),
         }
@@ -118,12 +120,13 @@ def filtered_rank(
 ):
     """Filtered rank (>= 1) of the true answer of (head, rel, true_tail) queries.
 
-    ``query`` is one triple, which gives an ``int``, or a ``(k, 3)`` block,
-    which gives an array of k ranks in block order. ``rel`` may be a
-    reciprocal relation id for head prediction. Every query triple must be
-    present in the filter index, otherwise the store and the query disagree
-    and a ValueError naming the first such query of the block is raised; a
-    head or relation id outside the table raises IndexError.
+    ``query`` is one ``(3,)`` triple, which gives an ``int``, or a ``(k, 3)``
+    block, which gives an array of k ranks in block order; another shape
+    raises ValueError. ``rel`` may be a reciprocal relation id for head
+    prediction. Every query triple must be present in the filter index,
+    otherwise the store and the query disagree and a ValueError naming the
+    first such query of the block is raised; a head or relation id outside
+    the table raises IndexError.
 
     The block's d distinct ``(head, rel)`` pairs are ranked once each: their
     ids are checked, their ``[q, 1]`` rows built and their known answers
@@ -149,6 +152,8 @@ def filtered_rank(
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     query = np.asarray(query, dtype=np.int64)
+    if query.ndim not in (1, 2) or query.shape[-1] != 3:
+        raise ValueError(f"query must be a (3,) triple or a (k, 3) block, got shape {query.shape}")
     block = query.reshape(-1, 3)
     base = filter_index._pair_codes(block)
     # tile rows 0..d-1 hold the block's d distinct pairs, each with its first
@@ -216,8 +221,8 @@ def evaluate(
     report is reproducible.
     Per-relation results merge the tail queries (relation ``r``) and head
     queries (``r + |R|``) of each original relation ``r``, read as
-    ``rel % |R|``; per-class results group relations by their complexity
-    class when ``classes`` is given.
+    ``rel % |R|``, and carry its name; per-class results group relations
+    by their complexity class when ``classes`` is given.
     """
     triples = store.split(split)
     if len(triples) == 0:
@@ -266,6 +271,7 @@ def evaluate(
         per_relation=per_relation,
         per_class=per_class,
         num_queries=len(rr),
+        relation_names=store.vocab.relation_names,
         tie_rule=tie_rule,
         split=split,
         ranking_s=ranking_s,

@@ -373,7 +373,10 @@ class EmbeddingTable:
         sidecar_path = Path(str(path) + ".json")
         sidecar = {}
         if sidecar_path.exists():
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+            try:
+                sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ValueError(f"{sidecar_path}: {exc}") from exc
         return table, sidecar
 
 

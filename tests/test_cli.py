@@ -402,7 +402,6 @@ class TestEval:
         cfg = write_train_config(tmp_path / "train.cfg", synth_dir, out, epochs=2)
         assert main(["train", "--config", str(cfg)]) == 0
         report_path = tmp_path / "report.json"
-        csv_path = tmp_path / "per_relation.csv"
         code = main(
             [
                 "eval",
@@ -418,20 +417,19 @@ class TestEval:
                 "test",
                 "--out",
                 str(report_path),
-                "--per-relation",
-                str(csv_path),
             ]
         )
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert 0.0 < payload["mrr"] <= 1.0
-        rows = list(csv.reader(csv_path.read_text().splitlines()))
-        # header plus one row per relation present in the test split
-        assert rows[0] == ["relation", "proportion", "mrr"]
+        # one named entry per relation present in the test split
         test_rels = {
             r for _, r, _ in np.loadtxt(synth_dir / "test.tsv", dtype=str, delimiter="\t", ndmin=2)
         }
-        assert len(rows) - 1 == len(test_rels)
+        entries = payload["per_relation"].values()
+        assert sorted(e["name"] for e in entries) == sorted(test_rels)
+        assert sum(e["count"] for e in entries) == payload["num_queries"]
+        assert all(0.0 < e["mrr"] <= 1.0 for e in entries)
         assert payload["per_class"]
 
     def test_empty_split_is_usage_error(self, synth_dir, tmp_path, capsys):
@@ -734,6 +732,14 @@ BAD_INPUT = {
         ["eval", "--checkpoint", "{d}/oddrows.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
         "{d}/oddrows.bin: relation row count 3 is not even",
     ),
+    "eval-checkpoint-sidecar-malformed": (
+        ["eval", "--checkpoint", "{d}/badjson.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/badjson.bin.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "eval-checkpoint-sidecar-not-utf8": (
+        ["eval", "--checkpoint", "{d}/badutf8.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
+        "{d}/badutf8.bin.json: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+    ),
     "eval-nan-checkpoint": (
         ["eval", "--checkpoint", "{d}/nan.bin", "--train", "{d}/train.tsv", "--test", "{d}/train.tsv"],
         "the entity table holds a non-finite value, so its ranks would be meaningless",
@@ -879,6 +885,9 @@ def bad_input_dir(tmp_path):
     init_embeddings(3, 1, 4, seed=0).save_checkpoint(d / "ok.bin")
     init_embeddings(7, 1, 4, seed=0).save_checkpoint(d / "seven.bin")
     (d / "short.bin").write_bytes((d / "ok.bin").read_bytes()[:128])
+    for name, sidecar in [("badjson", b"{epoch: 1}\n"), ("badutf8", b'{"epoch": "\xff"}\n')]:
+        (d / f"{name}.bin").write_bytes((d / "ok.bin").read_bytes())
+        (d / f"{name}.bin.json").write_bytes(sidecar)
     nan = init_embeddings(3, 1, 4, seed=0)
     nan.entity_embeddings[1, 2] = np.nan
     nan.save_checkpoint(d / "nan.bin")

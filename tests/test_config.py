@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from star_kge.cli import build_parser
 from star_kge.config import (
     _KEYS,
     _integer,
@@ -46,6 +47,19 @@ def readme_typed_keys() -> tuple[list, list]:
     paragraph = " ".join(text.split("## Configuration dialect", 1)[1].split("\n\n")[3].split())
     integers, numbers = re.fullmatch(r"(.*) must be integers; (.*?) must be finite numbers\b.*", paragraph).groups()
     return re.findall(r"`([\w.]+)`", integers), re.findall(r"`([\w.]+)`", numbers)
+
+
+def readme_command_flags() -> list:
+    """``(subcommand, flags)`` for each example of the README's command-line
+    block: a run of comment lines and the ``star-kge`` commands they describe."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for example in block.split("\n\n"):
+        commands = set(re.findall(r"^star-kge (\w+)", example, re.MULTILINE))
+        assert len(commands) == 1, f"one subcommand per example, got {commands}"
+        examples.append((commands.pop(), set(re.findall(r"--[a-z][a-z-]*", example))))
+    return examples
 
 
 class TestManifest:
@@ -98,6 +112,14 @@ class TestReadmeTable:
                 assert key == "data.train" or key not in defaults, key
             else:
                 assert _parse_value(cell) == defaults[key], key
+
+    def test_command_examples_use_only_defined_flags(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices
+        examples = readme_command_flags()
+        assert sorted(command for command, _ in examples) == sorted(subparsers)
+        for command, flags in examples:
+            defined = set(subparsers[command]._option_string_actions)
+            assert flags <= defined, (command, sorted(flags - defined))
 
     def test_typed_key_sentence_matches_the_parsers(self):
         integers, numbers = readme_typed_keys()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,17 @@ class TestFilteredRank:
             filtered_rank((0, 0, 2), table, store.filter_index)
         with pytest.raises(ValueError, match="^tie_rule must be one of .*, got 'optimistic'$"):
             filtered_rank((0, 0, 1), table, store.filter_index, "optimistic")
+
+    @pytest.mark.parametrize(
+        "query, shape",
+        [([0, 0, 1, 2, 0, 3], "(6,)"), ([[0, 0, 1, 2, 0, 3]] * 2, "(2, 6)"), ([], "(0,)")],
+        ids=["two-triples-flat", "six-wide-block", "empty"],
+    )
+    def test_query_of_another_shape_rejected(self, query, shape):
+        store = make_store([(0, 0, 1), (2, 0, 3)], num_entities=4)
+        table = init_embeddings(4, 1, 4, seed=0)
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(shape)}$"):
+            filtered_rank(query, table, store.filter_index)
 
     def test_matches_sort_oracle_on_all_queries(self, rng):
         triples = list(dict.fromkeys(map(tuple, rng.integers(0, 5, size=(12, 3)).tolist())))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_store
 from star_kge.analysis import count_two_paths, dataset_imbalance, export_arc_data
-from star_kge.cli import _write_json, build_parser
+from star_kge.cli import _write_json
 from star_kge.model import init_embeddings
 
 
@@ -23,24 +23,9 @@ def _export(fmt):
     return write
 
 
-def _per_relation(out, version):
-    data = out.parent / "in"
-    if not data.exists():  # the inputs of both versions, made before any write can fail
-        data.mkdir()
-        (data / "train.tsv").write_text("a\tr\tb\nb\tq\tc\nc\tr\ta\n", encoding="utf-8")
-        for seed in (0, 1):
-            init_embeddings(3, 2, 4, init_scale=0.5, seed=seed).save_checkpoint(data / f"model{seed}.bin")
-    train, checkpoint = str(data / "train.tsv"), str(data / f"model{version}.bin")
-    args = build_parser().parse_args(
-        ["eval", "--checkpoint", checkpoint, "--train", train, "--test", train, "--per-relation", str(out / "rel.csv")]
-    )
-    args.func(args)
-
-
 WRITERS = {
     "json": lambda out, version: _write_json(out / "report.json", {"version": version}),
     "checkpoint": lambda out, version: init_embeddings(5, 2, 4, seed=version).save_checkpoint(out / "model.bin"),
-    "per-relation-csv": _per_relation,
     "arc-csv": _export("csv"),
     "arc-svg": _export("svg"),
     "store": lambda out, version: _store(version).save(out),
@@ -74,3 +59,11 @@ def test_failed_write_keeps_the_previous_bytes(tmp_path, monkeypatch, writer):
     with pytest.raises(OSError, match="No space left"):
         WRITERS[writer](out, 1)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_makes_a_missing_directory(tmp_path, writer):
+    out = tmp_path / "new" / "dir"
+    WRITERS[writer](out, 0)
+    written = [path.name for path in out.iterdir()]
+    assert written and not any(name.endswith(".tmp") for name in written)

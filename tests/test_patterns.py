@@ -14,7 +14,6 @@ from star_kge.patterns import (
     check_score_gradients,
     check_symmetry_mode,
     compose_relation_params,
-    find_asymmetry_witness,
     noncommuting_pair,
     random_relation,
     run_pattern_suite,
@@ -124,30 +123,6 @@ class TestSymmetry:
     def test_generic_relation_reported_inapplicable(self, rng):
         res = check_symmetry_mode(random_relation(rng, 8))
         assert not res.applicable
-
-    def test_generic_relation_has_asymmetry_witness(self, rng):
-        witness = find_asymmetry_witness(random_relation(rng, 8), trials=50)
-        assert witness is not None
-        assert witness["residual"] > 1e-10
-
-    @pytest.mark.parametrize("tol", [1e-10, 1.0, 1e9])
-    def test_asymmetry_witness_is_first_draw_and_stream_stops_there(self, rng, tol):
-        rel = random_relation(rng, 8)
-        m = materialize_star_matrix(rel)
-        seeded, fresh = np.random.default_rng(3), np.random.default_rng(3)
-        witness = find_asymmetry_witness(rel, trials=30, tol=tol, rng=seeded)
-        expected = None
-        for _ in range(30):  # the per-trial search, stopping at the first gap
-            h, t = fresh.normal(size=8), fresh.normal(size=8)
-            if abs(hom_score(h, m, t) - hom_score(t, m, h)) > tol:
-                expected = (h, t)
-                break
-        if expected is None:
-            assert witness is None
-        else:
-            np.testing.assert_array_equal(witness["h"], expected[0])
-            np.testing.assert_array_equal(witness["t"], expected[1])
-        assert seeded.normal() == fresh.normal()
 
 
 class TestAntiSymmetryInfo:
@@ -392,6 +367,22 @@ class TestSuite:
         }
         for row in rows:
             assert row.passed, (row.pattern, row.witness)
+
+    def test_symmetric_generic_relation_fails_the_symmetry_row(self, monkeypatch):
+        real = patterns.random_relation
+
+        def symmetric_generic(rng, n, trials=None, **kinds):
+            if trials is None:  # the one unstacked draw, the generic relation
+                return real(rng, n, tau_zero=True, diagonal=True)
+            return real(rng, n, trials, **kinds)
+
+        monkeypatch.setattr(patterns, "random_relation", symmetric_generic)
+        rows = {r.pattern: r for r in run_pattern_suite(n=4, trials=5, seed=0)}
+        sym = rows["Symmetry"]
+        assert not sym.passed
+        assert sym.detail == "generic relation unexpectedly symmetric"
+        assert sym.residual < 1e-10 and {"h", "t"} <= set(sym.witness)
+        assert all(row.passed for name, row in rows.items() if name != "Symmetry")
 
     def test_verify_suite_adds_kernel_checks(self):
         rows = run_verify_suite(n=4, trials=10, seed=1)

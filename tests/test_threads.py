@@ -1,5 +1,6 @@
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,8 +52,9 @@ def _proc_maps(text):
         lambda fake_blas, monkeypatch: fake_blas(1),
         _proc_maps(None),
         _proc_maps("7f00-7f10 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n"),
+        _proc_maps("7f00-7f10 r-xp 00000000 08:01 42 /nonexistent/my dir/libopenblas.so (deleted)\n"),
     ],
-    ids=["no-control", "one-thread", "unreadable-maps", "no-openblas-mapped"],
+    ids=["no-control", "one-thread", "unreadable-maps", "no-openblas-mapped", "openblas-will-not-open"],
 )
 def test_one_worker_runs_on_the_caller_and_starts_no_thread(fake_blas, monkeypatch, install):
     blas = install(fake_blas, monkeypatch)
@@ -152,3 +154,29 @@ def test_openblas_count_is_held_and_restored():
     inside = _threads.split(lambda rows: get(), 4)
     assert inside == [1] * min(before, 4)
     assert get() == before
+
+
+def _mapped_openblas():
+    for line in Path("/proc/self/maps").read_text().splitlines():
+        fields = line.split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in fields[5].lower() and ".so" in fields[5]:
+            return fields[5]
+    pytest.skip("no OpenBLAS mapped into this process")
+
+
+@pytest.mark.parametrize("shape", ["path-with-space", "deleted-suffix"])
+def test_mapped_path_is_the_whole_sixth_field(monkeypatch, tmp_path, shape):
+    """A maps path may hold spaces, and the kernel marks a replaced file
+    with a " (deleted)" suffix; either way the library still opens."""
+    if not _threads._find_blas():
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    lib = Path(_mapped_openblas())
+    if shape == "path-with-space":
+        spaced = tmp_path / "my dir" / lib.name
+        spaced.parent.mkdir()
+        spaced.symlink_to(lib)
+        line = f"7f00-7f10 r-xp 00000000 08:01 42                {spaced}\n"
+    else:
+        line = f"7f00-7f10 r-xp 00000000 08:01 42 {lib} (deleted)\n"
+    monkeypatch.setattr(_threads, "Path", lambda path: SimpleNamespace(read_text=lambda: line))
+    assert _threads._find_blas()
