@@ -89,8 +89,8 @@ def _run_single(run_cfg, store, seed, out_dir):
             continue
         report = evaluate(split, table, store, classes)
         payload = report.to_dict()
-        # wall-clock time would make the reports of two seeded runs differ
-        del payload["ranking_s"]
+        # wall-clock time, and the thread count on another host, would make two seeded runs' reports differ
+        del payload["ranking_s"], payload["threads"]
         _write_json(out_dir / f"eval_{split}.json", payload)
         metrics[split] = report
     return metrics
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     with _bad_input(ValueError):
         report = evaluate(args.split, table, store, classes, tie_rule=args.tie_rule)
     payload = report.to_dict()
-    shown = ("mrr", "hits", "num_queries", "tie_rule", "ranking_s")
+    shown = ("mrr", "hits", "num_queries", "tie_rule", "ranking_s", "threads")
     print(json.dumps({k: payload[k] for k in shown}, indent=2))
     if args.out:
         _write_json(args.out, payload)

@@ -18,7 +18,12 @@ calls. Those in a tile are masked by scattering ``-inf`` into the pair's
 row, each repeat of a pair is counted on a copy of that masked row, and
 rivals are counted by a uint16 row sum of the mask while the tile is in
 cache, so the table is read once per block and no score block larger than
-a tile is written. :func:`evaluate` allocates one workspace per call.
+a tile is written. With BLAS held to one thread (:mod:`._threads`), the
+tiles go in groups of one per worker: one :func:`score_batch` call scores a
+group's tiles side by side, then each worker masks, copies and counts the
+tile it scored. Helper threads run numpy calls only, and the counts are
+integers, so ranks do not depend on the worker count. :func:`evaluate`
+allocates one workspace per call.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .data import FilterIndex, RelationClass, TripleStore, _fresh, reciprocal_queries
 from .model import EmbeddingTable, _query_rows, score_batch
 
@@ -66,6 +72,7 @@ class EvalReport:
     tie_rule: str = "pessimistic"
     split: str = ""
     ranking_s: float = 0.0
+    threads: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -73,6 +80,7 @@ class EvalReport:
             "tie_rule": self.tie_rule,
             "num_queries": self.num_queries,
             "ranking_s": self.ranking_s,
+            "threads": self.threads,
             "mrr": self.mrr,
             "hits": {str(k): v for k, v in sorted(self.hits.items())},
             "per_relation": {
@@ -84,28 +92,37 @@ class EvalReport:
 
 
 class _Workspace:
-    """Private buffers of the ranking pass for blocks of up to ``rows`` queries.
+    """Private buffers of the ranking pass for blocks of up to ``rows`` queries
+    on ``workers`` workers.
 
-    ``scores`` and ``mask`` hold one tile, ``rows`` high and ``width``
-    entities wide, and ``col_max`` the bound ``max_e |[E, 1]_ke|`` per
-    coordinate k; a non-finite entity coordinate makes it non-finite, which
-    raises ValueError (see :func:`filtered_rank`).
+    ``scores[i]`` and ``mask[i]`` hold the tile of slot i, up to ``rows``
+    high and ``width`` entities wide; there is one slot per worker, but no
+    more than a block has tiles. ``col_max`` is the bound
+    ``max_e |[E, 1]_ke|`` per coordinate k; a non-finite entity coordinate
+    makes it non-finite, which raises ValueError (see :func:`filtered_rank`).
     """
 
-    def __init__(self, table: EmbeddingTable, rows: int):
+    def __init__(self, table: EmbeddingTable, rows: int, workers: int):
         rows = max(rows, 1)
         self.width = min(table.num_entities, max(1, BLOCK_SCORES // rows), TILE_WIDTH_MAX)
-        self.scores = np.empty(rows * self.width)
-        self.mask = np.empty(rows * self.width, dtype=bool)
+        self.slots = min(workers, -(-table.num_entities // self.width))
+        self.scores = np.empty((self.slots, rows * self.width))
+        self.mask = np.empty((self.slots, rows * self.width), dtype=bool)
         hom = table._hom_rows
         self.col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
         if not np.isfinite(self.col_max).all():
             raise ValueError("the entity table holds a non-finite value, so its ranks would be meaningless")
 
-    def count(self, compare, tile, bound) -> np.ndarray:
-        """Row-wise count of ``compare(tile, bound)``: one uint16 sum of the
-        mask's bytes, exact while the tile is at most ``TILE_WIDTH_MAX`` wide."""
-        mask = self.mask[: tile.size].reshape(tile.shape)
+    def tile(self, slot: int, rows: int, cols: slice) -> np.ndarray:
+        """``slot``'s tile for ``rows`` queries scored at entity columns ``cols``."""
+        width = cols.stop - cols.start
+        return self.scores[slot, : rows * width].reshape(rows, width)
+
+    def count(self, slot: int, compare, tile, bound) -> np.ndarray:
+        """Row-wise count of ``compare(tile, bound)`` in ``slot``'s mask: one
+        uint16 sum of its bytes, exact while the tile is at most
+        ``TILE_WIDTH_MAX`` wide."""
+        mask = self.mask[slot, : tile.size].reshape(tile.shape)
         return np.add.reduce(compare(tile, bound, out=mask).view(np.uint8), axis=1, dtype=np.uint16)
 
 
@@ -131,11 +148,13 @@ def filtered_rank(
     The block's d distinct ``(head, rel)`` pairs are ranked once each: their
     ids are checked, their ``[q, 1]`` rows built and their known answers
     expanded once. The block is scored in entity tiles of ``min(BLOCK_SCORES
-    // k, TILE_WIDTH_MAX)`` columns, one :func:`~star_kge.model.score_batch`
-    call each that is only the GEMM of the d pair rows. The known answers
-    are masked in each pair's row, the ``k - d`` repeats are copied into the
-    rest of the tile, and every row is counted (a uint16 sum per row, which
-    the width cap keeps exact) while the tile is still in cache. Each query
+    // k, TILE_WIDTH_MAX)`` columns, in groups of one tile per workspace
+    slot: one :func:`~star_kge.model.score_batch` call per group is only the
+    GEMMs of the d pair rows, one tile per worker. Then, on each worker in
+    one :func:`._threads.split`, the known answers are masked in each pair's
+    row of its tile, the ``k - d`` repeats are copied into the rest of the
+    tile, and every row is counted (a uint16 sum per row, which the width
+    cap keeps exact) while the tile is still in cache. Each query
     keeps its own bounds: its target score ``s_t`` is the row-wise dot
     product of its pair's ``[q, 1]`` with the target's stored column, and
     the random rule draws once per query in block order. Ties are decided
@@ -147,7 +166,8 @@ def filtered_rank(
     entity table or bound ``s_t - 2 b_i`` raises ValueError: a NaN score
     would count no rival, so the answer would rank first.
     ``_workspace`` is private: :func:`evaluate` passes one at least k rows
-    high, to be reused across blocks; without it one is made for this call.
+    high, to be reused across blocks; without it one is made for this call,
+    with a slot per worker of the :func:`._threads.held` scope it opens.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
@@ -166,33 +186,46 @@ def filtered_rank(
     pair_rows = np.concatenate([np.arange(d), repeats])  # the pair of every tile row
     heads, rels, targets = block[tile_rows].T
     row, answer = filter_index._answers(base[tile_rows[:d]])
-    ws = _workspace if _workspace is not None else _Workspace(table, k)
+    with _threads.held() as workers:
+        ws = _workspace if _workspace is not None else _Workspace(table, k, workers)
+        # inf in a relation row would warn (inf - inf) part way; it is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = _query_rows(table, heads[:d], rels[:d])
+            # row sums of C-order (k, n+1) products: the same rounding at any k
+            s_true = (q[pair_rows] * table._hom_rows.T[targets]).sum(axis=1)
+            nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
+            slack = (2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1))[pair_rows]  # 2 b_i
+            low = (s_true - slack)[:, None]
+            high = (s_true + slack)[:, None]
+        finite = np.isfinite(low[:, 0]) & np.isfinite(high[:, 0])
+        if not finite.all():
+            first = tuple(block[tile_rows[~finite].min()].tolist())
+            raise ValueError(
+                f"query {first} has a non-finite score bound: its relation row or its scores are not finite"
+            )
 
-    # inf in a relation row would warn (inf - inf) part way; it is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = _query_rows(table, heads[:d], rels[:d])
-        # row sums of C-order (k, n+1) products: the same rounding at any k
-        s_true = (q[pair_rows] * table._hom_rows.T[targets]).sum(axis=1)
-        nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
-        slack = (2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1))[pair_rows]  # 2 b_i
-        low = (s_true - slack)[:, None]
-        high = (s_true + slack)[:, None]
-    finite = np.isfinite(low[:, 0]) & np.isfinite(high[:, 0])
-    if not finite.all():
-        first = tuple(block[tile_rows[~finite].min()].tolist())
-        raise ValueError(f"query {first} has a non-finite score bound: its relation row or its scores are not finite")
+        def count(slot):
+            """Per tile row of ``slot``'s tile in the current group: rivals
+            >= low, rivals > high."""
+            cols = group[slot]
+            tile = ws.tile(slot, k, cols)
+            inside = (answer >= cols.start) & (answer < cols.stop)
+            tile[row[inside], answer[inside] - cols.start] = -np.inf  # the true answer too: it never outranks itself
+            np.take(tile[:d], repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
+            counts = np.zeros((2, k), dtype=np.int64)
+            counts[0] = ws.count(slot, np.greater_equal, tile, low)
+            if tie_rule == "random":
+                counts[1] = ws.count(slot, np.greater, tile, high)
+            return counts
 
-    counts = np.zeros((2, k), dtype=np.int64)  # per tile row: rivals >= low, rivals > high
-    for lo in range(0, ne, ws.width):
-        w = min(ws.width, ne - lo)
-        tile = ws.scores[: k * w].reshape(k, w)
-        pairs = score_batch(table, heads[:d], rels[:d], _tile=(q, slice(lo, lo + w), tile[:d]))
-        inside = (answer >= lo) & (answer < lo + w)
-        pairs[row[inside], answer[inside] - lo] = -np.inf  # the true answer too: it never outranks itself
-        np.take(pairs, repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
-        counts[0] += ws.count(np.greater_equal, tile, low)
-        if tie_rule == "random":
-            counts[1] += ws.count(np.greater, tile, high)
+        counts = np.zeros((2, k), dtype=np.int64)
+        span = ws.slots * ws.width
+        for start in range(0, ne, span):
+            # one tile per slot: part i of both splits scores, then counts, slot i's tile
+            group = [slice(lo, min(lo + ws.width, ne)) for lo in range(start, min(start + span, ne), ws.width)]
+            tiles = [(cols, ws.tile(i, k, cols)[:d]) for i, cols in enumerate(group)]
+            score_batch(table, heads[:d], rels[:d], _tile=(q, tiles))
+            counts += sum(_threads.split(lambda part: sum(map(count, range(part.start, part.stop))), len(group)))
     at_least, greater = counts[:, np.argsort(tile_rows)]  # back in query order
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
@@ -215,7 +248,9 @@ def evaluate(
     The queries of :func:`~star_kge.data.reciprocal_queries` are sorted
     stably by their pair code ``src * 2|R| + rel`` and go to
     :func:`filtered_rank` in that pair order, in blocks of up to
-    ``BLOCK_ROWS`` rows, all in one workspace allocated per call. MRR,
+    ``BLOCK_ROWS`` rows, all in one workspace allocated per call. BLAS is
+    held to one thread while they rank, and each block's tiles are split
+    over its thread count, which the report gives as ``threads``. MRR,
     Hits@K and the breakdowns are taken over the ranks in that same order.
     The random tie rule draws from ``default_rng(0)`` in pair order, so a
     report is reproducible.
@@ -235,13 +270,14 @@ def evaluate(
     start = time.perf_counter()
     # pair order, so that the repeats of a (src, rel) pair share a block
     queries = queries[np.argsort(queries[:, 0] * (2 * nr) + queries[:, 1], kind="stable")]
-    workspace = _Workspace(table, height)
-    ranks = np.concatenate(
-        [
-            filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
-            for i in range(0, len(queries), height)
-        ]
-    )
+    with _threads.held() as workers:
+        workspace = _Workspace(table, height, workers)
+        ranks = np.concatenate(
+            [
+                filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
+                for i in range(0, len(queries), height)
+            ]
+        )
     ranking_s = time.perf_counter() - start
 
     rels = queries[:, 1] % nr  # a head query's reciprocal row counts for its original relation
@@ -275,4 +311,5 @@ def evaluate(
         tie_rule=tie_rule,
         split=split,
         ranking_s=ranking_s,
+        threads=workers,
     )

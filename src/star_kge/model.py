@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _threads
 from ._files import replacing
 
 MODEL_KINDS = ("STaR", "TaR", "ComplEx", "DistMult")
@@ -181,14 +182,19 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
     against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
     costs no second pass. ``_tile`` is private: ``filtered_rank`` passes
-    ``(query, cols, out)``, its block's ``[q, 1]`` rows from
-    :func:`_query_rows`, an entity tile's column slice and the tile's view of
-    its workspace (or None for a fresh array). The call is then only that
-    GEMM, and the ids are not read.
+    ``(query, tiles)``, its block's ``[q, 1]`` rows from :func:`_query_rows`
+    and a list of ``(cols, out)`` entity tiles, each a column slice and the
+    tile's view of its workspace (or None for a fresh array). The call is
+    then only those GEMMs, split over the workers of :func:`._threads.split`,
+    and returns the list of tiles; the ids are not read.
     """
     if _tile is not None:
-        query, cols, out = _tile
-        return np.matmul(query, table._hom_rows[:, cols], out=out)
+        query, tiles = _tile
+        hom = table._hom_rows
+        parts = _threads.split(
+            lambda part: [np.matmul(query, hom[:, cols], out=out) for cols, out in tiles[part]], len(tiles)
+        )
+        return [tile for part in parts for tile in part]
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
         raise ValueError(f"head ids {heads.shape} and relation ids {rels.shape} must be matching scalars or 1-D")

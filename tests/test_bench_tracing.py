@@ -2,14 +2,19 @@
 
 A renamed or deleted function would only empty its per-layer metrics in a
 benchmark run; here it fails the test run instead. The spans nest as the
-per-layer self times assume.
+per-layer self times assume, and the tracer's one span stack holds only
+while every traced call runs on the calling thread.
 """
 
+import functools
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from star_kge import _threads
 from star_kge.evaluation import evaluate
 from star_kge.model import init_embeddings
 from star_kge.training import TrainConfig, train
@@ -31,10 +36,13 @@ def test_every_traced_name_resolves():
     assert tracing.Tracer().absent == []
 
 
-def test_one_score_span_per_block_and_tile(monkeypatch):
-    """Each tile's GEMM is a ``model.score_batch`` span inside its block's
-    ``evaluation.filtered_rank`` span, so the rank self time excludes it."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_score_span_per_block_and_tile(monkeypatch, fake_blas, workers):
+    """Each group of tiles, one per worker, has its GEMMs in one
+    ``model.score_batch`` span inside its block's ``evaluation.filtered_rank``
+    span, so the rank self time excludes them."""
     tracing = load_tracing()
+    fake_blas(workers)
     ne = 7
     triples = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4), (4, 0, 5), (5, 1, 6), (6, 0, 0)]
     store = make_store(triples, num_entities=ne, num_relations=2)
@@ -48,9 +56,11 @@ def test_one_score_span_per_block_and_tile(monkeypatch):
     spans = tracer.spans
     blocks = [i for i, s in enumerate(spans) if s[tracing.NAME] == "evaluation.filtered_rank"]
     tiles = [s for s in spans if s[tracing.NAME] == "model.score_batch"]
+    tile_count = -(-ne // 2)
+    groups = -(-tile_count // workers)  # a block's tiles go in groups of one per worker
     assert len(blocks) == -(-2 * len(triples) // 3)
-    assert len(tiles) == len(blocks) * -(-ne // 2)
-    assert sorted(s[tracing.PARENT] for s in tiles) == sorted(blocks * -(-ne // 2))
+    assert len(tiles) == len(blocks) * groups
+    assert sorted(s[tracing.PARENT] for s in tiles) == sorted(blocks * groups)
 
     samples = tracing.layer_samples(spans)
     assert len(samples["model.score_batch_us"]) == len(tiles)
@@ -75,3 +85,43 @@ def test_each_training_batch_is_one_loss_three_adagrad_and_one_enforce_span():
     one_batch = ["training.batch_loss"] + ["training.adagrad_update"] * 3 + ["model.enforce_kind"]
     # init_embeddings projects the fresh table once before the first batch
     assert top == ["model.enforce_kind"] + one_batch * 3
+
+
+def test_traced_calls_stay_on_the_calling_thread_and_nest(monkeypatch, fake_blas):
+    """Training and ranking split their passes over two workers, yet every
+    call of a traced name runs on the calling thread, and every span lies
+    inside its parent's."""
+    tracing = load_tracing()
+    fake_blas(2)
+    callers = []
+
+    class CallerTracer(tracing.Tracer):
+        def _wrap(self, fn, name):
+            traced = super()._wrap(fn, name)
+
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                callers.append((name, threading.get_ident()))
+                return traced(*args, **kwargs)
+
+            return wrapper
+
+    triples = [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 1, 4), (4, 0, 5), (5, 1, 6), (6, 0, 0)]
+    store = make_store(triples, num_entities=7, num_relations=2, valid=[(1, 1, 5)], test=[(2, 0, 4), (5, 0, 1)])
+    monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 3)
+    monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 6)  # four 2-entity tiles per block
+    tracer = CallerTracer()
+    with tracer.active():
+        table, _ = train(store, TrainConfig(n=4, epochs=2, batch_size=3, eval_every=1))  # validation ranks too
+        evaluate("test", table, store)
+
+    assert _threads._pool is not None  # the passes did run on a helper thread too
+    names = {name for name, _ in callers}
+    assert {"training.batch_loss", "evaluation.filtered_rank", "model.score_batch"} <= names
+    assert {ident for _, ident in callers} == {threading.get_ident()}
+    spans = tracer.spans
+    assert len(spans) == len(callers)
+    for _, start, end, parent in spans:
+        assert start <= end
+        if parent >= 0:
+            assert spans[parent][tracing.START] <= start and end <= spans[parent][tracing.END]

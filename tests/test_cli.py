@@ -392,10 +392,12 @@ class TestEval:
         args += ["--test", str(data / "test.tsv"), "--tie-rule", "random", "--out", str(out)]
         assert main(args) == 0
         shown = json.loads(capsys.readouterr().out)
-        assert set(shown) == {"mrr", "hits", "num_queries", "tie_rule", "ranking_s"}
+        assert set(shown) == {"mrr", "hits", "num_queries", "tie_rule", "ranking_s", "threads"}
         assert shown["tie_rule"] == "random"
         assert shown["ranking_s"] > 0.0
-        assert json.loads(out.read_text())["ranking_s"] == shown["ranking_s"]
+        written = json.loads(out.read_text())
+        assert written["ranking_s"] == shown["ranking_s"]
+        assert written["threads"] == shown["threads"] >= 1
 
     def test_eval_on_test_split(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"

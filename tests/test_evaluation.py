@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -346,7 +347,8 @@ class TestRepeatedPairs:
         real_score_batch = evaluation.score_batch
 
         def spy(*args, _tile, **kwargs):
-            heights.append((len(_tile[0]), len(_tile[2])))
+            query, tiles = _tile
+            heights.extend((len(query), len(out)) for _, out in tiles)
             return real_score_batch(*args, _tile=_tile, **kwargs)
 
         monkeypatch.setattr(evaluation, "score_batch", spy)
@@ -444,7 +446,7 @@ class TestTiles:
         real_score_batch = evaluation.score_batch
 
         def spy(*args, _tile, **kwargs):
-            widths.append(_tile[1].stop - _tile[1].start)
+            widths.extend(cols.stop - cols.start for cols, _ in _tile[1])
             return real_score_batch(*args, _tile=_tile, **kwargs)
 
         monkeypatch.setattr(evaluation, "score_batch", spy)
@@ -471,11 +473,54 @@ class TestTiles:
         # the block's [q, 1] rows as filtered_rank builds them, once for every tile
         q = _query_rows(table, heads, rels)
         for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
-            tile = score_batch(table, heads, rels, _tile=(q, slice(lo, hi), None))
+            [tile] = score_batch(table, heads, rels, _tile=(q, [(slice(lo, hi), None)]))
             assert tile.tobytes() == full[:, lo:hi].tobytes()
         out = np.empty((4, 3))
-        assert score_batch(table, heads, rels, _tile=(q, slice(4, 7), out)) is out
+        assert score_batch(table, heads, rels, _tile=(q, [(slice(4, 7), out)]))[0] is out
         assert out.tobytes() == full[:, 4:].tobytes()
+
+
+class TestWorkers:
+    """Each block's tiles are scored and counted in groups of one per worker;
+    ranks and reports do not depend on the worker count."""
+
+    CASES = {
+        "hub": (TestRepeatedPairs.hub_case, "test"),
+        "duplicate-vectors": (TestTiles.duplicate_vector_case, "train"),
+    }
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    @pytest.mark.parametrize(
+        "case, width",
+        # tiles per block: 10, 3 (the last group holds one tile), 61 and 4
+        [("hub", 16), ("hub", 60), ("duplicate-vectors", 5), ("duplicate-vectors", 100)],
+    )
+    def test_report_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, fake_blas, tie_rule, case, width):
+        make, split = self.CASES[case]
+        store, table = make()
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 7)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 7 * width)
+        payloads = []
+        for workers in (1, 2, 3):
+            fake_blas(workers)
+            payload = evaluate(split, table, store, classify_relations(store), tie_rule).to_dict()
+            assert payload.pop("threads") == workers
+            del payload["ranking_s"]
+            payloads.append(json.dumps(payload).encode())
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_single_queries_do_not_depend_on_the_worker_count(self, monkeypatch, fake_blas, tie_rule):
+        store, table = TestRepeatedPairs.hub_case()
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 50)  # a single query's tiles: 50, 50, 50, 10
+        queries = reciprocal_queries(store.test, store.num_relations).tolist()
+        ranks = []
+        for workers in (1, 2):
+            fake_blas(workers)
+            rng = np.random.default_rng(0)
+            ranks.append([filtered_rank(q, table, store.filter_index, tie_rule, rng) for q in queries])
+        assert ranks[0] == ranks[1]
+        TestRepeatedPairs.check_against_sort_oracle(store, table, queries, ranks[1], tie_rule)
 
 
 class TestEvaluate:
@@ -589,13 +634,11 @@ class TestEvaluate:
 
 class TestReportShape:
     def test_json_round_trip(self, toy_store):
-        import json
-
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
         report = evaluate("train", table, toy_store, classify_relations(toy_store))
         payload = json.loads(json.dumps(report.to_dict()))
         assert list(payload) == [
-            "split", "tie_rule", "num_queries", "ranking_s", "mrr", "hits", "per_relation", "per_class"
+            "split", "tie_rule", "num_queries", "ranking_s", "threads", "mrr", "hits", "per_relation", "per_class"
         ]
         assert payload["num_queries"] == report.num_queries
         assert set(payload["hits"]) == {"1", "3", "10"}
