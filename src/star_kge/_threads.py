@@ -2,15 +2,18 @@
 
 OpenBLAS's workers spin for a while after every multi-threaded call, so an
 elementwise pass run right after one shares its core with them. Inside
-:func:`held` BLAS runs on the calling thread only, and :func:`split` gives
-each of ``w`` workers, ``w`` being the thread count BLAS had on entry, one
-contiguous part of the rows, columns or chunks of a pass: one part on the
-calling thread and the rest on a pool made on first use, which starts a
-thread only when none is idle, up to min(32, cores + 4). With no OpenBLAS
-thread control found, or a count of 1, there is one worker and no thread is
-started.
+:func:`held` BLAS runs on the calling thread only. A :func:`lanes` scope
+opens one and gives its work ``w`` lanes, ``w`` being the thread count BLAS
+had on entry: lane 0 is the calling thread, which runs its jobs at once, and
+each other lane is a persistent helper thread, made on first use, that runs
+the jobs queued on it in FIFO order. So a job queued on a lane sees the
+effects of the jobs queued there before it, and the scope waits for them all
+once, when it closes. :func:`split` is one such scope with one contiguous
+part of a pass's rows, columns or chunks per lane. With no OpenBLAS thread
+control found, or a count of 1, there is one lane and no thread is started.
+Inside a helper's job every scope has one lane, so no lane waits on itself.
 
-Parts run only numpy calls. Each runs in a copy of the caller's context, so
+Jobs run only numpy calls. Each runs in a copy of the caller's context, so
 the caller's ``np.errstate`` holds in it.
 """
 
@@ -18,11 +21,14 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import os
 import threading
+import weakref
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
+from queue import SimpleQueue
 
 _SPELLINGS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_")
 
@@ -30,7 +36,35 @@ _lock = threading.Lock()
 _blas: tuple | None = None  # (get, set), or () when no OpenBLAS control was found
 _depth = 0  # scopes open across all threads
 _count = 1  # BLAS's thread count when the outermost scope opened
-_pool: ThreadPoolExecutor | None = None
+_pool: list[_Lane] | None = None  # the helper lanes 1, 2, ..., made on first use
+_local = threading.local()  # ``helper`` is set on a lane's thread
+
+
+class _Lane:
+    """A helper thread running the jobs of its queue in FIFO order; the
+    thread ends once the lane is dropped."""
+
+    def __init__(self, number: int):
+        self.queue: SimpleQueue = SimpleQueue()
+        threading.Thread(target=_serve, args=(self.queue,), name=f"star_kge-lane-{number}", daemon=True).start()
+        weakref.finalize(self, self.queue.put, None)
+
+
+def _serve(queue: SimpleQueue) -> None:
+    _local.helper = True
+    while (job := queue.get()) is not None:
+        job()
+
+
+def _forget_lanes() -> None:
+    """In a forked child: the parent's helper threads were not copied, and
+    its lock may have been held by one of its other threads."""
+    global _lock, _pool
+    _lock = threading.Lock()
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_lanes)
 
 
 def _find_blas() -> tuple:
@@ -86,27 +120,93 @@ def held() -> Iterator[int]:
                 _blas[1](_count)
 
 
-def split(fn: Callable[[slice], object], n: int) -> list:
-    """``fn(part)`` for contiguous slices of ``range(n)``, one per worker of
-    a :func:`held` scope that this call opens.
+class Lanes:
+    """The jobs of one :func:`lanes` scope over ``count`` lanes."""
 
-    The first slice runs on the calling thread and the others on the pool.
-    Every part finishes before this returns or raises; the first part's
-    error, in slice order, is raised. Returns the parts' results in order.
+    def __init__(self, helpers: list[_Lane]):
+        self.count = len(helpers) + 1
+        self._helpers = helpers
+        self._errors: dict[int, BaseException] = {}  # each lane's first error
+
+    def each(self, fn: Callable[[int], object], n: int) -> None:
+        """``fn(i)`` for i in ``range(n)`` on lane ``i % count``.
+
+        The helpers' jobs are queued first, each behind the jobs already on
+        its lane; then lane 0's run here, in order, and an error of theirs
+        is raised at once. A helper's error waits for the scope's join.
+        """
+        for i in range(n):
+            if lane := i % self.count:
+                self._helpers[lane - 1].queue.put(partial(self._run, lane, contextvars.copy_context(), fn, i))
+        for i in range(0, n, self.count):
+            fn(i)
+
+    def _run(self, lane: int, context: contextvars.Context, fn: Callable[[int], object], i: int) -> None:
+        try:
+            context.run(fn, i)
+        except BaseException as error:  # kept for the join, which re-raises it
+            self._errors.setdefault(lane, error)
+
+    def _wait(self) -> None:
+        done = []
+        for helper in self._helpers:
+            mark = threading.Lock()
+            mark.acquire()
+            helper.queue.put(mark.release)  # runs once every job queued before it has
+            done.append(mark)
+        for mark in done:
+            mark.acquire()
+
+    def join(self) -> None:
+        """Wait for every job queued so far, then raise the first error of
+        the lowest lane that had one."""
+        self._wait()
+        if self._errors:
+            raise self._errors[min(self._errors)]
+
+
+@contextmanager
+def lanes() -> Iterator[Lanes]:
+    """Open a :func:`held` scope with one lane per worker; yields its
+    :class:`Lanes`.
+
+    Leaving the scope joins it. When its body raises, every queued job
+    still finishes first and the body's error is the one raised.
     """
     global _pool
     with held() as workers:
-        parts = max(1, min(workers, n))
-        bounds = [n * i // parts for i in range(parts + 1)]
-        slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        if parts == 1:
-            return [fn(slices[0])]
-        with _lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(thread_name_prefix="star_kge")
-        futures = [_pool.submit(contextvars.copy_context().run, fn, part) for part in slices[1:]]
+        helpers = []
+        if workers > 1 and not getattr(_local, "helper", False):
+            with _lock:
+                if _pool is None:
+                    _pool = []
+                _pool.extend(_Lane(number) for number in range(len(_pool) + 1, workers))
+                helpers = _pool[: workers - 1]
+        scope = Lanes(helpers)
         try:
-            first = fn(slices[0])
-        finally:
-            wait(futures)
-        return [first] + [f.result() for f in futures]
+            yield scope
+        except BaseException:
+            scope._wait()
+            raise
+        scope.join()
+
+
+def split(fn: Callable[[slice], object], n: int) -> list:
+    """``fn(part)`` for contiguous slices of ``range(n)``, one per lane of a
+    :func:`lanes` scope that this call opens.
+
+    The first slice runs on the calling thread and the others on the
+    helpers. Every part finishes before this returns or raises; the first
+    part's error, in slice order, is raised. Returns the parts' results in
+    order.
+    """
+    with lanes() as scope:
+        parts = max(1, min(scope.count, n))
+        bounds = [n * i // parts for i in range(parts + 1)]
+        results: list = [None] * parts
+
+        def part(i: int) -> None:
+            results[i] = fn(slice(bounds[i], bounds[i + 1]))
+
+        scope.each(part, parts)
+    return results

@@ -18,12 +18,13 @@ calls. Those in a tile are masked by scattering ``-inf`` into the pair's
 row, each repeat of a pair is counted on a copy of that masked row, and
 rivals are counted by a uint16 row sum of the mask while the tile is in
 cache, so the table is read once per block and no score block larger than
-a tile is written. With BLAS held to one thread (:mod:`._threads`), the
-tiles go in groups of one per worker: one :func:`score_batch` call scores a
-group's tiles side by side, then each worker masks, copies and counts the
-tile it scored. Helper threads run numpy calls only, and the counts are
-integers, so ranks do not depend on the worker count. :func:`evaluate`
-allocates one workspace per call.
+a tile is written. Each block opens one :func:`._threads.lanes` scope,
+which holds BLAS to one thread, and its tiles go in groups of one per lane:
+tile i of every group is scored, then masked, copied and counted, on lane
+i, which runs its jobs in order, so the lanes meet once per block. Helper
+threads run numpy calls only, and the counts are integers, so ranks do not
+depend on the worker count. :func:`evaluate` allocates one workspace per
+call.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,12 +151,15 @@ def filtered_rank(
     ids are checked, their ``[q, 1]`` rows built and their known answers
     expanded once. The block is scored in entity tiles of ``min(BLOCK_SCORES
     // k, TILE_WIDTH_MAX)`` columns, in groups of one tile per workspace
-    slot: one :func:`~star_kge.model.score_batch` call per group is only the
-    GEMMs of the d pair rows, one tile per worker. Then, on each worker in
-    one :func:`._threads.split`, the known answers are masked in each pair's
-    row of its tile, the ``k - d`` repeats are copied into the rest of the
-    tile, and every row is counted (a uint16 sum per row, which the width
-    cap keeps exact) while the tile is still in cache. Each query
+    slot, in one :func:`._threads.lanes` scope: slot i's tile goes on lane
+    i. One :func:`~star_kge.model.score_batch` call per group queues the
+    GEMMs of the d pair rows, one tile per lane, and then one job per lane,
+    queued behind its GEMM, masks the known answers in each pair's row of
+    the tile, copies the ``k - d`` repeats into the rest of the tile, and
+    counts every row (a uint16 sum per row, which the width cap keeps exact)
+    into the slot's totals while the tile is still in cache. The helpers'
+    jobs are queued before lane 0's run on the calling thread, and the block
+    waits for the lanes once, when its scope closes. Each query
     keeps its own bounds: its target score ``s_t`` is the row-wise dot
     product of its pair's ``[q, 1]`` with the target's stored column, and
     the random rule draws once per query in block order. Ties are decided
@@ -167,7 +172,7 @@ def filtered_rank(
     would count no rival, so the answer would rank first.
     ``_workspace`` is private: :func:`evaluate` passes one at least k rows
     high, to be reused across blocks; without it one is made for this call,
-    with a slot per worker of the :func:`._threads.held` scope it opens.
+    with a slot per lane of the scope it opens.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
@@ -186,8 +191,8 @@ def filtered_rank(
     pair_rows = np.concatenate([np.arange(d), repeats])  # the pair of every tile row
     heads, rels, targets = block[tile_rows].T
     row, answer = filter_index._answers(base[tile_rows[:d]])
-    with _threads.held() as workers:
-        ws = _workspace if _workspace is not None else _Workspace(table, k, workers)
+    with _threads.lanes() as lanes:
+        ws = _workspace if _workspace is not None else _Workspace(table, k, lanes.count)
         # inf in a relation row would warn (inf - inf) part way; it is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             q = _query_rows(table, heads[:d], rels[:d])
@@ -203,30 +208,27 @@ def filtered_rank(
             raise ValueError(
                 f"query {first} has a non-finite score bound: its relation row or its scores are not finite"
             )
+        counts = np.zeros((ws.slots, 2, k), dtype=np.int64)  # per slot, per tile row: rivals >= low, > high
 
-        def count(slot):
-            """Per tile row of ``slot``'s tile in the current group: rivals
-            >= low, rivals > high."""
+        def count(group, slot):
+            """Add the rivals of ``slot``'s tile in ``group`` into the slot's counts."""
             cols = group[slot]
             tile = ws.tile(slot, k, cols)
             inside = (answer >= cols.start) & (answer < cols.stop)
             tile[row[inside], answer[inside] - cols.start] = -np.inf  # the true answer too: it never outranks itself
             np.take(tile[:d], repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
-            counts = np.zeros((2, k), dtype=np.int64)
-            counts[0] = ws.count(slot, np.greater_equal, tile, low)
+            counts[slot, 0] += ws.count(slot, np.greater_equal, tile, low)
             if tie_rule == "random":
-                counts[1] = ws.count(slot, np.greater, tile, high)
-            return counts
+                counts[slot, 1] += ws.count(slot, np.greater, tile, high)
 
-        counts = np.zeros((2, k), dtype=np.int64)
         span = ws.slots * ws.width
         for start in range(0, ne, span):
-            # one tile per slot: part i of both splits scores, then counts, slot i's tile
+            # slot i's tile is scored, then counted, on lane i: each lane runs its jobs in order
             group = [slice(lo, min(lo + ws.width, ne)) for lo in range(start, min(start + span, ne), ws.width)]
             tiles = [(cols, ws.tile(i, k, cols)[:d]) for i, cols in enumerate(group)]
-            score_batch(table, heads[:d], rels[:d], _tile=(q, tiles))
-            counts += sum(_threads.split(lambda part: sum(map(count, range(part.start, part.stop))), len(group)))
-    at_least, greater = counts[:, np.argsort(tile_rows)]  # back in query order
+            score_batch(table, heads[:d], rels[:d], _tile=(q, tiles, lanes))
+            lanes.each(partial(count, group), len(group))
+    at_least, greater = counts.sum(axis=0)[:, np.argsort(tile_rows)]  # back in query order
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
     else:

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _threads
 from ._files import replacing
 
 MODEL_KINDS = ("STaR", "TaR", "ComplEx", "DistMult")
@@ -182,19 +181,21 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
     against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
     costs no second pass. ``_tile`` is private: ``filtered_rank`` passes
-    ``(query, tiles)``, its block's ``[q, 1]`` rows from :func:`_query_rows`
-    and a list of ``(cols, out)`` entity tiles, each a column slice and the
-    tile's view of its workspace (or None for a fresh array). The call is
-    then only those GEMMs, split over the workers of :func:`._threads.split`,
-    and returns the list of tiles; the ids are not read.
+    ``(query, tiles, lanes)``, its block's ``[q, 1]`` rows from
+    :func:`_query_rows`, a list of ``(cols, out)`` entity tiles, each a
+    column slice and the tile's view of its workspace, and the
+    :class:`._threads.Lanes` of its block. The call is then only those
+    GEMMs, tile i's on lane i: the helpers' are queued, then tile 0's runs
+    on the calling thread. It returns the list of ``out`` tiles once tile
+    0's is written, before the helpers' may be: a job queued after it on
+    the same lane, or the lanes' join, sees them written. The ids are not
+    read.
     """
     if _tile is not None:
-        query, tiles = _tile
+        query, tiles, lanes = _tile
         hom = table._hom_rows
-        parts = _threads.split(
-            lambda part: [np.matmul(query, hom[:, cols], out=out) for cols, out in tiles[part]], len(tiles)
-        )
-        return [tile for part in parts for tile in part]
+        lanes.each(lambda i: np.matmul(query, hom[:, tiles[i][0]], out=tiles[i][1]), len(tiles))
+        return [out for _, out in tiles]
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
         raise ValueError(f"head ids {heads.shape} and relation ids {rels.shape} must be matching scalars or 1-D")

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from star_kge import _threads
 from star_kge.analysis import count_two_paths
 from star_kge.data import classify_relations, load_triples, reciprocal_queries
 from star_kge.evaluation import TIE_RULES, evaluate, filtered_rank
@@ -347,7 +348,7 @@ class TestRepeatedPairs:
         real_score_batch = evaluation.score_batch
 
         def spy(*args, _tile, **kwargs):
-            query, tiles = _tile
+            query, tiles, _ = _tile
             heights.extend((len(query), len(out)) for _, out in tiles)
             return real_score_batch(*args, _tile=_tile, **kwargs)
 
@@ -472,12 +473,11 @@ class TestTiles:
         full = score_batch(table, heads, rels)
         # the block's [q, 1] rows as filtered_rank builds them, once for every tile
         q = _query_rows(table, heads, rels)
-        for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
-            [tile] = score_batch(table, heads, rels, _tile=(q, [(slice(lo, hi), None)]))
-            assert tile.tobytes() == full[:, lo:hi].tobytes()
-        out = np.empty((4, 3))
-        assert score_batch(table, heads, rels, _tile=(q, [(slice(4, 7), out)]))[0] is out
-        assert out.tobytes() == full[:, 4:].tobytes()
+        with _threads.lanes() as lanes:
+            for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
+                out = np.empty((4, hi - lo))
+                assert score_batch(table, heads, rels, _tile=(q, [(slice(lo, hi), out)], lanes))[0] is out
+                assert out.tobytes() == full[:, lo:hi].tobytes()
 
 
 class TestWorkers:

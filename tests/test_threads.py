@@ -1,3 +1,5 @@
+import multiprocessing
+import sys
 import threading
 import time
 from pathlib import Path
@@ -106,6 +108,107 @@ def test_parts_run_under_the_callers_errstate(fake_blas):
     assert [(m["divide"], m["over"]) for m in modes] == [("raise", "ignore")] * 2
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
         _threads.split(lambda rows: np.ones(1) / np.zeros(1) if rows.start else None, 2)
+
+
+def test_each_lane_runs_its_jobs_in_queue_order(fake_blas):
+    """More lanes than cores and a short switch interval: every slot's second
+    job still sees what its first job wrote, as a tile's count sees its GEMM."""
+    fake_blas(4)
+    cells, seen = [None] * 6, [[] for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(200):
+            with _threads.lanes() as scope:
+                scope.each(lambda i: cells.__setitem__(i, round_), 6)
+                scope.each(lambda i: seen[i].append(cells[i] == round_), 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert scope.count == 4
+    assert seen == [[True] * 200] * 6
+
+
+def test_join_waits_for_every_queued_job_when_the_callers_job_raises(fake_blas):
+    fake_blas(3)
+    done = []
+
+    def job(i):
+        if i == 0:
+            raise KeyError("caller job")
+        time.sleep(0.05)
+        done.append(i)
+
+    with pytest.raises(KeyError, match="caller job"):
+        with _threads.lanes() as scope:
+            scope.each(lambda i: time.sleep(0.05) or done.append(-i), 3)
+            scope.each(job, 3)
+    assert sorted(done) == [-2, -1, 0, 1, 2]
+
+
+def test_join_raises_the_first_error_of_the_lowest_lane(fake_blas):
+    fake_blas(3)
+
+    def first(i):
+        if i == 1:
+            time.sleep(0.05)  # lane 2 fails first in time
+            raise ValueError("lane 1, first job")
+        if i == 2:
+            raise KeyError("lane 2")
+
+    def second(i):
+        if i:
+            raise ValueError(f"lane {i}, second job")
+
+    with pytest.raises(ValueError, match="lane 1, first job"):
+        with _threads.lanes() as scope:
+            scope.each(first, 3)
+            scope.each(second, 3)
+
+
+def test_lane_jobs_run_under_the_callers_errstate(fake_blas):
+    fake_blas(2)
+    modes = [None, None]
+    with np.errstate(divide="raise", over="ignore"), _threads.lanes() as scope:
+        scope.each(lambda i: modes.__setitem__(i, np.geterr()), 2)
+    assert [(m["divide"], m["over"]) for m in modes] == [("raise", "ignore")] * 2
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError), _threads.lanes() as scope:
+        scope.each(lambda i: np.ones(1) / np.zeros(1) if i else None, 2)
+
+
+def test_a_split_inside_a_lane_job_runs_on_that_thread(fake_blas):
+    """A helper that queued a part behind its own running job would wait on
+    itself for ever."""
+    fake_blas(2)
+    results = []
+
+    def part(rows):
+        outer = threading.get_ident()
+        inner = _threads.split(lambda cols: (cols.start, cols.stop, threading.get_ident() == outer), 4)
+        return [bounds for *bounds, _ in inner], all(same for *_, same in inner)
+
+    caller = threading.Thread(target=lambda: results.append(_threads.split(part, 2)), daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "a nested split waited on its own lane"
+    # the caller's part splits again over both lanes; the helper's part runs as one
+    assert results == [[([[0, 2], [2, 4]], False), ([[0, 4]], True)]]
+
+
+def _split_in_child():
+    assert _threads.split(lambda rows: rows.stop - rows.start, 4) == [2, 2]
+
+
+def test_a_child_forked_after_a_split_starts_its_own_lanes(fake_blas):
+    fake_blas(2)
+    _threads.split(lambda rows: None, 2)  # the parent's helper now waits on its queue
+    child = multiprocessing.get_context("fork").Process(target=_split_in_child)
+    child.start()
+    child.join(timeout=20)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=5)
+        pytest.fail("the forked child's first split hung")
+    assert child.exitcode == 0
 
 
 def test_nested_scopes_share_the_outer_count(fake_blas):
