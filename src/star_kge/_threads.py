@@ -1,17 +1,18 @@
 """Split numpy work over BLAS's thread count, with BLAS held to one thread.
 
 OpenBLAS's workers spin for a while after every multi-threaded call, so an
-elementwise pass run right after one shares its core with them. Inside
-:func:`held` BLAS runs on the calling thread only. A :func:`lanes` scope
-opens one and gives its work ``w`` lanes, ``w`` being the thread count BLAS
-had on entry: lane 0 is the calling thread, which runs its jobs at once, and
-each other lane is a persistent helper thread, made on first use, that runs
-the jobs queued on it in FIFO order. So a job queued on a lane sees the
-effects of the jobs queued there before it, and the scope waits for them all
-once, when it closes. :func:`split` is one such scope with one contiguous
-part of a pass's rows, columns or chunks per lane. With no OpenBLAS thread
-control found, or a count of 1, there is one lane and no thread is started.
-Inside a helper's job every scope has one lane, so no lane waits on itself.
+elementwise pass run right after one shares its core with them. Inside a
+:func:`lanes` scope BLAS runs on the calling thread only, and the scope's
+work gets ``w`` lanes, ``w`` being the thread count BLAS had when the
+outermost open scope opened: lane 0 is the calling thread, which runs its
+jobs at once, and each other lane is a persistent helper thread, made on
+first use, that runs the jobs queued on it in FIFO order. So a job queued on
+a lane sees the effects of the jobs queued there before it, and the scope
+waits for them all once, when it closes. :func:`split` is one such scope
+with one contiguous part of a pass's rows, columns or chunks per lane. With
+no OpenBLAS thread control found, or a count of 1, there is one lane and no
+thread is started. Inside a helper's job every scope has one lane, so no
+lane waits on itself.
 
 Jobs run only numpy calls. Each runs in a copy of the caller's context, so
 the caller's ``np.errstate`` holds in it.
@@ -93,33 +94,6 @@ def _find_blas() -> tuple:
     return ()
 
 
-@contextmanager
-def held() -> Iterator[int]:
-    """Hold BLAS to one thread; yields the worker count.
-
-    The outermost open scope, in any thread, reads BLAS's count and the last
-    one to close restores it, so nested scopes and scopes open in two
-    threads at once share one count and never leave BLAS at one thread.
-    """
-    global _blas, _depth, _count
-    with _lock:
-        if _blas is None:
-            _blas = _find_blas()
-        if _depth == 0:
-            _count = max(1, _blas[0]()) if _blas else 1
-            if _count > 1:
-                _blas[1](1)
-        _depth += 1
-        workers = _count
-    try:
-        yield workers
-    finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0 and _count > 1:
-                _blas[1](_count)
-
-
 class Lanes:
     """The jobs of one :func:`lanes` scope over ``count`` lanes."""
 
@@ -133,7 +107,7 @@ class Lanes:
 
         The helpers' jobs are queued first, each behind the jobs already on
         its lane; then lane 0's run here, in order, and an error of theirs
-        is raised at once. A helper's error waits for the scope's join.
+        is raised at once. A helper's error waits for the scope to close.
         """
         for i in range(n):
             if lane := i % self.count:
@@ -144,51 +118,57 @@ class Lanes:
     def _run(self, lane: int, context: contextvars.Context, fn: Callable[[int], object], i: int) -> None:
         try:
             context.run(fn, i)
-        except BaseException as error:  # kept for the join, which re-raises it
+        except BaseException as error:  # kept for the scope's close, which re-raises it
             self._errors.setdefault(lane, error)
-
-    def _wait(self) -> None:
-        done = []
-        for helper in self._helpers:
-            mark = threading.Lock()
-            mark.acquire()
-            helper.queue.put(mark.release)  # runs once every job queued before it has
-            done.append(mark)
-        for mark in done:
-            mark.acquire()
-
-    def join(self) -> None:
-        """Wait for every job queued so far, then raise the first error of
-        the lowest lane that had one."""
-        self._wait()
-        if self._errors:
-            raise self._errors[min(self._errors)]
 
 
 @contextmanager
 def lanes() -> Iterator[Lanes]:
-    """Open a :func:`held` scope with one lane per worker; yields its
-    :class:`Lanes`.
+    """Hold BLAS to one thread and open one lane per worker; yields the
+    scope's :class:`Lanes`.
 
-    Leaving the scope joins it. When its body raises, every queued job
-    still finishes first and the body's error is the one raised.
+    The outermost open scope, in any thread, reads BLAS's count and the last
+    one to close restores it, so nested scopes and scopes open in two
+    threads at once share one count and never leave BLAS at one thread.
+    Leaving the scope waits for every queued job, then raises the first
+    error of the lowest lane that had one. When the body raises, every
+    queued job still finishes first and the body's error is the one raised.
     """
-    global _pool
-    with held() as workers:
-        helpers = []
-        if workers > 1 and not getattr(_local, "helper", False):
-            with _lock:
+    global _blas, _depth, _count, _pool
+    try:
+        with _lock:
+            _depth += 1
+            if _depth == 1:
+                if _blas is None:
+                    _blas = _find_blas()
+                _count = max(1, _blas[0]()) if _blas else 1
+                if _count > 1:
+                    _blas[1](1)
+            helpers = []
+            if _count > 1 and not getattr(_local, "helper", False):
                 if _pool is None:
                     _pool = []
-                _pool.extend(_Lane(number) for number in range(len(_pool) + 1, workers))
-                helpers = _pool[: workers - 1]
+                _pool.extend(_Lane(number) for number in range(len(_pool) + 1, _count))
+                helpers = _pool[: _count - 1]
         scope = Lanes(helpers)
         try:
             yield scope
-        except BaseException:
-            scope._wait()
-            raise
-        scope.join()
+        finally:
+            done = []
+            for helper in helpers:
+                mark = threading.Lock()
+                mark.acquire()
+                helper.queue.put(mark.release)  # runs once every job queued before it has
+                done.append(mark)
+            for mark in done:
+                mark.acquire()
+        if scope._errors:
+            raise scope._errors[min(scope._errors)]
+    finally:
+        with _lock:
+            _depth -= 1
+            if _depth == 0 and _count > 1:
+                _blas[1](_count)
 
 
 def split(fn: Callable[[slice], object], n: int) -> list:

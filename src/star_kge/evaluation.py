@@ -18,8 +18,9 @@ calls. Those in a tile are masked by scattering ``-inf`` into the pair's
 row, each repeat of a pair is counted on a copy of that masked row, and
 rivals are counted by a uint16 row sum of the mask while the tile is in
 cache, so the table is read once per block and no score block larger than
-a tile is written. Each block opens one :func:`._threads.lanes` scope,
-which holds BLAS to one thread, and its tiles go in groups of one per lane:
+a tile is written. :func:`evaluate` ranks in one :func:`._threads.lanes`
+scope, which holds BLAS to one thread for the whole pass, and each block
+opens one more inside it. A block's tiles go in groups of one per lane:
 tile i of every group is scored, then masked, copied and counted, on lane
 i, which runs its jobs in order, so the lanes meet once per block. Helper
 threads run numpy calls only, and the counts are integers, so ranks do not
@@ -151,8 +152,9 @@ def filtered_rank(
     ids are checked, their ``[q, 1]`` rows built and their known answers
     expanded once. The block is scored in entity tiles of ``min(BLOCK_SCORES
     // k, TILE_WIDTH_MAX)`` columns, in groups of one tile per workspace
-    slot, in one :func:`._threads.lanes` scope: slot i's tile goes on lane
-    i. One :func:`~star_kge.model.score_batch` call per group queues the
+    slot, in one :func:`._threads.lanes` scope (inside :func:`evaluate`'s,
+    which already holds BLAS to one thread): slot i's tile goes on lane i.
+    One :func:`~star_kge.model.score_batch` call per group queues the
     GEMMs of the d pair rows, one tile per lane, and then one job per lane,
     queued behind its GEMM, masks the known answers in each pair's row of
     the tile, copies the ``k - d`` repeats into the rest of the tile, and
@@ -250,10 +252,11 @@ def evaluate(
     The queries of :func:`~star_kge.data.reciprocal_queries` are sorted
     stably by their pair code ``src * 2|R| + rel`` and go to
     :func:`filtered_rank` in that pair order, in blocks of up to
-    ``BLOCK_ROWS`` rows, all in one workspace allocated per call. BLAS is
-    held to one thread while they rank, and each block's tiles are split
-    over its thread count, which the report gives as ``threads``. MRR,
-    Hits@K and the breakdowns are taken over the ranks in that same order.
+    ``BLOCK_ROWS`` rows, all in one workspace allocated per call. They rank
+    in one :func:`._threads.lanes` scope, which holds BLAS to one thread,
+    and each block's tiles are split over its lanes, whose count the report
+    gives as ``threads``. MRR, Hits@K and the breakdowns are taken over the
+    ranks in that same order.
     The random tie rule draws from ``default_rng(0)`` in pair order, so a
     report is reproducible.
     Per-relation results merge the tail queries (relation ``r``) and head
@@ -272,8 +275,8 @@ def evaluate(
     start = time.perf_counter()
     # pair order, so that the repeats of a (src, rel) pair share a block
     queries = queries[np.argsort(queries[:, 0] * (2 * nr) + queries[:, 1], kind="stable")]
-    with _threads.held() as workers:
-        workspace = _Workspace(table, height, workers)
+    with _threads.lanes() as scope:
+        workspace = _Workspace(table, height, scope.count)
         ranks = np.concatenate(
             [
                 filtered_rank(queries[i : i + height], table, store.filter_index, tie_rule, rng, _workspace=workspace)
@@ -313,5 +316,5 @@ def evaluate(
         tie_rule=tie_rule,
         split=split,
         ranking_s=ranking_s,
-        threads=workers,
+        threads=scope.count,
     )

@@ -186,16 +186,14 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     column slice and the tile's view of its workspace, and the
     :class:`._threads.Lanes` of its block. The call is then only those
     GEMMs, tile i's on lane i: the helpers' are queued, then tile 0's runs
-    on the calling thread. It returns the list of ``out`` tiles once tile
-    0's is written, before the helpers' may be: a job queued after it on
-    the same lane, or the lanes' join, sees them written. The ids are not
-    read.
+    on the calling thread. A job queued later on the same lane, or the
+    scope's close, sees that lane's tile written. The ids are not read.
     """
     if _tile is not None:
         query, tiles, lanes = _tile
         hom = table._hom_rows
         lanes.each(lambda i: np.matmul(query, hom[:, tiles[i][0]], out=tiles[i][1]), len(tiles))
-        return [out for _, out in tiles]
+        return None
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:
         raise ValueError(f"head ids {heads.shape} and relation ids {rels.shape} must be matching scalars or 1-D")

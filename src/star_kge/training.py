@@ -45,8 +45,11 @@ rounding.
 The step runs on BLAS's thread count ``w`` with BLAS held to one thread
 (:mod:`._threads`): the forward GEMM, ``exp`` and ``Z [E, 1]`` in ``w``
 row parts, (c * Q)^T Z in ``w`` entity-column parts, and Adagrad and the
-entity finiteness sweep in ``w`` chunk or row parts. Runs at one ``w`` are
-bitwise repeatable; the GEMM parts may round differently at another ``w``.
+entity finiteness sweep in ``w`` chunk or row parts. :func:`train` runs
+each epoch's batch loop in one :func:`._threads.lanes` scope, so BLAS is
+held and restored once per loop, not once per split pass. Runs at one ``w``
+are bitwise repeatable; the GEMM parts may round differently at another
+``w``.
 """
 
 from __future__ import annotations
@@ -300,7 +303,8 @@ def train(
     ``validation_ms`` is the wall time of the validation ``evaluate`` alone,
     None when the epoch ran none; ``queries_per_s`` is the epoch's
     2 * |train| queries over the seconds of its batch loop alone, and
-    ``threads`` the worker count that loop split each step over.
+    ``threads`` the worker count that loop split each step over: the lane
+    count of the one :func:`._threads.lanes` scope that the loop runs in.
     ``on_epoch``, when given, is called with each record as soon as its
     epoch ends.
     """
@@ -329,7 +333,7 @@ def train(
         query_count = 0
         loop_start = time.perf_counter()
         # BLAS stays at one thread between the batches' split passes too
-        with _threads.held() as workers:
+        with _threads.lanes() as scope:
             for start in range(0, len(order), config.batch_size):
                 batch = store.train[order[start : start + config.batch_size]]
                 try:
@@ -359,7 +363,7 @@ def train(
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
                 "validation_ms": validation_ms,
                 "queries_per_s": query_count / loop_s,
-                "threads": workers,
+                "threads": scope.count,
             }
         )
         if on_epoch is not None:

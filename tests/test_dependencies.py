@@ -1,6 +1,7 @@
 """The package imports nothing but the standard library, numpy and itself,
-passes every private keyword-only parameter that it defines and writes
-every file through one atomic helper."""
+keeps its thread and BLAS handling in one module, passes every private
+keyword-only parameter that it defines and writes every file through one
+atomic helper."""
 
 import ast
 import re
@@ -12,16 +13,25 @@ PACKAGE = ROOT / "src" / "star_kge"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "star_kge"}
 
 
-def outside_imports(source: str) -> list[str]:
-    """The modules that ``source`` imports from outside ``ALLOWED``; a
-    relative import is the package's own."""
-    names = []
+#: thread and BLAS handling lives in ``_threads.py`` alone
+THREAD_MODULES = {"threading", "queue", "ctypes", "contextvars", "concurrent"}
+
+
+def imported(source: str) -> set[str]:
+    """The modules that ``source`` imports at any depth, leaving out its
+    relative imports, which are the package's own."""
+    names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.append(node.module)
-    return sorted({name for name in names if name.split(".")[0] not in ALLOWED})
+            names.add(node.module)
+    return names
+
+
+def outside_imports(source: str) -> list[str]:
+    """The modules that ``source`` imports from outside ``ALLOWED``."""
+    return sorted(name for name in imported(source) if name.split(".")[0] not in ALLOWED)
 
 
 def test_package_imports_only_stdlib_and_numpy():
@@ -29,6 +39,15 @@ def test_package_imports_only_stdlib_and_numpy():
     assert sources
     found = {path.name: outside_imports(path.read_text(encoding="utf-8")) for path in sources}
     assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def test_only_the_thread_module_imports_thread_or_blas_modules():
+    users = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(name.split(".")[0] in THREAD_MODULES for name in imported(path.read_text(encoding="utf-8")))
+    }
+    assert users == {"_threads.py"}
 
 
 def test_numpy_floor_has_vecdot():
@@ -42,6 +61,7 @@ def test_numpy_floor_has_vecdot():
 def test_outside_imports_are_found_at_any_depth():
     source = "import os, scipy.sparse\nfrom . import data\ndef f():\n    from pandas import DataFrame\n    import numpy.linalg\n"
     assert outside_imports(source) == ["pandas", "scipy.sparse"]
+    assert imported(source) == {"os", "scipy.sparse", "pandas", "numpy.linalg"}
 
 
 def private_keywords(sources: list[str]) -> tuple[set, set]:

@@ -476,7 +476,7 @@ class TestTiles:
         with _threads.lanes() as lanes:
             for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
                 out = np.empty((4, hi - lo))
-                assert score_batch(table, heads, rels, _tile=(q, [(slice(lo, hi), out)], lanes))[0] is out
+                score_batch(table, heads, rels, _tile=(q, [(slice(lo, hi), out)], lanes))
                 assert out.tobytes() == full[:, lo:hi].tobytes()
 
 

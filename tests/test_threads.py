@@ -213,11 +213,25 @@ def test_a_child_forked_after_a_split_starts_its_own_lanes(fake_blas):
 
 def test_nested_scopes_share_the_outer_count(fake_blas):
     blas = fake_blas(2)
-    with _threads.held() as outer:
-        with _threads.held() as inner:
-            assert (outer, inner, blas.count) == (2, 2, 1)
+    with _threads.lanes() as outer:
+        with _threads.lanes() as inner:
+            assert (outer.count, inner.count, blas.count) == (2, 2, 1)
         assert blas.count == 1
     assert blas.count == 2 and blas.sets == [1, 2]
+
+
+def test_a_lane_that_cannot_start_releases_the_hold(fake_blas, monkeypatch):
+    blas = fake_blas(2)
+
+    def refuse(number):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(_threads, "_Lane", refuse)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        with _threads.lanes():
+            pass
+    assert blas.count == 2 and blas.sets == [1, 2]
+    assert _threads._depth == 0
 
 
 @pytest.mark.parametrize("first_out", [0, 1])
@@ -230,8 +244,8 @@ def test_overlapping_scopes_in_two_threads_restore_the_count(fake_blas, first_ou
     workers = [None, None]
 
     def scope(i):
-        with _threads.held() as w:
-            workers[i] = w
+        with _threads.lanes() as lanes:
+            workers[i] = lanes.count
             inside.wait(timeout=5)
             leave[i].wait(timeout=5)
 

@@ -739,6 +739,17 @@ class TestSplitStep:
         assert [r["threads"] for r in log] == [3, 3]
         assert blas.count == 3
 
+    def test_each_pass_holds_blas_once(self, fake_blas, toy_store):
+        """One hold per epoch's batch loop and per validation pass, not one
+        per batch or per ranked block."""
+        from star_kge.evaluation import evaluate
+
+        blas = fake_blas(2)
+        table, _ = train(toy_store, TrainConfig(n=4, epochs=2, batch_size=3, eval_every=1))
+        assert blas.sets == [1, 2] * 4
+        evaluate("test", table, toy_store)
+        assert blas.sets == [1, 2] * 5
+
     def test_count_restored_after_normal_returns(self, fake_blas, toy_store):
         blas = fake_blas(2)
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
