@@ -100,6 +100,7 @@ class Lanes:
     def __init__(self, helpers: list[_Lane]):
         self.count = len(helpers) + 1
         self._helpers = helpers
+        self._handed = 0  # helpers 0.._handed-1 were handed a job, the scope's close waits on them
         self._errors: dict[int, BaseException] = {}  # each lane's first error
 
     def each(self, fn: Callable[[int], object], n: int) -> None:
@@ -109,6 +110,7 @@ class Lanes:
         its lane; then lane 0's run here, in order, and an error of theirs
         is raised at once. A helper's error waits for the scope to close.
         """
+        self._handed = max(self._handed, min(n, self.count) - 1)
         for i in range(n):
             if lane := i % self.count:
                 self._helpers[lane - 1].queue.put(partial(self._run, lane, contextvars.copy_context(), fn, i))
@@ -130,8 +132,9 @@ def lanes() -> Iterator[Lanes]:
     The outermost open scope, in any thread, reads BLAS's count and the last
     one to close restores it, so nested scopes and scopes open in two
     threads at once share one count and never leave BLAS at one thread.
-    Leaving the scope waits for every queued job, then raises the first
-    error of the lowest lane that had one. When the body raises, every
+    Leaving the scope waits for every queued job, with one marker on each
+    helper that was handed a job in it, then raises the first error of the
+    lowest lane that had one. When the body raises, every
     queued job still finishes first and the body's error is the one raised.
     """
     global _blas, _depth, _count, _pool
@@ -155,7 +158,7 @@ def lanes() -> Iterator[Lanes]:
             yield scope
         finally:
             done = []
-            for helper in helpers:
+            for helper in helpers[: scope._handed]:
                 mark = threading.Lock()
                 mark.acquire()
                 helper.queue.put(mark.release)  # runs once every job queued before it has

@@ -184,7 +184,7 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     ``(query, tiles, lanes)``, its block's ``[q, 1]`` rows from
     :func:`_query_rows`, a list of ``(cols, out)`` entity tiles, each a
     column slice and the tile's view of its workspace, and the
-    :class:`._threads.Lanes` of its block. The call is then only those
+    :class:`._threads.Lanes` of its one scope. The call is then only those
     GEMMs, tile i's on lane i: the helpers' are queued, then tile 0's runs
     on the calling thread. A job queued later on the same lane, or the
     scope's close, sees that lane's tile written. The ids are not read.

@@ -146,7 +146,9 @@ class _Workspace:
     ``scores`` is the ``2 * rows`` by |E| score buffer, ``grad_t`` the
     ``(n, |E|)`` entity gradient, and ``accumulators`` Adagrad's
     squared-gradient sums in table order, the entity one laid out as the
-    ``(n, |E|)`` transpose that :meth:`step` updates.
+    ``(n, |E|)`` transpose that :meth:`step` updates. ``overflow_rows``
+    counts the query rows that took :func:`batch_loss`'s max-shift fallback;
+    :func:`train` resets it at the start of every epoch.
     """
 
     def __init__(self, table: EmbeddingTable, rows: int):
@@ -154,6 +156,7 @@ class _Workspace:
         self.scores = np.empty((2 * rows, ne))
         self.grad_t = np.empty((table.n, ne))
         self.accumulators = (np.zeros((table.n, ne)), np.zeros_like(table.rel_c), np.zeros_like(table.rel_tau))
+        self.overflow_rows = 0
 
     def step(self, table: EmbeddingTable, grads: BatchGradients, lr: float) -> None:
         """Adagrad on every table, then ``enforce_kind``; raises
@@ -196,7 +199,8 @@ def batch_loss(
     arrive shifted by its target's score, and the backward GEMM
     ``Z @ [E, 1]`` yields the row sums in its last column. A row whose sum
     overflows (a rival beats the target by more than ~709) is recomputed
-    alone, shifted by its max. max |score| is computed only for the
+    alone, shifted by its max, and counted in the workspace's
+    ``overflow_rows``. max |score| is computed only for the
     :class:`DivergenceError` message.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
@@ -229,7 +233,9 @@ def batch_loss(
 
     _threads.split(softmax_rows, nq)
     ce = np.log(ZE[:, -1])
-    for i in np.flatnonzero(~np.isfinite(ZE).all(axis=1)):
+    overflow = np.flatnonzero(~np.isfinite(ZE).all(axis=1))
+    ws.overflow_rows += len(overflow)
+    for i in overflow:
         # a rival beat the target by more than ~709, so exp, the row sum or
         # Z E overflowed: redo this row shifted by its own max
         row = np.matmul(Qh[i], table._hom_rows, out=scores[i])
@@ -298,13 +304,16 @@ def train(
     returns the checkpoint with the best validation MRR, or the final table
     when validation never ran. The log holds one record per epoch:
     {epoch, mean_loss, valid_mrr, wall_ms, validation_ms, queries_per_s,
-    threads}.
+    threads, overflow_rows}.
     ``wall_ms`` spans the whole epoch, validation included;
     ``validation_ms`` is the wall time of the validation ``evaluate`` alone,
     None when the epoch ran none; ``queries_per_s`` is the epoch's
     2 * |train| queries over the seconds of its batch loop alone, and
     ``threads`` the worker count that loop split each step over: the lane
     count of the one :func:`._threads.lanes` scope that the loop runs in.
+    ``overflow_rows`` is the number of the epoch's query rows in which a
+    rival beat the target by more than ~709, so that :func:`batch_loss`
+    redid the row shifted by its max.
     ``on_epoch``, when given, is called with each record as soon as its
     epoch ends.
     """
@@ -331,6 +340,7 @@ def train(
         order = rng.permutation(len(store.train))
         loss_sum = 0.0
         query_count = 0
+        ws.overflow_rows = 0
         loop_start = time.perf_counter()
         # BLAS stays at one thread between the batches' split passes too
         with _threads.lanes() as scope:
@@ -364,6 +374,7 @@ def train(
                 "validation_ms": validation_ms,
                 "queries_per_s": query_count / loop_s,
                 "threads": scope.count,
+                "overflow_rows": ws.overflow_rows,
             }
         )
         if on_epoch is not None:

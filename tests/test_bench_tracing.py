@@ -38,9 +38,10 @@ def test_every_traced_name_resolves():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_score_span_per_block_and_tile(monkeypatch, fake_blas, workers):
-    """Each group of tiles, one per worker, has its GEMMs in one
-    ``model.score_batch`` span inside its block's ``evaluation.filtered_rank``
-    span, so the rank self time excludes them."""
+    """``evaluate`` ranks its split in one ``evaluation.filtered_rank`` span.
+    Inside it, each block's tiles go in groups of one per worker, and each
+    group has its GEMMs in one ``model.score_batch`` span, so the rank self
+    time excludes them."""
     tracing = load_tracing()
     fake_blas(workers)
     ne = 7
@@ -54,20 +55,21 @@ def test_one_score_span_per_block_and_tile(monkeypatch, fake_blas, workers):
     with tracer.active():
         evaluate("train", table, store)
     spans = tracer.spans
-    blocks = [i for i, s in enumerate(spans) if s[tracing.NAME] == "evaluation.filtered_rank"]
+    ranks = [i for i, s in enumerate(spans) if s[tracing.NAME] == "evaluation.filtered_rank"]
     tiles = [s for s in spans if s[tracing.NAME] == "model.score_batch"]
     tile_count = -(-ne // 2)
     groups = -(-tile_count // workers)  # a block's tiles go in groups of one per worker
-    assert len(blocks) == -(-2 * len(triples) // 3)
-    assert len(tiles) == len(blocks) * groups
-    assert sorted(s[tracing.PARENT] for s in tiles) == sorted(blocks * groups)
+    blocks = -(-2 * len(triples) // 3)
+    assert len(ranks) == 1
+    assert len(tiles) == blocks * groups
+    assert [s[tracing.PARENT] for s in tiles] == ranks * len(tiles)
 
     samples = tracing.layer_samples(spans)
     assert len(samples["model.score_batch_us"]) == len(tiles)
     rank_self = np.array(samples["evaluation.rank_self_us"])
     rank_total = np.array(samples["evaluation.filtered_rank_us"])
-    assert len(rank_self) == len(blocks) and (rank_self > 0).all()
-    gemm = [sum(s[tracing.END] - s[tracing.START] for s in tiles if s[tracing.PARENT] == b) for b in blocks]
+    assert len(rank_self) == 1 and (rank_self > 0).all()
+    gemm = sum(s[tracing.END] - s[tracing.START] for s in tiles)
     assert np.allclose(rank_total - rank_self, gemm)
 
 

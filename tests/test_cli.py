@@ -136,8 +136,11 @@ class TestTrain:
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 5
         row = json.loads(log_lines[0])
-        assert set(row) == {"epoch", "mean_loss", "valid_mrr", "wall_ms", "validation_ms", "queries_per_s", "threads"}
+        assert set(row) == {
+            "epoch", "mean_loss", "valid_mrr", "wall_ms", "validation_ms", "queries_per_s", "threads", "overflow_rows"
+        }
         assert row["threads"] >= 1
+        assert type(row["overflow_rows"]) is int and row["overflow_rows"] >= 0
         assert 0 < row["queries_per_s"] < math.inf
         # eval_every = 2: epochs 1 and 3 validate, and only they are timed
         rows = [json.loads(line) for line in log_lines]

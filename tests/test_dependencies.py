@@ -82,7 +82,7 @@ def private_keywords(sources: list[str]) -> tuple[set, set]:
 def test_every_private_keyword_is_passed_in_the_package():
     """A private hook that nothing in the package passes is dead code."""
     defined, passed = private_keywords([path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))])
-    assert {("batch_loss", "_workspace"), ("filtered_rank", "_workspace"), ("score_batch", "_tile")} <= defined
+    assert {("batch_loss", "_workspace"), ("score_batch", "_tile")} <= defined
     assert defined - passed == set()
 
 

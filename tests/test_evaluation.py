@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -147,17 +148,34 @@ class TestNonFiniteTables:
 class TestBlockedRanking:
     @staticmethod
     def spy_blocks(monkeypatch):
-        """Record every block evaluate() hands to filtered_rank, with its ranks."""
+        """Record every block that evaluate() ranks, with its ranks.
+
+        filtered_rank cuts its input into ``BLOCK_ROWS`` slices; the spy
+        checks that the ``_tile`` calls of ``score_batch`` score, slice after
+        slice and in as many groups for each, that slice's distinct pairs.
+        """
         import star_kge.evaluation as evaluation
 
-        calls = []
-        real = evaluation.filtered_rank
+        calls, scored = [], []
+        real, real_score_batch = evaluation.filtered_rank, evaluation.score_batch
 
-        def spy(block, *args, **kwargs):
-            ranks = real(block, *args, **kwargs)
-            calls.append((np.array(block), np.array(ranks)))
+        def score_spy(table, heads, rels, *, _tile):
+            scored.append(list(zip(heads.tolist(), rels.tolist())))
+            return real_score_batch(table, heads, rels, _tile=_tile)
+
+        def spy(queries, *args, **kwargs):
+            scored.clear()
+            ranks = real(queries, *args, **kwargs)
+            queries, height = np.array(queries).reshape(-1, 3), evaluation.BLOCK_ROWS
+            cuts = range(0, len(queries), height)
+            blocks = [(queries[i : i + height], np.atleast_1d(ranks)[i : i + height]) for i in cuts]
+            groups = len(scored) // len(blocks)
+            pairs = [sorted({(src, rel) for src, rel, _ in block.tolist()}) for block, _ in blocks]
+            assert groups >= 1 and scored == [p for p in pairs for _ in range(groups)]
+            calls.extend(blocks)
             return ranks
 
+        monkeypatch.setattr(evaluation, "score_batch", score_spy)
         monkeypatch.setattr(evaluation, "filtered_rank", spy)
         return calls
 
@@ -238,6 +256,47 @@ class TestBlockedRanking:
         singles = [filtered_rank(q, table, store.filter_index, "random", single_rng) for q in queries]
         assert singles == np.concatenate(free).tolist()
         assert report.mrr == np.mean(1.0 / np.concatenate(free))
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_long_input_equals_calls_on_its_block_slices(self, monkeypatch, tie_rule):
+        """One call cuts its input into ``BLOCK_ROWS`` slices in input order
+        and draws once over all of them, as calls on the slices in turn with
+        one generator do."""
+        import star_kge.evaluation as evaluation
+
+        store, table = TestRepeatedPairs.hub_case()  # exact ties: every third entity row is zero
+        monkeypatch.setattr(evaluation, "BLOCK_ROWS", 5)
+        monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * 16)  # 16-entity tiles
+        queries = reciprocal_queries(store.test, store.num_relations)
+        queries = queries[np.random.default_rng(7).permutation(len(queries))]
+        # pair (0, r0) has 24 queries, so it straddles block boundaries
+        first = [i for i, (src, rel, _) in enumerate(queries.tolist()) if (src, rel) == (0, 0)]
+        assert len({i // 5 for i in first}) > 1 and len(queries) % 5 != 0
+
+        whole = filtered_rank(queries, table, store.filter_index, tie_rule, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        slices = [queries[i : i + 5] for i in range(0, len(queries), 5)]
+        parts = [filtered_rank(part, table, store.filter_index, tie_rule, rng) for part in slices]
+        assert whole.tolist() == np.concatenate(parts).tolist()
+        if tie_rule == "random":
+            assert (whole < filtered_rank(queries, table, store.filter_index)).any()  # ties were drawn
+
+    def test_long_input_names_its_first_failing_query_in_input_order(self, monkeypatch):
+        """Blocks of two: the first failing query in input order is named, even
+        when a later block holds one that comes first in pair order, and an
+        uncovered query anywhere wins over an id outside the table."""
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 2)
+        store = make_store([(0, 0, 1), (1, 0, 2), (2, 1, 0), (3, 1, 1)], num_entities=4, num_relations=2)
+        narrow = init_embeddings(3, 2, 4, seed=0)  # head 3 is outside it
+        uncovered = [(0, 0, 1), (3, 1, 1), (1, 0, 2), (1, 0, 0), (2, 1, 0), (0, 0, 2)]
+        with pytest.raises(ValueError, match=r"query \(1, 0, 0\) is not covered by the filter index"):
+            filtered_rank(uncovered, narrow, store.filter_index)
+        with pytest.raises(IndexError, match="head id 3"):
+            filtered_rank([(0, 0, 1), (1, 0, 2), (2, 1, 0), (3, 1, 1)], narrow, store.filter_index)
+        table = init_embeddings(4, 2, 4, seed=0)
+        table.rel_c[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"query \(3, 1, 1\) has a non-finite score bound"):
+            filtered_rank([(0, 0, 1), (3, 1, 1), (2, 1, 0), (1, 0, 2)], table, store.filter_index)
 
     def test_uncovered_query_in_block_is_named(self):
         store = make_store([(0, 0, 1), (1, 0, 2), (2, 0, 3)], num_entities=4)
@@ -508,6 +567,31 @@ class TestWorkers:
             del payload["ranking_s"]
             payloads.append(json.dumps(payload).encode())
         assert payloads[0] == payloads[1] == payloads[2]
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_slow_helper_lanes_give_the_one_worker_report(self, monkeypatch, fake_blas, tie_rule):
+        """The ranks are read only once every lane has run its jobs: with the
+        helpers slowed, two workers still give the one-worker report."""
+        store, table = TestRepeatedPairs.hub_case()
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 7)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 7 * 16)  # ten tiles per block
+        real_run = _threads.Lanes._run
+
+        def slow_run(self, lane, *args):
+            if lane >= 1:
+                time.sleep(0.002)
+            return real_run(self, lane, *args)
+
+        payloads = []
+        for workers in (1, 2):
+            fake_blas(workers)
+            if workers == 2:
+                monkeypatch.setattr(_threads.Lanes, "_run", slow_run)
+            payload = evaluate("test", table, store, classify_relations(store), tie_rule).to_dict()
+            assert payload.pop("threads") == workers
+            del payload["ranking_s"]
+            payloads.append(json.dumps(payload).encode())
+        assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("tie_rule", TIE_RULES)
     def test_single_queries_do_not_depend_on_the_worker_count(self, monkeypatch, fake_blas, tie_rule):

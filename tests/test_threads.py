@@ -2,6 +2,7 @@ import multiprocessing
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -163,6 +164,26 @@ def test_join_raises_the_first_error_of_the_lowest_lane(fake_blas):
         with _threads.lanes() as scope:
             scope.each(first, 3)
             scope.each(second, 3)
+
+
+def test_a_scope_waits_only_on_the_helpers_it_handed_a_job(fake_blas, monkeypatch):
+    """A one-part split or an empty scope is no round trip through a helper:
+    nothing goes on any helper's queue."""
+    fake_blas(3)
+    assert _threads.split(lambda rows: rows, 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]  # makes the helpers
+    puts = []
+    for number, lane in enumerate(_threads._pool, start=1):
+        put = partial(lambda n, real, job: puts.append(n) or real(job), number, lane.queue.put)
+        monkeypatch.setattr(lane, "queue", SimpleNamespace(put=put))
+    assert _threads.split(lambda rows: rows, 1) == [slice(0, 1)]
+    with _threads.lanes():
+        pass
+    with _threads.lanes() as scope:
+        scope.each(lambda i: None, 1)
+    assert puts == []
+    with _threads.lanes() as scope:
+        scope.each(lambda i: None, 2)
+    assert puts == [1, 1]  # lane 1's job, then its release marker; lane 2 idles
 
 
 def test_lane_jobs_run_under_the_callers_errstate(fake_blas):

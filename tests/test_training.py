@@ -620,6 +620,19 @@ class TestBlockedStep:
         gaps = (Q @ table.entity_embeddings.T).max(axis=1) - np.sum(Q * T, axis=1)
         assert gaps.max() > 1000 and np.sum(gaps < 700) == len(gaps) - 1
 
+    def test_rival_beyond_exp_example_counts_one_overflow_row(self):
+        case = RIVAL_BEYOND_EXP
+        store, cfg, weights = _case_setup(case)
+        table = init_embeddings(case["ne"], case["nr"], cfg.n, case["kind"], cfg.init_scale, cfg.seed)
+        ws = training._Workspace(table, len(store.train))
+        batch_loss(store.train, table, cfg, weights, _workspace=ws)
+        assert ws.overflow_rows == 1
+        batch_loss(store.train, table, cfg, weights, _workspace=ws)
+        assert ws.overflow_rows == 2  # the count runs on until train() resets it
+        # train() starts from the same table, and its one batch holds the same triples
+        _, log = train(store, cfg, case["kind"])
+        assert [record["overflow_rows"] for record in log] == [1]
+
     def test_scores_far_below_zero(self, rng):
         """Every score is about -1,000, so exp of an unshifted score is 0;
         each row is shifted by its own target's score and stays finite."""
