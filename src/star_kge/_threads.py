@@ -35,7 +35,7 @@ _SPELLINGS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_", "op
 
 _lock = threading.Lock()
 _blas: tuple | None = None  # (get, set), or () when no OpenBLAS control was found
-_depth = 0  # scopes open across all threads
+_depth = 0  # scopes open across all threads; ``_local.depth`` counts one thread's own
 _count = 1  # BLAS's thread count when the outermost scope opened
 _pool: list[_Lane] | None = None  # the helper lanes 1, 2, ..., made on first use
 _local = threading.local()  # ``helper`` is set on a lane's thread
@@ -59,10 +59,15 @@ def _serve(queue: SimpleQueue) -> None:
 
 def _forget_lanes() -> None:
     """In a forked child: the parent's helper threads were not copied, and
-    its lock may have been held by one of its other threads."""
-    global _lock, _pool
+    its lock may have been held by one of its other threads. Only the
+    forking thread's own scopes are open in the child; when it has none,
+    the parent's hold on BLAS is released."""
+    global _lock, _pool, _depth
     _lock = threading.Lock()
     _pool = None
+    held, _depth = _depth, getattr(_local, "depth", 0)
+    if held and not _depth and _count > 1:
+        _blas[1](_count)
 
 
 os.register_at_fork(after_in_child=_forget_lanes)
@@ -141,6 +146,7 @@ def lanes() -> Iterator[Lanes]:
     try:
         with _lock:
             _depth += 1
+            _local.depth = getattr(_local, "depth", 0) + 1
             if _depth == 1:
                 if _blas is None:
                     _blas = _find_blas()
@@ -170,6 +176,7 @@ def lanes() -> Iterator[Lanes]:
     finally:
         with _lock:
             _depth -= 1
+            _local.depth -= 1
             if _depth == 0 and _count > 1:
                 _blas[1](_count)
 

@@ -11,25 +11,26 @@ the repeats of a pair share a block of up to ``BLOCK_ROWS`` queries; MRR,
 Hits@K and the per-relation and per-class sums are taken over the ranks in
 that order. :func:`evaluate` passes the whole sorted split to one
 :func:`filtered_rank` call, which cuts it into blocks in input order and
-does the per-query work for all of them at once: one filter lookup, one
-stable argsort that groups each block's repeats of a pair, the ``[q, 1]``
-rows of every block's distinct pairs and every query's bounds. A pair's
-known answers are its run in the one sorted code array of
-:class:`~star_kge.data.FilterIndex`, found with two ``np.searchsorted``
-calls. Each entity tile is one product of a block's ``[q, 1]`` rows with a
-column slice of the table's stored ``[E, 1]^T``, the score's ``+ 1`` inside
-it. The known answers in a tile are masked by scattering ``-inf`` into
-their pair's row, each repeat of a pair is counted on a copy of that masked
-row, and rivals are counted by a uint16 row sum of the mask while the tile
-is in cache, so the table is read once per block and no score block larger
+does the per-query work for all of them at once: one filter lookup, two
+stable argsorts that group each block's repeats of a pair and lay out its
+tile rows, the ``[q, 1]`` rows of every block's distinct pairs and every
+query's bounds. A pair's known answers are its run in the one sorted code
+array of :class:`~star_kge.data.FilterIndex`, found with two
+``np.searchsorted`` calls. The entity columns are cut into tiles once, and
+each tile is one product of a block's ``[q, 1]`` rows with a column slice
+of the table's stored ``[E, 1]^T``, the score's ``+ 1`` inside it. The
+known answers in a tile are masked by scattering ``-inf`` into their
+pair's row, each repeat of a pair is counted on a copy of that masked row,
+and rivals are counted by a uint16 row sum of the mask while the tile is
+in cache, so the table is read once per block and no score block larger
 than a tile is written. All blocks rank in one :func:`._threads.lanes`
 scope, which holds BLAS to one thread. A block's tiles go in groups of one
-per lane: tile i of every group is scored, then masked, copied and counted,
-on lane i, which runs its jobs in order, so a lane's tile buffer is reused
-only once it is counted, and the lanes meet once per call, when the scope
-closes. Helper threads run numpy calls only, and the counts are integers,
-so ranks do not depend on the worker count. Each call allocates one
-workspace.
+per lane: tile i of every group is scored, then masked, copied and
+counted, on lane i, which runs its jobs in order, so a lane's tile buffer
+is reused only once it is counted, and the lanes meet once per call, when
+the scope closes. Helper threads run numpy calls only, and the counts are
+integers, so ranks do not depend on the worker count. Each call allocates
+one tile buffer and one mask per lane, no more than there are tiles.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -98,41 +99,6 @@ class EvalReport:
         }
 
 
-class _Workspace:
-    """Private buffers of the ranking pass for blocks of up to ``rows`` queries
-    on ``workers`` workers.
-
-    ``scores[i]`` and ``mask[i]`` hold the tile of slot i, up to ``rows``
-    high and ``width`` entities wide; there is one slot per worker, but no
-    more than a block has tiles. ``col_max`` is the bound
-    ``max_e |[E, 1]_ke|`` per coordinate k; a non-finite entity coordinate
-    makes it non-finite, which raises ValueError (see :func:`filtered_rank`).
-    """
-
-    def __init__(self, table: EmbeddingTable, rows: int, workers: int):
-        rows = max(rows, 1)
-        self.width = min(table.num_entities, max(1, BLOCK_SCORES // rows), TILE_WIDTH_MAX)
-        self.slots = min(workers, -(-table.num_entities // self.width))
-        self.scores = np.empty((self.slots, rows * self.width))
-        self.mask = np.empty((self.slots, rows * self.width), dtype=bool)
-        hom = table._hom_rows
-        self.col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))
-        if not np.isfinite(self.col_max).all():
-            raise ValueError("the entity table holds a non-finite value, so its ranks would be meaningless")
-
-    def tile(self, slot: int, rows: int, cols: slice) -> np.ndarray:
-        """``slot``'s tile for ``rows`` queries scored at entity columns ``cols``."""
-        width = cols.stop - cols.start
-        return self.scores[slot, : rows * width].reshape(rows, width)
-
-    def count(self, slot: int, compare, tile, bound) -> np.ndarray:
-        """Row-wise count of ``compare(tile, bound)`` in ``slot``'s mask: one
-        uint16 sum of its bytes, exact while the tile is at most
-        ``TILE_WIDTH_MAX`` wide."""
-        mask = self.mask[slot, : tile.size].reshape(tile.shape)
-        return np.add.reduce(compare(tile, bound, out=mask).view(np.uint8), axis=1, dtype=np.uint16)
-
-
 def filtered_rank(
     query,
     table: EmbeddingTable,
@@ -155,20 +121,22 @@ def filtered_rank(
     queries, and each block ranks its d distinct ``(head, rel)`` pairs once
     each. One prologue serves every block: one stable argsort of the key
     ``block * pair_span + pair code`` puts each block's repeats of a pair in
-    one run, led by the pair's first query, and the ids of every lead are
+    one run, led by the pair's first query, and a second stable argsort, of
+    ``2 * block + (not a lead)``, lays out each block's tile rows: its d
+    leads, then its repeats, each in pair order. The ids of every lead are
     checked, its ``[q, 1]`` row built and its known answers expanded once.
-    A block is scored in entity tiles of ``min(BLOCK_SCORES // min(k,
-    BLOCK_ROWS), TILE_WIDTH_MAX)`` columns, in groups of one tile per
-    workspace slot, all in one :func:`._threads.lanes` scope: slot i's tile
-    goes on lane i. One :func:`~star_kge.model.score_batch` call per group
-    queues the GEMMs of the block's d pair rows, one tile per lane, and then
-    one job per lane, queued behind its GEMM, masks the known answers in
-    each pair's row of the tile, copies the ``k - d`` repeats into the rest
-    of the tile, and counts every row (a uint16 sum per row, which the width
-    cap keeps exact) into the slot's totals while the tile is still in
-    cache. Each lane runs its jobs in order, so a slot's tile is not
-    rewritten before it is counted, and the call waits for the lanes once,
-    when its scope closes. Each query keeps its own bounds: its target
+    The entity columns are cut once into tiles of ``min(BLOCK_SCORES //
+    min(k, BLOCK_ROWS), TILE_WIDTH_MAX)`` columns, and a block is scored in
+    groups of one tile per lane, all in one :func:`._threads.lanes` scope:
+    slot i's tile goes on lane i. One :func:`~star_kge.model.score_batch`
+    call per group queues the GEMMs of the block's d pair rows, one tile per
+    lane, and then one job per lane, queued behind its GEMM, masks the known
+    answers in each pair's row of the tile, copies the ``k - d`` repeats
+    into the rest of the tile, and counts every row (a uint16 sum per row,
+    which the width cap keeps exact) into the slot's totals while the tile
+    is still in cache. Each lane runs its jobs in order, so a slot's tile is
+    not rewritten before it is counted, and the call waits for the lanes
+    once, when its scope closes. Each query keeps its own bounds: its target
     score ``s_t`` is the row-wise dot product of its pair's ``[q, 1]`` with
     the target's stored column, and the random rule draws once per query,
     in input order, in one call after the scope closes, as calls on the
@@ -191,22 +159,18 @@ def filtered_rank(
     base = filter_index._pair_codes(queries)
     # sorted by (block, pair): the rows of block b stay at [b * BLOCK_ROWS, ...), and a
     # lead is the first row of a pair's run, so the first row of every block is one
-    pos = np.arange(k)
-    key = pos // BLOCK_ROWS * (int(base.max(initial=0)) + 1) + base
+    block_of = np.arange(k) // BLOCK_ROWS  # each row's block
+    key = block_of * (int(base.max(initial=0)) + 1) + base
     order = np.argsort(key, kind="stable")
     lead = _fresh(key[order])
-    start = pos - pos % BLOCK_ROWS  # the first row of each row's block
     pair = np.cumsum(lead) - 1  # each row's pair, counted over the whole input
     firsts = np.append(pair[::BLOCK_ROWS], np.count_nonzero(lead))  # each block's first pair, then the end
-    local = pair - pair[start]  # a row's pair row in its block's tile
+    local = pair - firsts[block_of]  # a row's pair row in its block's tile
     # a block's tile holds its d pairs in rows 0..d-1, each with its first query,
     # then its repeats in pair order, each a copy of its pair's row
-    pairs = np.diff(firsts)[pos // BLOCK_ROWS]
-    tile_pos = np.where(lead, start + local, pos + pairs - local - 1)
-    tile_rows = np.empty_like(order)  # the query of every tile row
-    tile_rows[tile_pos] = order
-    pair_rows = np.empty_like(pair)  # the pair of every tile row
-    pair_rows[tile_pos] = pair
+    layout = np.argsort(block_of * 2 + ~lead, kind="stable")  # the sorted row of every tile row
+    tile_rows = order[layout]  # the query of every tile row
+    pair_rows = pair[layout]  # the pair of every tile row
     copies = local[~lead]  # the pair row that each repeat copies, block after block
     leads = order[lead]  # the first query of every pair
     heads, rels = queries[leads, :2].T
@@ -214,14 +178,23 @@ def filtered_rank(
     row, answer = filter_index._answers(base[leads])
     cuts = np.searchsorted(row, firsts)  # block b's known answers are row[cuts[b]:cuts[b + 1]]
     with _threads.lanes() as lanes:
-        ws = _Workspace(table, min(k, BLOCK_ROWS), lanes.count)
+        height = max(min(k, BLOCK_ROWS), 1)
+        width = max(1, min(ne, BLOCK_SCORES // height, TILE_WIDTH_MAX))
+        columns = [slice(c, min(c + width, ne)) for c in range(0, ne, width)]  # every entity tile
+        slots = min(lanes.count, len(columns))  # one tile buffer per lane, no more than there are tiles
+        scores = np.empty((slots, height * width))
+        masks = np.empty((slots, height * width), dtype=bool)
+        hom = table._hom_rows
+        col_max = np.maximum(hom.max(axis=1), -hom.min(axis=1))  # max_e |[E, 1]_ke|, per coordinate
+        if not np.isfinite(col_max).all():
+            raise ValueError("the entity table holds a non-finite value, so its ranks would be meaningless")
         # inf in a relation row would warn (inf - inf) part way; it is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             q = _query_rows(table, heads, rels)
             # row sums of C-order (k, n+1) products: the same rounding at any k
-            s_true = (q[pair_rows] * table._hom_rows.T[targets]).sum(axis=1)
+            s_true = (q[pair_rows] * hom.T[targets]).sum(axis=1)
             nu = q.shape[1] * np.finfo(np.float64).eps / 2  # (n+1) u, and gamma_{n+1} = nu / (1 - nu)
-            slack = (2 * nu / (1 - nu) * (np.abs(q) * ws.col_max).sum(axis=1))[pair_rows]  # 2 b_i
+            slack = (2 * nu / (1 - nu) * (np.abs(q) * col_max).sum(axis=1))[pair_rows]  # 2 b_i
             low = (s_true - slack)[:, None]
             high = (s_true + slack)[:, None]
         finite = np.isfinite(low[:, 0]) & np.isfinite(high[:, 0])
@@ -230,35 +203,41 @@ def filtered_rank(
             raise ValueError(
                 f"query {first} has a non-finite score bound: its relation row or its scores are not finite"
             )
-        counts = np.zeros((ws.slots, 2, k), dtype=np.int64)  # per slot, per tile row: rivals >= low, > high
+        counts = np.zeros((slots, 2, k), dtype=np.int64)  # per slot, per tile row: rivals >= low, > high
+        rivals = [(np.greater_equal, low), (np.greater, high)][: 2 if tie_rule == "random" else 1]
+
+        def view(buffer, slot, rows, cols):
+            """``slot``'s tile in ``buffer`` for the queries ``rows`` at entity columns ``cols``."""
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            return buffer[slot, : shape[0] * shape[1]].reshape(shape)
 
         def count(block, group, slot):
             """Add the rivals of ``slot``'s tile of ``block`` in ``group`` into the slot's counts."""
             rows, d, row, answer, repeats = block
             cols = group[slot]
-            tile = ws.tile(slot, rows.stop - rows.start, cols)
+            tile = view(scores, slot, rows, cols)
             inside = (answer >= cols.start) & (answer < cols.stop)
             tile[row[inside], answer[inside] - cols.start] = -np.inf  # the true answer too: it never outranks itself
             np.take(tile[:d], repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
-            counts[slot, 0, rows] += ws.count(slot, np.greater_equal, tile, low[rows])
-            if tie_rule == "random":
-                counts[slot, 1, rows] += ws.count(slot, np.greater, tile, high[rows])
+            mask = view(masks, slot, rows, cols)
+            for side, (compare, bound) in enumerate(rivals):
+                # one uint16 sum of the mask's bytes per row, exact while a tile is at most TILE_WIDTH_MAX wide
+                hit = compare(tile, bound[rows], out=mask).view(np.uint8)
+                counts[slot, side, rows] += np.add.reduce(hit, axis=1, dtype=np.uint16)
 
-        span = ws.slots * ws.width
         for b, lo in enumerate(range(0, k, BLOCK_ROWS)):
             rows = slice(lo, min(lo + BLOCK_ROWS, k))
             f0, f1 = firsts[b], firsts[b + 1]
             a0, a1 = cuts[b], cuts[b + 1]
             block = (rows, f1 - f0, row[a0:a1] - f0, answer[a0:a1], copies[lo - f0 : rows.stop - f1])
-            for cut in range(0, ne, span):
+            for g in range(0, len(columns), slots):
                 # slot i's tile is scored, then counted, on lane i: each lane runs its jobs in order
-                group = [slice(c, min(c + ws.width, ne)) for c in range(cut, min(cut + span, ne), ws.width)]
-                tiles = [(cols, ws.tile(i, rows.stop - lo, cols)[: f1 - f0]) for i, cols in enumerate(group)]
+                group = columns[g : g + slots]
+                tiles = [(cols, view(scores, i, rows, cols)[: f1 - f0]) for i, cols in enumerate(group)]
                 score_batch(table, heads[f0:f1], rels[f0:f1], _tile=(q[f0:f1], tiles, lanes))
                 lanes.each(partial(count, block, group), len(group))
-    where = np.empty_like(tile_pos)  # the tile row of every query
-    where[order] = tile_pos
-    at_least, greater = counts.sum(axis=0)[:, where]
+    at_least, greater = totals = np.empty((2, k), dtype=np.int64)
+    totals[:, tile_rows] = counts.sum(axis=0)  # back to input order
     if tie_rule == "pessimistic":
         ranks = 1 + at_least
     else:
@@ -281,10 +260,10 @@ def evaluate(
     stably by their pair code ``src * 2|R| + rel`` and go to one
     :func:`filtered_rank` call in that pair order, which cuts them into
     blocks of up to ``BLOCK_ROWS`` rows and ranks them all in one
-    :func:`._threads.lanes` scope, which holds BLAS to one thread, with one
-    workspace. Each block's tiles are split over the scope's lanes, whose
-    count the report gives as ``threads``. MRR, Hits@K and the breakdowns
-    are taken over the ranks in that same order.
+    :func:`._threads.lanes` scope, which holds BLAS to one thread. Each
+    block's tiles are split over the scope's lanes, whose count the report
+    gives as ``threads``. MRR, Hits@K and the breakdowns are taken over the
+    ranks in that same order.
     The random tie rule draws from ``default_rng(0)`` in pair order, so a
     report is reproducible.
     Per-relation results merge the tail queries (relation ``r``) and head

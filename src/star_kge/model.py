@@ -183,7 +183,7 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     costs no second pass. ``_tile`` is private: ``filtered_rank`` passes
     ``(query, tiles, lanes)``, its block's ``[q, 1]`` rows from
     :func:`_query_rows`, a list of ``(cols, out)`` entity tiles, each a
-    column slice and the tile's view of its workspace, and the
+    column slice and the tile's view of the caller's tile buffer, and the
     :class:`._threads.Lanes` of its one scope. The call is then only those
     GEMMs, tile i's on lane i: the helpers' are queued, then tile 0's runs
     on the calling thread. A job queued later on the same lane, or the

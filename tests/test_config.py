@@ -1,9 +1,10 @@
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from star_kge.cli import build_parser
+from star_kge.cli import build_parser, main
 from star_kge.config import (
     _KEYS,
     _integer,
@@ -49,8 +50,8 @@ def readme_typed_keys() -> tuple[list, list]:
     return re.findall(r"`([\w.]+)`", integers), re.findall(r"`([\w.]+)`", numbers)
 
 
-def readme_command_flags() -> list:
-    """``(subcommand, flags)`` for each example of the README's command-line
+def readme_command_examples() -> list:
+    """``(subcommand, text)`` for each example of the README's command-line
     block: a run of comment lines and the ``star-kge`` commands they describe."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -58,8 +59,19 @@ def readme_command_flags() -> list:
     for example in block.split("\n\n"):
         commands = set(re.findall(r"^star-kge (\w+)", example, re.MULTILINE))
         assert len(commands) == 1, f"one subcommand per example, got {commands}"
-        examples.append((commands.pop(), set(re.findall(r"--[a-z][a-z-]*", example))))
+        examples.append((commands.pop(), example))
     return examples
+
+
+def readme_command_flags() -> list:
+    """``(subcommand, flags)`` for each example of the README's command-line block."""
+    return [(command, set(re.findall(r"--[a-z][a-z-]*", example))) for command, example in readme_command_examples()]
+
+
+def readme_comment(command: str) -> str:
+    """The comment lines of the README's command-line example of ``command``."""
+    example = dict(readme_command_examples())[command]
+    return "\n".join(line for line in example.splitlines() if line.startswith("#"))
 
 
 class TestManifest:
@@ -120,6 +132,25 @@ class TestReadmeTable:
         for command, flags in examples:
             defined = set(subparsers[command]._option_string_actions)
             assert flags <= defined, (command, sorted(flags - defined))
+
+    def test_command_comments_name_every_logged_and_printed_key(self, tmp_path, capsys):
+        """``train``'s comment names every key of an epoch record, and
+        ``eval``'s every key that the command prints."""
+        from star_kge.data import load_dataset
+        from star_kge.training import TrainConfig, train
+
+        (tmp_path / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+        (tmp_path / "test.tsv").write_text("a\tr\tc\n", encoding="utf-8")
+        store = load_dataset(tmp_path / "train.tsv", test_path=tmp_path / "test.tsv")
+        table, log = train(store, TrainConfig(n=4, epochs=1, batch_size=2))
+        table.save_checkpoint(tmp_path / "model.bin")
+        args = ["eval", "--checkpoint", str(tmp_path / "model.bin"), "--train", str(tmp_path / "train.tsv")]
+        assert main(args + ["--test", str(tmp_path / "test.tsv")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        for command, keys in (("train", log[0]), ("eval", printed)):
+            comment = readme_comment(command)
+            missing = [key for key in keys if not re.search(rf"\b{key}\b", comment)]
+            assert not missing, (command, missing)
 
     def test_typed_key_sentence_matches_the_parsers(self):
         integers, numbers = readme_typed_keys()

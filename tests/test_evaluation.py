@@ -117,6 +117,16 @@ class TestFilteredRank:
             raw = sort_rank(scores, t, set())
             assert filtered <= raw
 
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_empty_input_hands_no_helper_a_job(self, monkeypatch, fake_blas, toy_store, tie_rule):
+        table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
+        fake_blas(2)
+        jobs = []
+        monkeypatch.setattr(_threads.Lanes, "_run", lambda self, lane, *args: jobs.append(lane))
+        ranks = filtered_rank(np.empty((0, 3), dtype=np.int64), table, toy_store.filter_index, tie_rule)
+        assert ranks.dtype == np.int64 and ranks.shape == (0,)
+        assert jobs == []
+
 
 class TestNonFiniteTables:
     """A NaN score counts no rival, so it would rank every answer first."""

@@ -2,6 +2,7 @@ import multiprocessing
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -230,6 +231,44 @@ def test_a_child_forked_after_a_split_starts_its_own_lanes(fake_blas):
         child.join(timeout=5)
         pytest.fail("the forked child's first split hung")
     assert child.exitcode == 0
+
+
+def _scopes_in_child(blas, depth, count):
+    assert _threads.split(lambda rows: rows.stop - rows.start, 4) == [2, 2]
+    assert (_threads._depth, blas.count) == (depth, count)
+
+
+@pytest.mark.parametrize("own", [0, 1])
+def test_a_child_forked_while_another_thread_holds_a_scope_keeps_only_its_own(fake_blas, own):
+    """Another thread's scope is not copied into a forked child: the child
+    counts only the forking thread's ``own`` open scopes, and with none open
+    its BLAS is back at the parent's count."""
+    blas = fake_blas(2)
+    inside, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with _threads.lanes():
+            inside.set()
+            leave.wait(timeout=20)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert inside.wait(timeout=5)
+        with _threads.lanes() if own else nullcontext():
+            child = multiprocessing.get_context("fork").Process(target=_scopes_in_child, args=(blas, own, 2 - own))
+            child.start()
+            child.join(timeout=20)
+    finally:
+        leave.set()
+        holder.join(timeout=5)
+    assert not holder.is_alive()
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=5)
+        pytest.fail("the forked child's split hung")
+    assert child.exitcode == 0
+    assert _threads._depth == 0 and blas.count == 2
 
 
 def test_nested_scopes_share_the_outer_count(fake_blas):
