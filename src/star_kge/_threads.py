@@ -2,19 +2,18 @@
 
 OpenBLAS's workers spin for a while after every multi-threaded call, so an
 elementwise pass run right after one shares its core with them. Inside a
-:func:`lanes` scope BLAS runs on the calling thread only, and the scope's
-work gets ``w`` lanes, ``w`` being the thread count BLAS had when the
-outermost open scope opened: lane 0 is the calling thread, which runs its
-jobs at once, and each other lane is a persistent helper thread, made on
-first use, that runs the jobs queued on it in FIFO order. So a job queued on
-a lane sees the effects of the jobs queued there before it, and the scope
-waits for them all once, when it closes. :func:`split` is one such scope
-with one contiguous part of a pass's rows, columns or chunks per lane. With
+:func:`lanes` scope BLAS runs on the calling thread only, and the scope has
+``w`` lanes, ``w`` being the thread count BLAS had when the outermost open
+scope opened: lane 0 is the calling thread, and each other lane is a
+persistent helper thread, made on first use. :func:`split` is the one
+place that hands a helper work: it cuts a pass's rows, columns or chunks
+into one contiguous part per lane, runs part 0 itself and waits for the
+others before it returns, so no job outlives the call that queued it. With
 no OpenBLAS thread control found, or a count of 1, there is one lane and no
-thread is started. Inside a helper's job every scope has one lane, so no
+thread is started. Inside a helper's part every scope has one lane, so no
 lane waits on itself.
 
-Jobs run only numpy calls. Each runs in a copy of the caller's context, so
+Parts run only numpy calls. Each runs in a copy of the caller's context, so
 the caller's ``np.errstate`` holds in it.
 """
 
@@ -42,8 +41,8 @@ _local = threading.local()  # ``helper`` is set on a lane's thread
 
 
 class _Lane:
-    """A helper thread running the jobs of its queue in FIFO order; the
-    thread ends once the lane is dropped."""
+    """A helper thread running the jobs of its queue in order; the thread
+    ends once the lane is dropped."""
 
     def __init__(self, number: int):
         self.queue: SimpleQueue = SimpleQueue()
@@ -99,48 +98,15 @@ def _find_blas() -> tuple:
     return ()
 
 
-class Lanes:
-    """The jobs of one :func:`lanes` scope over ``count`` lanes."""
-
-    def __init__(self, helpers: list[_Lane]):
-        self.count = len(helpers) + 1
-        self._helpers = helpers
-        self._handed = 0  # helpers 0.._handed-1 were handed a job, the scope's close waits on them
-        self._errors: dict[int, BaseException] = {}  # each lane's first error
-
-    def each(self, fn: Callable[[int], object], n: int) -> None:
-        """``fn(i)`` for i in ``range(n)`` on lane ``i % count``.
-
-        The helpers' jobs are queued first, each behind the jobs already on
-        its lane; then lane 0's run here, in order, and an error of theirs
-        is raised at once. A helper's error waits for the scope to close.
-        """
-        self._handed = max(self._handed, min(n, self.count) - 1)
-        for i in range(n):
-            if lane := i % self.count:
-                self._helpers[lane - 1].queue.put(partial(self._run, lane, contextvars.copy_context(), fn, i))
-        for i in range(0, n, self.count):
-            fn(i)
-
-    def _run(self, lane: int, context: contextvars.Context, fn: Callable[[int], object], i: int) -> None:
-        try:
-            context.run(fn, i)
-        except BaseException as error:  # kept for the scope's close, which re-raises it
-            self._errors.setdefault(lane, error)
-
-
 @contextmanager
-def lanes() -> Iterator[Lanes]:
-    """Hold BLAS to one thread and open one lane per worker; yields the
-    scope's :class:`Lanes`.
+def lanes() -> Iterator[int]:
+    """Hold BLAS to one thread and make the helper lanes; yields the scope's
+    lane count.
 
     The outermost open scope, in any thread, reads BLAS's count and the last
     one to close restores it, so nested scopes and scopes open in two
-    threads at once share one count and never leave BLAS at one thread.
-    Leaving the scope waits for every queued job, with one marker on each
-    helper that was handed a job in it, then raises the first error of the
-    lowest lane that had one. When the body raises, every
-    queued job still finishes first and the body's error is the one raised.
+    threads at once share one count and never leave BLAS at one thread. A
+    scope queues no work and waits for none: only :func:`split` does.
     """
     global _blas, _depth, _count, _pool
     try:
@@ -153,26 +119,12 @@ def lanes() -> Iterator[Lanes]:
                 _count = max(1, _blas[0]()) if _blas else 1
                 if _count > 1:
                     _blas[1](1)
-            helpers = []
-            if _count > 1 and not getattr(_local, "helper", False):
+            count = 1 if getattr(_local, "helper", False) else _count
+            if count > 1:
                 if _pool is None:
                     _pool = []
-                _pool.extend(_Lane(number) for number in range(len(_pool) + 1, _count))
-                helpers = _pool[: _count - 1]
-        scope = Lanes(helpers)
-        try:
-            yield scope
-        finally:
-            done = []
-            for helper in helpers[: scope._handed]:
-                mark = threading.Lock()
-                mark.acquire()
-                helper.queue.put(mark.release)  # runs once every job queued before it has
-                done.append(mark)
-            for mark in done:
-                mark.acquire()
-        if scope._errors:
-            raise scope._errors[min(scope._errors)]
+                _pool.extend(_Lane(number) for number in range(len(_pool) + 1, count))
+        yield count
     finally:
         with _lock:
             _depth -= 1
@@ -185,18 +137,35 @@ def split(fn: Callable[[slice], object], n: int) -> list:
     """``fn(part)`` for contiguous slices of ``range(n)``, one per lane of a
     :func:`lanes` scope that this call opens.
 
-    The first slice runs on the calling thread and the others on the
-    helpers. Every part finishes before this returns or raises; the first
-    part's error, in slice order, is raised. Returns the parts' results in
-    order.
+    The first slice runs on the calling thread and each other one on its own
+    helper, queued with a marker behind it, so that once this returns no
+    helper holds a part, nor what the part holds. Every part finishes before
+    this returns or raises; the first part's error, in slice order, is
+    raised. Returns the parts' results in order.
     """
-    with lanes() as scope:
-        parts = max(1, min(scope.count, n))
+    with lanes() as count:
+        parts = max(1, min(count, n))
         bounds = [n * i // parts for i in range(parts + 1)]
         results: list = [None] * parts
+        errors: list = [None] * parts
 
         def part(i: int) -> None:
-            results[i] = fn(slice(bounds[i], bounds[i + 1]))
+            try:
+                results[i] = fn(slice(bounds[i], bounds[i + 1]))
+            except BaseException as error:  # raised below, once every part is done
+                errors[i] = error
 
-        scope.each(part, parts)
+        done = []
+        for i, helper in enumerate(_pool[: parts - 1] if parts > 1 else [], start=1):
+            mark = threading.Lock()
+            mark.acquire()
+            helper.queue.put(partial(contextvars.copy_context().run, part, i))
+            helper.queue.put(mark.release)
+            done.append(mark)
+        part(0)
+        for mark in done:
+            mark.acquire()
+    for error in errors:
+        if error is not None:
+            raise error
     return results

@@ -23,14 +23,13 @@ known answers in a tile are masked by scattering ``-inf`` into their
 pair's row, each repeat of a pair is counted on a copy of that masked row,
 and rivals are counted by a uint16 row sum of the mask while the tile is
 in cache, so the table is read once per block and no score block larger
-than a tile is written. All blocks rank in one :func:`._threads.lanes`
-scope, which holds BLAS to one thread. A block's tiles go in groups of one
-per lane: tile i of every group is scored, then masked, copied and
-counted, on lane i, which runs its jobs in order, so a lane's tile buffer
-is reused only once it is counted, and the lanes meet once per call, when
-the scope closes. Helper threads run numpy calls only, and the counts are
-integers, so ranks do not depend on the worker count. Each call allocates
-one tile buffer and one mask per lane, no more than there are tiles.
+than a tile is written. All blocks rank in one :func:`._threads.split`,
+with BLAS held to one thread, over ``min(workers, tiles)`` slots: slot i
+walks every block in order and scores, masks, copies and counts its own
+tiles, ``columns[i::slots]``, in its own tile buffer and mask, so a buffer
+is reused only once its tile is counted, and the slots meet once per call,
+when the split returns. Helper threads run numpy calls only, and the counts
+are integers, so ranks do not depend on the worker count.
 
 Ties are broken either pessimistically (true answer placed after every
 equal-scored rival, the default, so a constant model scores no better
@@ -47,11 +46,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import _threads
+from . import _threads, model
 from .data import FilterIndex, RelationClass, TripleStore, _fresh, reciprocal_queries
 from .model import EmbeddingTable, _query_rows, score_batch
 
@@ -126,20 +124,19 @@ def filtered_rank(
     leads, then its repeats, each in pair order. The ids of every lead are
     checked, its ``[q, 1]`` row built and its known answers expanded once.
     The entity columns are cut once into tiles of ``min(BLOCK_SCORES //
-    min(k, BLOCK_ROWS), TILE_WIDTH_MAX)`` columns, and a block is scored in
-    groups of one tile per lane, all in one :func:`._threads.lanes` scope:
-    slot i's tile goes on lane i. One :func:`~star_kge.model.score_batch`
-    call per group queues the GEMMs of the block's d pair rows, one tile per
-    lane, and then one job per lane, queued behind its GEMM, masks the known
-    answers in each pair's row of the tile, copies the ``k - d`` repeats
-    into the rest of the tile, and counts every row (a uint16 sum per row,
-    which the width cap keeps exact) into the slot's totals while the tile
-    is still in cache. Each lane runs its jobs in order, so a slot's tile is
-    not rewritten before it is counted, and the call waits for the lanes
-    once, when its scope closes. Each query keeps its own bounds: its target
+    min(k, BLOCK_ROWS), TILE_WIDTH_MAX)`` columns, and one
+    :func:`._threads.split` runs ``min(workers, tiles)`` slots (one for
+    empty input). Slot i walks every block in order and takes its tiles
+    ``columns[i::slots]`` in turn: one :func:`~star_kge.model.score_batch`
+    call scores the block's d pair rows into the slot's tile buffer, the
+    known answers in each pair's row are masked, the ``k - d`` repeats
+    copied into the rest of the tile, and every row counted (a uint16 sum
+    per row, which the width cap keeps exact) into the slot's own totals
+    while the tile is still in cache. The call waits for the slots once,
+    when the split returns. Each query keeps its own bounds: its target
     score ``s_t`` is the row-wise dot product of its pair's ``[q, 1]`` with
     the target's stored column, and the random rule draws once per query,
-    in input order, in one call after the scope closes, as calls on the
+    in input order, in one call after the split returns, as calls on the
     ``BLOCK_ROWS`` slices in turn with one generator would. Ties are decided
     up to the GEMM's rounding bound
     ``b_i = gamma_{n+1} sum_k |q_ik| max_e |[E, 1]_ke|``:
@@ -177,11 +174,11 @@ def filtered_rank(
     targets = queries[tile_rows, 2]
     row, answer = filter_index._answers(base[leads])
     cuts = np.searchsorted(row, firsts)  # block b's known answers are row[cuts[b]:cuts[b + 1]]
-    with _threads.lanes() as lanes:
+    with _threads.lanes() as workers:
         height = max(min(k, BLOCK_ROWS), 1)
         width = max(1, min(ne, BLOCK_SCORES // height, TILE_WIDTH_MAX))
         columns = [slice(c, min(c + width, ne)) for c in range(0, ne, width)]  # every entity tile
-        slots = min(lanes.count, len(columns))  # one tile buffer per lane, no more than there are tiles
+        slots = min(workers, len(columns)) if k else 1  # one tile buffer per slot, no more than there are tiles
         scores = np.empty((slots, height * width))
         masks = np.empty((slots, height * width), dtype=bool)
         hom = table._hom_rows
@@ -206,36 +203,36 @@ def filtered_rank(
         counts = np.zeros((slots, 2, k), dtype=np.int64)  # per slot, per tile row: rivals >= low, > high
         rivals = [(np.greater_equal, low), (np.greater, high)][: 2 if tie_rule == "random" else 1]
 
-        def view(buffer, slot, rows, cols):
-            """``slot``'s tile in ``buffer`` for the queries ``rows`` at entity columns ``cols``."""
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            return buffer[slot, : shape[0] * shape[1]].reshape(shape)
+        def rank(part):
+            """Score, mask, copy and count the tiles ``columns[slot::slots]``
+            of every block, in order, in the slot's own buffers."""
+            slot = part.start
+            for b, lo in enumerate(range(0, k, BLOCK_ROWS)):
+                rows = slice(lo, min(lo + BLOCK_ROWS, k))
+                f0, f1 = firsts[b], firsts[b + 1]
+                a0, a1 = cuts[b], cuts[b + 1]
+                d, known_row, known = f1 - f0, row[a0:a1] - f0, answer[a0:a1]
+                repeats = copies[lo - f0 : rows.stop - f1]
+                for cols in columns[slot::slots]:
+                    shape = (rows.stop - lo, cols.stop - cols.start)  # the block's rows by the tile's columns
+                    tile = scores[slot, : shape[0] * shape[1]].reshape(shape)
+                    gemm = (q[f0:f1], cols, tile[:d])
+                    # slot 0 runs on the calling thread and calls this module's name, which a
+                    # tracer may wrap; the helpers call the model's, so no wrapper leaves the caller
+                    if slot:
+                        model.score_batch(table, heads[f0:f1], rels[f0:f1], _tile=gemm)
+                    else:
+                        score_batch(table, heads[f0:f1], rels[f0:f1], _tile=gemm)
+                    inside = (known >= cols.start) & (known < cols.stop)
+                    tile[known_row[inside], known[inside] - cols.start] = -np.inf  # the true answer too: it never outranks itself
+                    np.take(tile[:d], repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
+                    mask = masks[slot, : tile.size].reshape(shape)
+                    for side, (compare, bound) in enumerate(rivals):
+                        # one uint16 sum of the mask's bytes per row, exact while a tile is at most TILE_WIDTH_MAX wide
+                        hit = compare(tile, bound[rows], out=mask).view(np.uint8)
+                        counts[slot, side, rows] += np.add.reduce(hit, axis=1, dtype=np.uint16)
 
-        def count(block, group, slot):
-            """Add the rivals of ``slot``'s tile of ``block`` in ``group`` into the slot's counts."""
-            rows, d, row, answer, repeats = block
-            cols = group[slot]
-            tile = view(scores, slot, rows, cols)
-            inside = (answer >= cols.start) & (answer < cols.stop)
-            tile[row[inside], answer[inside] - cols.start] = -np.inf  # the true answer too: it never outranks itself
-            np.take(tile[:d], repeats, axis=0, out=tile[d:], mode="clip")  # "clip" writes to out unbuffered
-            mask = view(masks, slot, rows, cols)
-            for side, (compare, bound) in enumerate(rivals):
-                # one uint16 sum of the mask's bytes per row, exact while a tile is at most TILE_WIDTH_MAX wide
-                hit = compare(tile, bound[rows], out=mask).view(np.uint8)
-                counts[slot, side, rows] += np.add.reduce(hit, axis=1, dtype=np.uint16)
-
-        for b, lo in enumerate(range(0, k, BLOCK_ROWS)):
-            rows = slice(lo, min(lo + BLOCK_ROWS, k))
-            f0, f1 = firsts[b], firsts[b + 1]
-            a0, a1 = cuts[b], cuts[b + 1]
-            block = (rows, f1 - f0, row[a0:a1] - f0, answer[a0:a1], copies[lo - f0 : rows.stop - f1])
-            for g in range(0, len(columns), slots):
-                # slot i's tile is scored, then counted, on lane i: each lane runs its jobs in order
-                group = columns[g : g + slots]
-                tiles = [(cols, view(scores, i, rows, cols)[: f1 - f0]) for i, cols in enumerate(group)]
-                score_batch(table, heads[f0:f1], rels[f0:f1], _tile=(q[f0:f1], tiles, lanes))
-                lanes.each(partial(count, block, group), len(group))
+        _threads.split(rank, slots)
     at_least, greater = totals = np.empty((2, k), dtype=np.int64)
     totals[:, tile_rows] = counts.sum(axis=0)  # back to input order
     if tie_rule == "pessimistic":
@@ -260,9 +257,9 @@ def evaluate(
     stably by their pair code ``src * 2|R| + rel`` and go to one
     :func:`filtered_rank` call in that pair order, which cuts them into
     blocks of up to ``BLOCK_ROWS`` rows and ranks them all in one
-    :func:`._threads.lanes` scope, which holds BLAS to one thread. Each
-    block's tiles are split over the scope's lanes, whose count the report
-    gives as ``threads``. MRR, Hits@K and the breakdowns are taken over the
+    :func:`._threads.split`, with BLAS held to one thread. Each block's
+    tiles are dealt over the lanes of :func:`._threads.lanes`, whose count
+    the report gives as ``threads``. MRR, Hits@K and the breakdowns are taken over the
     ranks in that same order.
     The random tie rule draws from ``default_rng(0)`` in pair order, so a
     report is reproducible.
@@ -280,7 +277,7 @@ def evaluate(
     start = time.perf_counter()
     # pair order, so that the repeats of a (src, rel) pair share a block
     queries = queries[np.argsort(queries[:, 0] * (2 * nr) + queries[:, 1], kind="stable")]
-    with _threads.lanes() as scope:  # filtered_rank's scope nests in it, so it ranks on scope.count lanes
+    with _threads.lanes() as workers:  # filtered_rank's scope nests in it, so it ranks on as many lanes
         ranks = filtered_rank(queries, table, store.filter_index, tie_rule, np.random.default_rng(0))
     ranking_s = time.perf_counter() - start
 
@@ -315,5 +312,5 @@ def evaluate(
         tie_rule=tie_rule,
         split=split,
         ranking_s=ranking_s,
-        threads=scope.count,
+        threads=workers,
     )

@@ -181,18 +181,14 @@ def score_batch(table: "EmbeddingTable", head_id, rel_id, *, _tile=None) -> np.n
     coordinates, ``[q, 1] @ [E, 1]^T`` with ``q = transform_query(...)``,
     against the ``(n+1, |E|)`` rows the table stores, so the score's ``+ 1``
     costs no second pass. ``_tile`` is private: ``filtered_rank`` passes
-    ``(query, tiles, lanes)``, its block's ``[q, 1]`` rows from
-    :func:`_query_rows`, a list of ``(cols, out)`` entity tiles, each a
-    column slice and the tile's view of the caller's tile buffer, and the
-    :class:`._threads.Lanes` of its one scope. The call is then only those
-    GEMMs, tile i's on lane i: the helpers' are queued, then tile 0's runs
-    on the calling thread. A job queued later on the same lane, or the
-    scope's close, sees that lane's tile written. The ids are not read.
+    ``(query, cols, out)``, its block's ``[q, 1]`` rows from
+    :func:`_query_rows`, an entity column slice and the tile's view of its
+    slot's tile buffer. The call is then that one GEMM, written into
+    ``out``, and returns None. The ids are not read.
     """
     if _tile is not None:
-        query, tiles, lanes = _tile
-        hom = table._hom_rows
-        lanes.each(lambda i: np.matmul(query, hom[:, tiles[i][0]], out=tiles[i][1]), len(tiles))
+        query, cols, out = _tile
+        np.matmul(query, table._hom_rows[:, cols], out=out)
         return None
     heads, rels = np.asarray(head_id), np.asarray(rel_id)
     if heads.shape != rels.shape or heads.ndim > 1:

@@ -343,7 +343,7 @@ def train(
         ws.overflow_rows = 0
         loop_start = time.perf_counter()
         # BLAS stays at one thread between the batches' split passes too
-        with _threads.lanes() as scope:
+        with _threads.lanes() as workers:
             for start in range(0, len(order), config.batch_size):
                 batch = store.train[order[start : start + config.batch_size]]
                 try:
@@ -373,7 +373,7 @@ def train(
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
                 "validation_ms": validation_ms,
                 "queries_per_s": query_count / loop_s,
-                "threads": scope.count,
+                "threads": workers,
                 "overflow_rows": ws.overflow_rows,
             }
         )

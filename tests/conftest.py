@@ -1,5 +1,7 @@
 import os
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,3 +105,17 @@ def fake_blas(monkeypatch):
         return fake
 
     return install
+
+
+def queued_lanes(monkeypatch, workers):
+    """Makes the ``workers - 1`` helper lanes of ``star_kge._threads``; the
+    returned list then gets the number of every lane that something is
+    queued on."""
+    from star_kge import _threads
+
+    _threads.split(lambda rows: None, workers)
+    queued = []
+    for number, lane in enumerate(_threads._pool, start=1):
+        put = partial(lambda n, real, job: queued.append(n) or real(job), number, lane.queue.put)
+        monkeypatch.setattr(lane, "queue", SimpleNamespace(put=put))
+    return queued

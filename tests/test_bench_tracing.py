@@ -39,9 +39,9 @@ def test_every_traced_name_resolves():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_score_span_per_block_and_tile(monkeypatch, fake_blas, workers):
     """``evaluate`` ranks its split in one ``evaluation.filtered_rank`` span.
-    Inside it, each block's tiles go in groups of one per worker, and each
-    group has its GEMMs in one ``model.score_batch`` span, so the rank self
-    time excludes them."""
+    Inside it, each block's tiles are dealt one per worker in turn, and
+    each tile of the calling thread's share has its GEMM in one
+    ``model.score_batch`` span, so the rank self time excludes it."""
     tracing = load_tracing()
     fake_blas(workers)
     ne = 7
@@ -89,12 +89,13 @@ def test_each_training_batch_is_one_loss_three_adagrad_and_one_enforce_span():
     assert top == ["model.enforce_kind"] + one_batch * 3
 
 
-def test_traced_calls_stay_on_the_calling_thread_and_nest(monkeypatch, fake_blas):
-    """Training and ranking split their passes over two workers, yet every
-    call of a traced name runs on the calling thread, and every span lies
-    inside its parent's."""
+@pytest.mark.parametrize("workers", [2, 3])
+def test_traced_calls_stay_on_the_calling_thread_and_nest(monkeypatch, fake_blas, workers):
+    """Training and ranking split their passes over two or three workers,
+    yet every call of a traced name runs on the calling thread, and every
+    span lies inside its parent's."""
     tracing = load_tracing()
-    fake_blas(2)
+    fake_blas(workers)
     callers = []
 
     class CallerTracer(tracing.Tracer):

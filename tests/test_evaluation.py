@@ -5,12 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from star_kge import _threads
 from star_kge.analysis import count_two_paths
 from star_kge.data import classify_relations, load_triples, reciprocal_queries
 from star_kge.evaluation import TIE_RULES, evaluate, filtered_rank
 from star_kge.model import _query_rows, init_embeddings, score_batch
-from conftest import make_store
+from conftest import make_store, queued_lanes
 from oracles import exact_scores, filter_sets, sort_rank
 
 
@@ -121,11 +120,24 @@ class TestFilteredRank:
     def test_empty_input_hands_no_helper_a_job(self, monkeypatch, fake_blas, toy_store, tie_rule):
         table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
         fake_blas(2)
-        jobs = []
-        monkeypatch.setattr(_threads.Lanes, "_run", lambda self, lane, *args: jobs.append(lane))
+        jobs = queued_lanes(monkeypatch, 2)
         ranks = filtered_rank(np.empty((0, 3), dtype=np.int64), table, toy_store.filter_index, tie_rule)
         assert ranks.dtype == np.int64 and ranks.shape == (0,)
         assert jobs == []
+
+    def test_fewer_tiles_than_workers_queue_on_fewer_helpers(self, monkeypatch, fake_blas, toy_store):
+        """Two tiles under three workers make two slots: one helper ranks,
+        the other is handed nothing, and the ranks are the one-worker ranks."""
+        table = init_embeddings(toy_store.num_entities, toy_store.num_relations, 4, seed=0)
+        queries = reciprocal_queries(toy_store.test, toy_store.num_relations)
+        monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 3 * len(queries))  # tiles of 3 and 2 entities
+        fake_blas(1)
+        alone = filtered_rank(queries, table, toy_store.filter_index)
+        fake_blas(3)
+        jobs = queued_lanes(monkeypatch, 3)
+        ranks = filtered_rank(queries, table, toy_store.filter_index)
+        assert set(jobs) == {1}
+        assert ranks.tolist() == alone.tolist()
 
 
 class TestNonFiniteTables:
@@ -161,8 +173,9 @@ class TestBlockedRanking:
         """Record every block that evaluate() ranks, with its ranks.
 
         filtered_rank cuts its input into ``BLOCK_ROWS`` slices; the spy
-        checks that the ``_tile`` calls of ``score_batch`` score, slice after
-        slice and in as many groups for each, that slice's distinct pairs.
+        checks that the ``_tile`` calls of ``score_batch`` on the calling
+        thread score, slice after slice and in as many calls for each, that
+        slice's distinct pairs.
         """
         import star_kge.evaluation as evaluation
 
@@ -407,18 +420,19 @@ class TestRepeatedPairs:
         assert ranks.tolist() == [filtered_rank(q, table, store.filter_index, tie_rule, single_rng) for q in block]
         self.check_against_sort_oracle(store, table, block, ranks.tolist(), tie_rule)
 
-    def test_each_tile_is_as_high_as_the_blocks_distinct_pairs(self, monkeypatch):
+    def test_each_tile_is_as_high_as_the_blocks_distinct_pairs(self, monkeypatch, fake_blas):
         import star_kge.evaluation as evaluation
 
         store, table = self.hub_case()
+        fake_blas(1)  # one slot, which scores every tile through evaluation.score_batch
         monkeypatch.setattr(evaluation, "BLOCK_ROWS", 16)
         monkeypatch.setattr(evaluation, "BLOCK_SCORES", 16 * 40)  # 40-entity tiles
         heights = []
         real_score_batch = evaluation.score_batch
 
         def spy(*args, _tile, **kwargs):
-            query, tiles, _ = _tile
-            heights.extend((len(query), len(out)) for _, out in tiles)
+            query, _, out = _tile
+            heights.append((len(query), len(out)))
             return real_score_batch(*args, _tile=_tile, **kwargs)
 
         monkeypatch.setattr(evaluation, "score_batch", spy)
@@ -503,7 +517,7 @@ class TestTiles:
         assert rank == oracle == ne
 
     @pytest.mark.parametrize("tie_rule", TIE_RULES)
-    def test_capped_tile_width_equals_sort_oracle(self, monkeypatch, rng, tie_rule):
+    def test_capped_tile_width_equals_sort_oracle(self, monkeypatch, fake_blas, rng, tie_rule):
         import star_kge.evaluation as evaluation
 
         ne = 9
@@ -512,11 +526,12 @@ class TestTiles:
         store = make_store(triples, num_entities=ne, num_relations=3)
         table = init_embeddings(ne, 3, 6, init_scale=1.0, seed=6)  # no exact ties: both rules rank alike
         monkeypatch.setattr(evaluation, "TILE_WIDTH_MAX", 2)
+        fake_blas(1)  # one slot, which scores every tile through evaluation.score_batch
         widths = []
         real_score_batch = evaluation.score_batch
 
         def spy(*args, _tile, **kwargs):
-            widths.extend(cols.stop - cols.start for cols, _ in _tile[1])
+            widths.append(_tile[1].stop - _tile[1].start)
             return real_score_batch(*args, _tile=_tile, **kwargs)
 
         monkeypatch.setattr(evaluation, "score_batch", spy)
@@ -542,15 +557,14 @@ class TestTiles:
         full = score_batch(table, heads, rels)
         # the block's [q, 1] rows as filtered_rank builds them, once for every tile
         q = _query_rows(table, heads, rels)
-        with _threads.lanes() as lanes:
-            for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
-                out = np.empty((4, hi - lo))
-                score_batch(table, heads, rels, _tile=(q, [(slice(lo, hi), out)], lanes))
-                assert out.tobytes() == full[:, lo:hi].tobytes()
+        for lo, hi in ((0, 2), (2, 4), (6, 7), (0, ne), (3, 3)):
+            out = np.empty((4, hi - lo))
+            score_batch(table, heads, rels, _tile=(q, slice(lo, hi), out))
+            assert out.tobytes() == full[:, lo:hi].tobytes()
 
 
 class TestWorkers:
-    """Each block's tiles are scored and counted in groups of one per worker;
+    """Each worker scores and counts its own share of every block's tiles;
     ranks and reports do not depend on the worker count."""
 
     CASES = {
@@ -561,7 +575,7 @@ class TestWorkers:
     @pytest.mark.parametrize("tie_rule", TIE_RULES)
     @pytest.mark.parametrize(
         "case, width",
-        # tiles per block: 10, 3 (the last group holds one tile), 61 and 4
+        # tiles per block: 10, 3 (slot 0 takes two of them at two workers), 61 and 4
         [("hub", 16), ("hub", 60), ("duplicate-vectors", 5), ("duplicate-vectors", 100)],
     )
     def test_report_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, fake_blas, tie_rule, case, width):
@@ -580,23 +594,23 @@ class TestWorkers:
 
     @pytest.mark.parametrize("tie_rule", TIE_RULES)
     def test_slow_helper_lanes_give_the_one_worker_report(self, monkeypatch, fake_blas, tie_rule):
-        """The ranks are read only once every lane has run its jobs: with the
-        helpers slowed, two workers still give the one-worker report."""
+        """The ranks are read only once every slot has counted its tiles: with
+        the helpers' GEMMs slowed, two workers still give the one-worker
+        report."""
         store, table = TestRepeatedPairs.hub_case()
         monkeypatch.setattr("star_kge.evaluation.BLOCK_ROWS", 7)
         monkeypatch.setattr("star_kge.evaluation.BLOCK_SCORES", 7 * 16)  # ten tiles per block
-        real_run = _threads.Lanes._run
+        real_score_batch = score_batch
 
-        def slow_run(self, lane, *args):
-            if lane >= 1:
-                time.sleep(0.002)
-            return real_run(self, lane, *args)
+        def slow_score_batch(*args, **kwargs):  # only the helper slots look it up in star_kge.model
+            time.sleep(0.002)
+            return real_score_batch(*args, **kwargs)
 
         payloads = []
         for workers in (1, 2):
             fake_blas(workers)
             if workers == 2:
-                monkeypatch.setattr(_threads.Lanes, "_run", slow_run)
+                monkeypatch.setattr("star_kge.model.score_batch", slow_score_batch)
             payload = evaluate("test", table, store, classify_relations(store), tie_rule).to_dict()
             assert payload.pop("threads") == workers
             del payload["ranking_s"]

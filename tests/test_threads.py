@@ -2,8 +2,8 @@ import multiprocessing
 import sys
 import threading
 import time
+import weakref
 from contextlib import nullcontext
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from star_kge import _threads
+from conftest import queued_lanes
 
 
 def test_split_gives_each_worker_one_contiguous_part_in_order(fake_blas):
@@ -103,6 +104,20 @@ def test_caller_error_waits_for_the_helpers(fake_blas):
     assert blas.count == 3
 
 
+def test_the_first_error_in_part_order_is_raised(fake_blas):
+    fake_blas(3)
+
+    def part(rows):
+        if rows.start == 1:
+            time.sleep(0.05)  # part 2 fails first in time
+            raise ValueError("part 1")
+        if rows.start == 2:
+            raise KeyError("part 2")
+
+    with pytest.raises(ValueError, match="part 1"):
+        _threads.split(part, 3)
+
+
 def test_parts_run_under_the_callers_errstate(fake_blas):
     fake_blas(2)
     with np.errstate(divide="raise", over="ignore"):
@@ -112,89 +127,52 @@ def test_parts_run_under_the_callers_errstate(fake_blas):
         _threads.split(lambda rows: np.ones(1) / np.zeros(1) if rows.start else None, 2)
 
 
-def test_each_lane_runs_its_jobs_in_queue_order(fake_blas):
-    """More lanes than cores and a short switch interval: every slot's second
-    job still sees what its first job wrote, as a tile's count sees its GEMM."""
+def test_each_split_sees_every_part_of_the_one_before(fake_blas):
+    """More lanes than cores and a short switch interval: every part of a
+    split still sees what every part of the split before it wrote, as each
+    rank slot sees the prologue and the caller sees every slot's counts."""
     fake_blas(4)
-    cells, seen = [None] * 6, [[] for _ in range(6)]
+    cells, seen = [None] * 4, [[] for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(200):
-            with _threads.lanes() as scope:
-                scope.each(lambda i: cells.__setitem__(i, round_), 6)
-                scope.each(lambda i: seen[i].append(cells[i] == round_), 6)
+            _threads.split(lambda part: cells.__setitem__(part.start, round_), 4)
+            _threads.split(lambda part: seen[part.start].append(cells == [round_] * 4), 4)
     finally:
         sys.setswitchinterval(interval)
-    assert scope.count == 4
-    assert seen == [[True] * 200] * 6
-
-
-def test_join_waits_for_every_queued_job_when_the_callers_job_raises(fake_blas):
-    fake_blas(3)
-    done = []
-
-    def job(i):
-        if i == 0:
-            raise KeyError("caller job")
-        time.sleep(0.05)
-        done.append(i)
-
-    with pytest.raises(KeyError, match="caller job"):
-        with _threads.lanes() as scope:
-            scope.each(lambda i: time.sleep(0.05) or done.append(-i), 3)
-            scope.each(job, 3)
-    assert sorted(done) == [-2, -1, 0, 1, 2]
-
-
-def test_join_raises_the_first_error_of_the_lowest_lane(fake_blas):
-    fake_blas(3)
-
-    def first(i):
-        if i == 1:
-            time.sleep(0.05)  # lane 2 fails first in time
-            raise ValueError("lane 1, first job")
-        if i == 2:
-            raise KeyError("lane 2")
-
-    def second(i):
-        if i:
-            raise ValueError(f"lane {i}, second job")
-
-    with pytest.raises(ValueError, match="lane 1, first job"):
-        with _threads.lanes() as scope:
-            scope.each(first, 3)
-            scope.each(second, 3)
+    assert seen == [[True] * 200] * 4
 
 
 def test_a_scope_waits_only_on_the_helpers_it_handed_a_job(fake_blas, monkeypatch):
     """A one-part split or an empty scope is no round trip through a helper:
     nothing goes on any helper's queue."""
     fake_blas(3)
-    assert _threads.split(lambda rows: rows, 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]  # makes the helpers
-    puts = []
-    for number, lane in enumerate(_threads._pool, start=1):
-        put = partial(lambda n, real, job: puts.append(n) or real(job), number, lane.queue.put)
-        monkeypatch.setattr(lane, "queue", SimpleNamespace(put=put))
+    puts = queued_lanes(monkeypatch, 3)
     assert _threads.split(lambda rows: rows, 1) == [slice(0, 1)]
     with _threads.lanes():
         pass
-    with _threads.lanes() as scope:
-        scope.each(lambda i: None, 1)
     assert puts == []
-    with _threads.lanes() as scope:
-        scope.each(lambda i: None, 2)
-    assert puts == [1, 1]  # lane 1's job, then its release marker; lane 2 idles
+    assert _threads.split(lambda rows: rows, 2) == [slice(0, 1), slice(1, 2)]
+    assert puts == [1, 1]  # lane 1's part, then its release marker; lane 2 idles
 
 
-def test_lane_jobs_run_under_the_callers_errstate(fake_blas):
+def _summing(array):
+    return lambda rows: float(array[rows].sum())
+
+
+def test_a_finished_split_holds_nothing(fake_blas):
+    """No helper keeps a part, nor what it closed over, once the split has
+    returned: a rank call's tile buffers would outlive it."""
     fake_blas(2)
-    modes = [None, None]
-    with np.errstate(divide="raise", over="ignore"), _threads.lanes() as scope:
-        scope.each(lambda i: modes.__setitem__(i, np.geterr()), 2)
-    assert [(m["divide"], m["over"]) for m in modes] == [("raise", "ignore")] * 2
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError), _threads.lanes() as scope:
-        scope.each(lambda i: np.ones(1) / np.zeros(1) if i else None, 2)
+    array = np.ones(8)
+    alive = weakref.ref(array)
+    assert _threads.split(_summing(array), 8) == [4.0, 4.0]
+    del array
+    deadline = time.monotonic() + 5
+    while alive() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert alive() is None
 
 
 def test_a_split_inside_a_lane_job_runs_on_that_thread(fake_blas):
@@ -275,7 +253,7 @@ def test_nested_scopes_share_the_outer_count(fake_blas):
     blas = fake_blas(2)
     with _threads.lanes() as outer:
         with _threads.lanes() as inner:
-            assert (outer.count, inner.count, blas.count) == (2, 2, 1)
+            assert (outer, inner, blas.count) == (2, 2, 1)
         assert blas.count == 1
     assert blas.count == 2 and blas.sets == [1, 2]
 
@@ -304,8 +282,8 @@ def test_overlapping_scopes_in_two_threads_restore_the_count(fake_blas, first_ou
     workers = [None, None]
 
     def scope(i):
-        with _threads.lanes() as lanes:
-            workers[i] = lanes.count
+        with _threads.lanes() as count:
+            workers[i] = count
             inside.wait(timeout=5)
             leave[i].wait(timeout=5)
 
