@@ -104,6 +104,28 @@ def test_caller_error_waits_for_the_helpers(fake_blas):
     assert blas.count == 3
 
 
+def test_join_waits_for_every_queued_job_when_the_callers_job_raises(fake_blas):
+    """Two splits in one scope, the caller's part of the second raising:
+    every part of both has run once the error leaves the scope, no helper
+    has a job left queued, and BLAS has its count back."""
+    blas = fake_blas(3)
+    done = []
+
+    def job(rows):
+        if rows.start == 0:
+            raise KeyError("caller job")
+        time.sleep(0.05)
+        done.append(rows.start)
+
+    with pytest.raises(KeyError, match="caller job"):
+        with _threads.lanes():
+            _threads.split(lambda rows: time.sleep(0.05) or done.append(-rows.start), 3)
+            _threads.split(job, 3)
+    assert sorted(done) == [-2, -1, 0, 1, 2]
+    assert all(lane.queue.empty() for lane in _threads._pool)
+    assert blas.count == 3
+
+
 def test_the_first_error_in_part_order_is_raised(fake_blas):
     fake_blas(3)
 
@@ -125,6 +147,21 @@ def test_parts_run_under_the_callers_errstate(fake_blas):
     assert [(m["divide"], m["over"]) for m in modes] == [("raise", "ignore")] * 2
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
         _threads.split(lambda rows: np.ones(1) / np.zeros(1) if rows.start else None, 2)
+
+
+def test_lane_jobs_run_under_the_callers_errstate(fake_blas):
+    """A helper made under one errstate runs each later part under the
+    errstate its caller has when that part is queued."""
+    fake_blas(2)
+    with _threads.lanes():
+        _threads.split(lambda rows: None, 2)  # makes the helper under the default errstate
+        with np.errstate(divide="raise", over="ignore"):
+            modes = _threads.split(lambda rows: np.geterr(), 2)
+        assert [(m["divide"], m["over"]) for m in modes] == [("raise", "ignore")] * 2
+        with np.errstate(divide="ignore"):
+            assert _threads.split(lambda rows: float(np.ones(1)[0] / 0.0), 2) == [np.inf] * 2
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _threads.split(lambda rows: np.ones(1) / np.zeros(1) if rows.start else None, 2)
 
 
 def test_each_split_sees_every_part_of_the_one_before(fake_blas):
